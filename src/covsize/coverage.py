@@ -9,16 +9,17 @@ the two (they swap roles at theta = eps_abs / eps_rel).
 Because Y_n is integer valued, each event {margin met} is a window of Y_n
 values with closed-form endpoints.  The smallest integer strictly above x is
 floor(x) + 1 and the largest strictly below is ceil(x) - 1, which gives the
-window formulas below; everything is evaluated in exact rational arithmetic
-before any probability is touched.
+window formulas below; they are evaluated in exact integer arithmetic on
+numerators and denominators before any probability is touched.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
+
+import numpy as np
 
 from ._exact import exact
 from .errors import DomainError
@@ -111,91 +112,70 @@ UNBIASED = Unbiased()
 
 
 # ---------------------------------------------------------------------------
-# integer window bounds
+# integer windows
 
-def bounds_abs(n: int, eps: Fraction, theta: Fraction) -> tuple[int, int]:
-    """Window [g, h] of Y_n values with |Y_n/n - theta| < eps (exact)."""
-    g = math.floor(n * (theta - eps)) + 1
-    h = math.ceil(n * (theta + eps)) - 1
-    return g, h
-
-
-def bounds_rel(n: int, eps: Fraction, theta: Fraction) -> tuple[int, int]:
-    """Window [g, h] of Y_n values with |Y_n/n - theta| < eps * theta (exact)."""
-    if theta <= 0:
-        raise DomainError(f"relative bounds need theta > 0, got {theta}")
-    g = math.floor(n * theta * (1 - eps)) + 1
-    h = math.ceil(n * theta * (1 + eps)) - 1
-    return g, h
-
-
-# ---------------------------------------------------------------------------
-# coverage
-
-def _two_sided(fam: DistributionFamily, n: int, g: int, h: int, theta: Fraction) -> float:
-    return prob_range(fam, n, g, h, theta)
-
-
-def _lower_tail(fam: DistributionFamily, n: int, h: int, theta: Fraction) -> float:
-    kmin, _ = fam.support_bound(n)
-    return prob_range(fam, n, kmin, h, theta)
-
-
-def _upper_tail(fam: DistributionFamily, n: int, g: int, theta: Fraction) -> float:
-    return prob_range(fam, n, g, None, theta)
-
-
-def _unbiased_window(criterion: ErrorCriterion, n: int, theta: Fraction) -> tuple[int, int]:
-    match criterion:
-        case Absolute(eps=eps):
-            return bounds_abs(n, eps, theta)
-        case Relative(eps=eps):
-            return bounds_rel(n, eps, theta)
-        case Mixed():
-            # union of nested windows = the wider one at this theta
-            if theta <= criterion.crossover:
-                return bounds_abs(n, criterion.eps_abs, theta)
-            return bounds_rel(n, criterion.eps_rel, theta)
-    raise DomainError(f"unknown criterion {criterion!r}")
-
-
-def _rp_window(
+def acceptance_windows(
     n: int,
     criterion: ErrorCriterion,
-    est: RangePreserving,
-    theta: Fraction,
-) -> tuple[Optional[int], Optional[int]]:
-    a, b = est.lower, est.upper
-    if not a <= theta <= b:
-        raise DomainError(
-            f"theta={theta} outside the range-preserving interval [{a}, {b}]"
-        )
+    estimator: EstimatorKind,
+    thetas: Sequence[Fraction],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Acceptance windows of many exact thetas at one n, in integer arithmetic.
+
+    Returns int64 arrays lo, hi and boolean masks open_lo, open_hi; an open
+    side (a clamped side that cannot miss) runs through that end of the
+    support.  For theta = p/q and margin e/d (times theta if relative) the
+    edges are x/(q*d) with x = p*d -+ e*s, s = q (absolute) or p (relative).
+    """
+    _check_n(n)
+    # margins as (numerator, denominator); the mixed margin is the absolute
+    # one up to the crossover cn/cd and the relative one beyond it
+    cn, cd = 0, 1
     match criterion:
         case Absolute(eps=eps):
-            lower_active = theta - eps >= a
-            upper_active = theta + eps <= b
+            abs_m, rel_m = (eps.numerator, eps.denominator), None
         case Relative(eps=eps):
-            if theta <= 0:
-                raise DomainError(f"relative coverage needs theta > 0, got {theta}")
-            lower_active = theta * (1 - eps) >= a
-            upper_active = theta * (1 + eps) <= b
-        case Mixed():
-            if theta <= criterion.crossover:
-                return _rp_window(n, Absolute(criterion.eps_abs), est, theta)
-            return _rp_window(n, Relative(criterion.eps_rel), est, theta)
+            abs_m, rel_m = None, (eps.numerator, eps.denominator)
+        case Mixed(eps_abs=ea, eps_rel=er):
+            abs_m, rel_m = (ea.numerator, ea.denominator), (er.numerator, er.denominator)
+            cn, cd = criterion.crossover.numerator, criterion.crossover.denominator
         case _:
             raise DomainError(f"unknown criterion {criterion!r}")
-    # the clamped estimate misses low only when theta - margin >= a (so the
-    # clamp at a is itself a miss), and misses high only when theta + margin
-    # <= b; an inactive side contributes certainty
-    if not lower_active and not upper_active:
-        return None, None
-    g, h = _unbiased_window(criterion, n, theta)
-    if lower_active and upper_active:
-        return g, h
-    if upper_active:
-        return None, h
-    return g, None
+    match estimator:
+        case Unbiased():
+            clamp = None
+        case RangePreserving(lower=lower, upper=upper):
+            clamp = (lower.numerator, lower.denominator, upper.numerator, upper.denominator)
+        case _:
+            raise DomainError(f"unknown estimator {estimator!r}")
+    rows = []
+    for theta in thetas:
+        p, q = theta.numerator, theta.denominator
+        relative = abs_m is None or (rel_m is not None and p * cd > cn * q)
+        if relative:
+            if p <= 0:
+                raise DomainError(f"relative coverage needs theta > 0, got {theta}")
+            (e, d), s = rel_m, p
+        else:
+            (e, d), s = abs_m, q
+        x_lo, x_hi, den = p * d - e * s, p * d + e * s, q * d
+        open_lo = open_hi = False
+        if clamp is not None:
+            an, ad, bn, bd = clamp
+            if not (an * q <= p * ad and p * bd <= bn * q):
+                raise DomainError(
+                    f"theta={theta} outside the range-preserving interval "
+                    f"[{estimator.lower}, {estimator.upper}]"
+                )
+            # the clamped estimate misses low only when theta - margin >= a
+            # (so the clamp at a is itself a miss), and misses high only when
+            # theta + margin <= b; an inactive side cannot miss
+            open_lo = x_lo * ad < an * den
+            open_hi = x_hi * bd > bn * den
+        rows.append((n * x_lo // den + 1, -(-n * x_hi // den) - 1, open_lo, open_hi))
+    lo, hi, open_lo, open_hi = zip(*rows)
+    return (np.array(lo, dtype=np.int64), np.array(hi, dtype=np.int64),
+            np.array(open_lo, dtype=bool), np.array(open_hi, dtype=bool))
 
 
 def acceptance_window(
@@ -211,15 +191,23 @@ def acceptance_window(
     every outcome is accepted.  The window is purely arithmetic, so it needs
     no distribution family.
     """
-    _check_n(n)
     theta = exact(theta, name="theta")
-    match estimator:
-        case Unbiased():
-            return _unbiased_window(criterion, n, theta)
-        case RangePreserving():
-            return _rp_window(n, criterion, estimator, theta)
-    raise DomainError(f"unknown estimator {estimator!r}")
+    lo, hi, open_lo, open_hi = acceptance_windows(n, criterion, estimator, (theta,))
+    return (None if open_lo[0] else int(lo[0]), None if open_hi[0] else int(hi[0]))
 
+
+def bounds_abs(n: int, eps: Fraction, theta: Fraction) -> tuple[int, int]:
+    """Window [g, h] of Y_n values with |Y_n/n - theta| < eps (exact)."""
+    return acceptance_window(n, Absolute(eps), UNBIASED, theta)
+
+
+def bounds_rel(n: int, eps: Fraction, theta: Fraction) -> tuple[int, int]:
+    """Window [g, h] of Y_n values with |Y_n/n - theta| < eps * theta (exact)."""
+    return acceptance_window(n, Relative(eps), UNBIASED, theta)
+
+
+# ---------------------------------------------------------------------------
+# coverage
 
 def coverage(
     family: DistributionFamily | str,
@@ -239,7 +227,5 @@ def coverage(
     if lo is None and hi is None:
         return 1.0
     if lo is None:
-        return _lower_tail(fam, n, hi, theta)
-    if hi is None:
-        return _upper_tail(fam, n, lo, theta)
-    return _two_sided(fam, n, lo, hi, theta)
+        lo, _ = fam.support_bound(n)
+    return prob_range(fam, n, lo, hi, theta)

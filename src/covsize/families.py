@@ -5,8 +5,9 @@ theta.  The two built-in families are Bernoulli (Y_n is binomial(n, theta))
 and Poisson (Y_n is Poisson(n * theta)).  Custom families can be registered
 through the same interface as long as Y_n stays integer valued.
 
-Probabilities are computed in log space via log-gamma and exponentiated per
-term; range sums accumulate with compensated summation.  The minimization
+Range probabilities of the built-in families are differences of the library
+CDFs `bdtr` / `pdtr`, evaluated for many thetas at once; a family without a
+`cdf_batch` sums its log-space pmf with compensated summation.  The minimization
 theory elsewhere in the package relies on theta -> Pr{k <= Y_n <= l | theta}
 having at most one interior peak on the parameter interval.  That holds for
 the built-in families; `peak_count` is provided as an empirical diagnostic
@@ -16,7 +17,7 @@ for custom ones.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -62,8 +63,11 @@ class DistributionFamily:
     the support is unbounded above.  `log_pmf(n, theta, k)` takes theta as a
     float and must be finite or -inf.  Families with unbounded support must
     provide `tail_cutoff(n, theta)`, an integer beyond which the upper tail
-    mass is below 1e-15.  `cdf_batch` is optional and only used to speed up
-    grid scans; correctness never depends on it.
+    mass is below 1e-15.
+
+    `cdf_batch(n, thetas, ks)`, Pr{Y_n <= k} elementwise, is optional; a
+    family that has it gets every range probability from `prob_ranges`, one
+    vectorized call per n, instead of a log-pmf sum per theta.
     """
 
     name: str
@@ -73,7 +77,6 @@ class DistributionFamily:
     log_pmf_batch: Optional[Callable[[int, float, np.ndarray], np.ndarray]] = None
     cdf_batch: Optional[Callable[[int, np.ndarray, np.ndarray], np.ndarray]] = None
     tail_cutoff: Optional[Callable[[int, Fraction], int]] = None
-    unimodal_prob_range: bool = field(default=True)
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -236,18 +239,8 @@ def pmf(family: DistributionFamily | str, n: int, theta: Fraction, k: int) -> fl
     return math.exp(fam.log_pmf(n, float(theta), k))
 
 
-def _upper_limit(fam: DistributionFamily, n: int, theta: Fraction, lo: int) -> int:
-    """Effective top of an unbounded summation window starting at lo."""
-    assert fam.tail_cutoff is not None
-    return max(fam.tail_cutoff(n, theta), lo)
-
-
 def window_sum(fam: DistributionFamily, n: int, theta: Fraction, lo: int, hi: int) -> float:
-    """Sum of pmf over the inclusive integer window [lo, hi], compensated.
-
-    Both the closed-form coverage path and the brute-force indicator path
-    funnel through this helper, so equal windows give bit-equal sums.
-    """
+    """Sum of pmf over the inclusive integer window [lo, hi], compensated."""
     if lo > hi:
         return 0.0
     tf = float(theta)
@@ -256,6 +249,48 @@ def window_sum(fam: DistributionFamily, n: int, theta: Fraction, lo: int, hi: in
         logs = fam.log_pmf_batch(n, tf, np.arange(lo, hi + 1, dtype=np.int64))
         return float(math.fsum(np.exp(logs)))
     return math.fsum(math.exp(fam.log_pmf(n, tf, k)) for k in range(lo, hi + 1))
+
+
+def prob_ranges(
+    fam: DistributionFamily,
+    n: int,
+    thetas: np.ndarray,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    open_top: np.ndarray,
+) -> np.ndarray:
+    """Pr{lo <= Y_n <= hi | theta} per float theta, from one `cdf_batch` call.
+
+    Rows flagged in `open_top` have no upper limit; windows are clipped to
+    the support, an empty one gives 0.0.  Callers validate n and theta.
+    """
+    kmin, kmax = fam.support_bound(n)
+    lo = np.maximum(lo, kmin)
+    if kmax is not None:
+        hi = np.minimum(hi, kmax)
+    m = len(thetas)
+    cdf = fam.cdf_batch(n, np.concatenate((thetas, thetas)), np.concatenate((lo - 1, hi)))
+    # a difference of two CDFs in [0, 1] is at most 1; only a negative can need clipping
+    out = np.maximum(np.where(open_top, 1.0, cdf[m:]) - cdf[:m], 0.0)
+    out[~open_top & (hi < lo)] = 0.0
+    return out
+
+
+def scalar_prob_range(
+    fam: DistributionFamily, n: int, k: int, l: Optional[int], theta: Fraction
+) -> float:
+    """`prob_range` by log-pmf summation, without argument checks."""
+    if l is not None and k > l:
+        return 0.0
+    kmin, kmax = fam.support_bound(n)
+    lo = max(k, kmin)
+    if l is not None:
+        hi = l if kmax is None else min(l, kmax)
+    elif kmax is not None:
+        hi = kmax
+    else:
+        hi = max(fam.tail_cutoff(n, theta), lo)
+    return window_sum(fam, n, theta, lo, hi)
 
 
 def prob_range(
@@ -268,21 +303,19 @@ def prob_range(
     """Pr{k <= Y_n <= l | theta}; l=None means no upper limit.
 
     Returns 0.0 when the window is empty.  The window is clipped to the
-    support; for unbounded support the upper tail is truncated where the
-    residual mass is below 1e-15.
+    support.  With `cdf_batch` this is a one-row `prob_ranges`, bit-equal to
+    a batched row; otherwise the pmf is summed, the upper tail of unbounded
+    support truncated where the residual mass is below 1e-15.
     """
     fam = resolve_family(family)
     n = _check_n(n)
     theta = fam.require_theta(theta)
-    if l is not None and k > l:
-        return 0.0
-    kmin, kmax = fam.support_bound(n)
-    lo = max(k, kmin)
-    if l is None:
-        hi = kmax if kmax is not None else _upper_limit(fam, n, theta, lo)
-    else:
-        hi = l if kmax is None else min(l, kmax)
-    return window_sum(fam, n, theta, lo, hi)
+    if fam.cdf_batch is None:
+        return scalar_prob_range(fam, n, k, l, theta)
+    top = l is None
+    row = prob_ranges(fam, n, np.array([float(theta)]), np.array([k]),
+                      np.array([k if top else l]), np.array([top]))
+    return float(row[0])
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ from .coverage import (
     Relative,
 )
 from .errors import DomainError
-from .families import DistributionFamily, prob_range, resolve_family
+from .families import DistributionFamily, prob_range, prob_ranges, resolve_family
 
 # rows whose float thresholds sit this close to a decision boundary are
 # recomputed exactly
@@ -160,7 +160,7 @@ def _vector_rows(
     bf: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Float coverage per grid row plus a mask of rows needing exact redo."""
-    kmin, kmax = fam.support_bound(n)
+    kmin, _ = fam.support_bound(n)
     rp = isinstance(estimator, RangePreserving)
     flags = np.zeros(tf.shape, dtype=bool)
 
@@ -205,15 +205,7 @@ def _vector_rows(
     if space.upper is not None and space.include_upper:
         flags |= _near(tf, float(space.upper))
 
-    lo = np.maximum(lo, kmin)
-    if kmax is not None:
-        hi = np.minimum(hi, kmax)
-    assert fam.cdf_batch is not None
-    upper = np.where(open_top, 1.0, fam.cdf_batch(n, tf, hi))
-    lower = fam.cdf_batch(n, tf, lo - 1)
-    cov = np.clip(upper - lower, 0.0, 1.0)
-    cov[(~open_top) & (hi < lo)] = 0.0
-    return cov, flags
+    return prob_ranges(fam, n, tf, lo, hi, open_top), flags
 
 
 def grid_min_coverage(

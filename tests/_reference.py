@@ -59,10 +59,16 @@ def estimate_of(k: int, n: int, estimator) -> Fraction:
 
 
 def bernoulli_coverage(n: int, criterion, estimator, theta: Fraction) -> Fraction:
-    """Exact rational coverage for the Bernoulli family by full enumeration."""
+    """Exact rational coverage for the Bernoulli family by full enumeration.
+
+    With theta = p/q every mass is comb(n, k) p^k (q-p)^(n-k) / q^n, so the
+    numerators are summed as integers and divided once, which keeps n in the
+    thousands fast.
+    """
     m = margin_at(criterion, theta)
-    total = Fraction(0)
+    p, q = theta.numerator, theta.denominator
+    total = 0
     for k in range(n + 1):
         if abs(estimate_of(k, n, estimator) - theta) < m:
-            total += binom_pmf(n, k, theta)
-    return total
+            total += math.comb(n, k) * p**k * (q - p) ** (n - k)
+    return Fraction(total, q**n)

@@ -14,6 +14,8 @@ import sys
 import time
 from fractions import Fraction
 
+import pytest
+
 from covsize import (
     Absolute,
     GridSpec,
@@ -79,6 +81,7 @@ def random_instance(rng, pair, family):
     return n, crit, est, a, b
 
 
+@pytest.mark.slow
 def test_criterion_1_candidate_minimum_equals_grid_minimum(capsys):
     """Worst case found on the candidate set == dense-scan worst case."""
     rng = random.Random(20260801)
@@ -261,6 +264,7 @@ GOLDEN_SAMPLE_SIZES = [
 ]
 
 
+@pytest.mark.slow
 def test_criterion_6_frozen_reference_sample_sizes(capsys):
     """The production search lands exactly on the oracle-derived sample sizes."""
     mismatches = []
@@ -297,6 +301,7 @@ CLI_INVOCATIONS = [
 ]
 
 
+@pytest.mark.slow
 def test_criterion_7_cli_output_is_deterministic(capsys):
     """Each subcommand, run twice with 4 worker threads, emits identical bytes."""
     env = dict(os.environ, COVSIZE_THREADS="4")

@@ -264,6 +264,7 @@ def test_output_file(tmp_path, capsys):
     assert obj["count"] == len(obj["points"])
 
 
+@pytest.mark.slow
 @pytest.mark.skipif(shutil.which("covsize") is None, reason="console script not on PATH")
 def test_installed_script_runs_end_to_end():
     proc = subprocess.run(
@@ -276,6 +277,7 @@ def test_installed_script_runs_end_to_end():
     assert json.loads(proc.stdout)["count"] == 4
 
 
+@pytest.mark.slow
 def test_thread_env_does_not_change_bytes():
     """min-coverage JSON is byte-identical at COVSIZE_THREADS=1 and 4 (python -m, no install)."""
     argv = [

@@ -1,6 +1,7 @@
 """Distribution families: masses, range sums, truncation, registry."""
 
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -10,10 +11,13 @@ from hypothesis import strategies as st
 from covsize import (
     BERNOULLI,
     POISSON,
+    UNBIASED,
+    Absolute,
     DistributionFamily,
     DomainError,
     ParamSpace,
     available_families,
+    coverage,
     get_family,
     peak_count,
     pmf,
@@ -22,7 +26,7 @@ from covsize import (
 )
 from covsize.families import _REGISTRY, window_sum
 
-from _reference import binom_pmf, binom_range, poisson_pmf_dec
+from _reference import bernoulli_coverage, binom_pmf, binom_range, poisson_pmf_dec
 
 thetas_01 = st.fractions(min_value=0, max_value=1, max_denominator=64)
 small_n = st.integers(min_value=1, max_value=40)
@@ -167,6 +171,36 @@ def test_batch_and_scalar_summation_agree():
     )
     assert batch == pytest.approx(scalar, abs=5e-13)
     assert batch == pytest.approx(float(binom_range(n, lo, hi, theta)), abs=5e-13)
+
+
+def test_large_n_bernoulli_coverage_matches_exact_rational():
+    # n near the n_min of the absolute 1/100 query on [0, 1]; the former
+    # per-term log-gamma sum was off by 1.8e-11 here
+    n, crit, theta = 9622, Absolute(Fraction(1, 100)), Fraction(240561, 481100)
+    exact = bernoulli_coverage(n, crit, UNBIASED, theta)
+    assert abs(coverage("bernoulli", n, crit, UNBIASED, theta) - float(exact)) <= 1e-12
+
+
+def test_large_n_poisson_coverage_matches_decimal_reference():
+    # n * theta = 10001 with margin 1/100: about 200 accepted outcomes
+    n, eps, theta = 10_000, Fraction(1, 100), Fraction(10001, 10000)
+    centre = n * theta
+    accepted = [
+        k for k in range(int(centre) - 2 * n // 100, int(centre) + 2 * n // 100)
+        if abs(Fraction(k, n) - theta) < eps
+    ]
+    # one Decimal mass, then the exact ratio Pr{k+1} / Pr{k} = lam / (k+1);
+    # converting k! to Decimal for each of the 200 masses would take seconds
+    with localcontext() as ctx:
+        ctx.prec = 50
+        lam = Decimal(centre.numerator) / Decimal(centre.denominator)
+        mass = poisson_pmf_dec(centre, accepted[0])
+        ref = mass
+        for k in accepted[1:]:
+            mass = mass * lam / k
+            ref += mass
+    value = coverage("poisson", n, Absolute(eps), UNBIASED, theta)
+    assert abs(value - float(ref)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,8 @@ from covsize import (
 )
 from covsize.minimize import resolve_threads
 
+from _reference import bernoulli_coverage
+
 F = Fraction
 
 
@@ -87,6 +89,25 @@ def test_argmin_is_a_one_sided_floor(n, eps_num, seed):
         if a <= probe <= b:
             c = coverage("bernoulli", n, crit, UNBIASED, probe)
             assert c >= report.min_coverage - 1e-8
+
+
+def test_golden_101_argmin_has_an_exact_mirror_tie():
+    """Ties break among float-equal values; exact ties can fall either way.
+
+    The absolute margin on [0, 1] is symmetric under theta -> 1 - theta, so
+    the worst case at the n_min of golden 101 is attained at a mirror pair
+    with equal exact coverage, and which one is reported depends on the last
+    bits of the two floats.
+    """
+    crit = Absolute(F(1, 10))
+    report = min_coverage("bernoulli", 101, crit, UNBIASED, F(0), F(1))
+    values = dict(report.evaluations)
+    theta, mirror = report.argmin_theta, 1 - report.argmin_theta
+    assert mirror != theta and mirror in values
+    exact = bernoulli_coverage(101, crit, UNBIASED, theta)
+    assert bernoulli_coverage(101, crit, UNBIASED, mirror) == exact
+    assert report.min_coverage == pytest.approx(float(exact), abs=1e-13)
+    assert values[mirror] == pytest.approx(float(exact), abs=1e-13)
 
 
 def test_thread_count_does_not_change_bits():
