@@ -303,19 +303,24 @@ def prob_range(
     """Pr{k <= Y_n <= l | theta}; l=None means no upper limit.
 
     Returns 0.0 when the window is empty.  The window is clipped to the
-    support.  With `cdf_batch` this is a one-row `prob_ranges`, bit-equal to
-    a batched row; otherwise the pmf is summed, the upper tail of unbounded
-    support truncated where the residual mass is below 1e-15.
+    support.  With `cdf_batch` this is one row of `prob_ranges`, the same
+    float operations on the same CDF values, so the two are bit-equal;
+    otherwise the pmf is summed, the upper tail of unbounded support
+    truncated where the residual mass is below 1e-15.
     """
     fam = resolve_family(family)
     n = _check_n(n)
     theta = fam.require_theta(theta)
     if fam.cdf_batch is None:
         return scalar_prob_range(fam, n, k, l, theta)
-    top = l is None
-    row = prob_ranges(fam, n, np.array([float(theta)]), np.array([k]),
-                      np.array([k if top else l]), np.array([top]))
-    return float(row[0])
+    kmin, kmax = fam.support_bound(n)
+    lo = max(k, kmin)
+    hi = lo if l is None else l if kmax is None else min(l, kmax)
+    if l is not None and hi < lo:
+        return 0.0
+    tf = float(theta)
+    lower, upper = fam.cdf_batch(n, np.array([tf, tf]), np.array([lo - 1, hi])).tolist()
+    return max((1.0 if l is None else upper) - lower, 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -55,6 +55,21 @@ def test_bounds_rel_requires_positive_theta():
         bounds_rel(10, F(1, 5), F(0))
 
 
+
+def test_bounds_helpers_take_the_criteria_domains():
+    # bounds_abs / bounds_rel are acceptance_window with Absolute / Relative,
+    # so their margins and theta are validated as those are
+    for bad in (F(0), F(-1, 10)):
+        with pytest.raises(DomainError, match="positive"):
+            bounds_abs(10, bad, F(1, 2))
+    for bad in (F(0), F(1), F(3, 2)):
+        with pytest.raises(DomainError, match=r"\(0, 1\)"):
+            bounds_rel(10, bad, F(1, 2))
+    with pytest.raises(DomainError, match="binary float"):
+        bounds_abs(10, F(1, 10), 0.5)
+    with pytest.raises(DomainError, match="binary float"):
+        bounds_rel(10, F(1, 10), 0.5)
+
 @given(n=st.integers(1, 50), eps=margins, theta=thetas_01)
 def test_bounds_abs_window_is_exactly_the_strict_event(n, eps, theta):
     g, h = bounds_abs(n, eps, theta)

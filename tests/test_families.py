@@ -4,6 +4,7 @@ import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,7 +25,7 @@ from covsize import (
     prob_range,
     register_family,
 )
-from covsize.families import _REGISTRY, window_sum
+from covsize.families import _REGISTRY, prob_ranges, window_sum
 
 from _reference import bernoulli_coverage, binom_pmf, binom_range, poisson_pmf_dec
 
@@ -171,6 +172,24 @@ def test_batch_and_scalar_summation_agree():
     )
     assert batch == pytest.approx(scalar, abs=5e-13)
     assert batch == pytest.approx(float(binom_range(n, lo, hi, theta)), abs=5e-13)
+
+
+@pytest.mark.parametrize("fam", [BERNOULLI, POISSON])
+def test_prob_range_is_bit_equal_to_a_prob_ranges_row(fam):
+    # coverage(), indicator_coverage and min_coverage agree with == only if
+    # the scalar call and a batched row give the same float
+    n = 37
+    thetas = [Fraction(j, 46) for j in range(47)] if fam is BERNOULLI else [
+        Fraction(j, 23) for j in range(1, 70)]
+    windows = [(k, l) for k in range(-3, 45, 4) for l in (None, *range(k - 2, 48, 5))]
+    rows = [(t, k, l) for t in thetas for k, l in windows]
+    batch = prob_ranges(
+        fam, n, np.array([float(t) for t, _, _ in rows]),
+        np.array([k for _, k, _ in rows]), np.array([k if l is None else l for _, k, l in rows]),
+        np.array([l is None for _, _, l in rows]),
+    )
+    scalar = [prob_range(fam, n, k, l, t) for t, k, l in rows]
+    assert scalar == batch.tolist()
 
 
 def test_large_n_bernoulli_coverage_matches_exact_rational():
