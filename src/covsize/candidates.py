@@ -14,9 +14,11 @@ Lattice families, tagged by provenance:
   rel-upper      theta = k/(n*(1+eps))    (upper window endpoint jumps)
   rel-lower      theta = k/(n*(1-eps))    (lower window endpoint jumps)
 
-All arithmetic is exact; emitted points are exact rationals lying strictly
-inside their stated open windows (endpoints and breakpoints are listed
-separately and deduplicated by rational equality).
+All arithmetic is exact.  A builder records its endpoints, breakpoints and
+lattices; `_Collector.build` then puts all of them over one common
+denominator, so each lattice is one range of integer numerators, points are
+merged by tag and sorted as integers, and a Fraction is made only for each
+emitted point.  Lattice points lie strictly inside their stated open windows.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from .coverage import (
     Unbiased,
 )
 from .errors import DomainError
+from .families import _check_n
 
 TAG_ENDPOINT = "endpoint"
 TAG_BREAKPOINT = "breakpoint"
@@ -73,33 +76,43 @@ class CandidateSet:
 
 class _Collector:
     def __init__(self) -> None:
-        self._tags: dict[Fraction, set[str]] = {}
+        self._singles: list[tuple[Fraction, str]] = []
+        self._lattices: list[tuple[Fraction, Fraction, Fraction, Fraction, str]] = []
 
     def add(self, theta: Fraction, tag: str) -> None:
-        self._tags.setdefault(theta, set()).add(tag)
+        self._singles.append((theta, tag))
 
-    def add_many(self, thetas: Iterable[Fraction], tag: str) -> None:
-        for t in thetas:
-            self.add(t, tag)
+    def lattice(self, spacing: Fraction, offset: Fraction, lo: Fraction, hi: Fraction,
+                tag: str) -> None:
+        """Points offset + k * spacing, k integer, strictly inside (lo, hi)."""
+        self._lattices.append((spacing, offset, lo, hi, tag))
 
     def build(self, rule: str, bound: Fraction) -> CandidateSet:
-        points = tuple(
-            CandidatePoint(t, tuple(sorted(tags)))
-            for t, tags in sorted(self._tags.items())
-        )
+        den = math.lcm(*(t.denominator for t, _ in self._singles),
+                       *(f.denominator for lattice in self._lattices for f in lattice[:2]))
+
+        def over(f: Fraction) -> int:  # numerator of f over den
+            return f.numerator * (den // f.denominator)
+
+        runs: list[tuple[str, Iterable[int]]] = [(tag, (over(t),)) for t, tag in self._singles]
+        for spacing, offset, lo, hi, tag in self._lattices:
+            kmin = math.floor((lo - offset) / spacing) + 1
+            kmax = math.ceil((hi - offset) / spacing) - 1  # below kmin when lo >= hi
+            step, base = over(spacing), over(offset)
+            runs.append((tag, range(base + kmin * step, base + (kmax + 1) * step, step)))
+        # tags in sorted order, so each point's tuple comes out sorted
+        tags: dict[int, tuple[str, ...]] = {}
+        for tag, xs in sorted(runs, key=lambda run: run[0]):
+            for x in xs:
+                have = tags.get(x, ())
+                if tag not in have:
+                    tags[x] = have + (tag,)
+        points = tuple(CandidatePoint(Fraction(x, den), tags[x]) for x in sorted(tags))
         return CandidateSet(rule=rule, points=points, cardinality_bound=bound)
 
 
-def _lattice(spacing: Fraction, offset: Fraction, lo: Fraction, hi: Fraction) -> list[Fraction]:
-    """Points offset + k * spacing, k integer, strictly inside (lo, hi)."""
-    if lo >= hi:
-        return []
-    kmin = math.floor((lo - offset) / spacing) + 1
-    kmax = math.ceil((hi - offset) / spacing) - 1
-    return [offset + k * spacing for k in range(kmin, kmax + 1)]
-
-
-def _check_interval(a: Fraction, b: Fraction) -> tuple[Fraction, Fraction]:
+def _check_args(n: int, a: Fraction, b: Fraction) -> tuple[Fraction, Fraction]:
+    _check_n(n)
     a = exact(a, name="a")
     b = exact(b, name="b")
     if not a < b:
@@ -109,14 +122,14 @@ def _check_interval(a: Fraction, b: Fraction) -> tuple[Fraction, Fraction]:
 
 def _abs_lattices(col: _Collector, n: int, eps: Fraction, lo: Fraction, hi: Fraction) -> None:
     spacing = Fraction(1, n)
-    col.add_many(_lattice(spacing, eps, lo, hi), TAG_PLUS)
-    col.add_many(_lattice(spacing, -eps, lo, hi), TAG_MINUS)
+    col.lattice(spacing, eps, lo, hi, TAG_PLUS)
+    col.lattice(spacing, -eps, lo, hi, TAG_MINUS)
 
 
 def _rel_lattices(col: _Collector, n: int, eps: Fraction, lo_u: Fraction, hi_u: Fraction,
                   lo_l: Fraction, hi_l: Fraction) -> None:
-    col.add_many(_lattice(Fraction(1, n * (1 + eps)), Fraction(0), lo_u, hi_u), TAG_REL_UPPER)
-    col.add_many(_lattice(Fraction(1, n * (1 - eps)), Fraction(0), lo_l, hi_l), TAG_REL_LOWER)
+    col.lattice(Fraction(1, n * (1 + eps)), Fraction(0), lo_u, hi_u, TAG_REL_UPPER)
+    col.lattice(Fraction(1, n * (1 - eps)), Fraction(0), lo_l, hi_l, TAG_REL_LOWER)
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +137,7 @@ def _rel_lattices(col: _Collector, n: int, eps: Fraction, lo_u: Fraction, hi_u: 
 
 def candidates_abs(n: int, eps: Fraction, a: Fraction, b: Fraction) -> CandidateSet:
     """Worst-coverage candidates for |Y_n/n - theta| < eps on [a, b]."""
-    a, b = _check_interval(a, b)
+    a, b = _check_args(n, a, b)
     eps = Absolute(eps).eps
     col = _Collector()
     col.add(a, TAG_ENDPOINT)
@@ -136,7 +149,7 @@ def candidates_abs(n: int, eps: Fraction, a: Fraction, b: Fraction) -> Candidate
 
 def candidates_rel(n: int, eps: Fraction, a: Fraction, b: Fraction) -> CandidateSet:
     """Worst-coverage candidates for |Y_n/n - theta| < eps*theta on [a, b], a > 0."""
-    a, b = _check_interval(a, b)
+    a, b = _check_args(n, a, b)
     eps = Relative(eps).eps
     if a <= 0:
         raise DomainError(f"relative criterion needs a > 0, got a={a}")
@@ -157,7 +170,7 @@ def candidates_mixed(
     absolute one, so both absolute lattices live on (a, c); above it the
     margin is relative, so both relative lattices live on (c, b).
     """
-    a, b = _check_interval(a, b)
+    a, b = _check_args(n, a, b)
     crit = Mixed(eps_abs, eps_rel)
     if a < 0:
         raise DomainError(f"mixed criterion needs a >= 0, got a={a}")
@@ -188,7 +201,7 @@ def _add_within(col: _Collector, theta: Fraction, lo: Fraction, hi: Fraction, ta
 
 def candidates_rp_abs(n: int, eps: Fraction, a: Fraction, b: Fraction) -> CandidateSet:
     """Candidates for the clamped estimator under the absolute margin, 0 < a."""
-    a, b = _check_interval(a, b)
+    a, b = _check_args(n, a, b)
     eps = Absolute(eps).eps
     if a <= 0:
         raise DomainError(f"range-preserving absolute rule needs a > 0, got a={a}")
@@ -199,15 +212,15 @@ def candidates_rp_abs(n: int, eps: Fraction, a: Fraction, b: Fraction) -> Candid
     _add_within(col, b - eps, a, b, TAG_BREAKPOINT)
     spacing = Fraction(1, n)
     # the upper window endpoint matters up to b - eps, the lower one from a + eps
-    col.add_many(_lattice(spacing, -eps, a, b - eps), TAG_MINUS)
-    col.add_many(_lattice(spacing, eps, a + eps, b), TAG_PLUS)
+    col.lattice(spacing, -eps, a, b - eps, TAG_MINUS)
+    col.lattice(spacing, eps, a + eps, b, TAG_PLUS)
     bound = 2 * n * (b - a - eps) + 6
     return col.build("absolute/range-preserving", max(bound, Fraction(6)))
 
 
 def candidates_rp_rel(n: int, eps: Fraction, a: Fraction, b: Fraction) -> CandidateSet:
     """Candidates for the clamped estimator under the relative margin, 0 < a."""
-    a, b = _check_interval(a, b)
+    a, b = _check_args(n, a, b)
     eps = Relative(eps).eps
     if a <= 0:
         raise DomainError(f"range-preserving relative rule needs a > 0, got a={a}")
@@ -239,7 +252,7 @@ def candidates_rp_mixed(
     collected on [a, c] and the relative-margin structure on [c, b], each with
     the clamp breakpoints of the full interval [a, b].
     """
-    a, b = _check_interval(a, b)
+    a, b = _check_args(n, a, b)
     crit = Mixed(eps_abs, eps_rel)
     if a < 0:
         raise DomainError(f"mixed criterion needs a >= 0, got a={a}")
@@ -259,8 +272,8 @@ def candidates_rp_mixed(
     _add_within(col, a + ea, a, c, TAG_BREAKPOINT)
     _add_within(col, b - ea, a, c, TAG_BREAKPOINT)
     spacing = Fraction(1, n)
-    col.add_many(_lattice(spacing, -ea, a, min(b - ea, c)), TAG_MINUS)
-    col.add_many(_lattice(spacing, ea, a + ea, c), TAG_PLUS)
+    col.lattice(spacing, -ea, a, min(b - ea, c), TAG_MINUS)
+    col.lattice(spacing, ea, a + ea, c, TAG_PLUS)
     # relative side, theta in [c, b]
     a_low = a / (1 - er)
     b_up = b / (1 + er)
@@ -291,6 +304,7 @@ def candidate_set_for(
     b: Fraction,
 ) -> CandidateSet:
     """Build the candidate set matching a (criterion, estimator) pair on [a, b]."""
+    _check_n(n)
     a = exact(a, name="a")
     b = exact(b, name="b")
     if isinstance(estimator, RangePreserving):

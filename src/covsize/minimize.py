@@ -15,7 +15,9 @@ from .coverage import ErrorCriterion, EstimatorKind, acceptance_windows
 # not called here: perfbench's tracer still wraps this name, which it checks exists
 from .coverage import coverage  # noqa: F401
 from .errors import DomainError
-from .families import DistributionFamily, prob_ranges, resolve_family, scalar_prob_range
+from .families import (
+    DistributionFamily, _check_n, prob_ranges, resolve_family, scalar_prob_range,
+)
 
 THREADS_ENV = "COVSIZE_THREADS"
 
@@ -66,6 +68,7 @@ def min_coverage(
     Evaluations are in ascending theta order; `threads` is only validated.
     """
     fam = resolve_family(family)
+    _check_n(n)
     resolve_threads(threads)
     a = exact(a, name="a")
     b = exact(b, name="b")

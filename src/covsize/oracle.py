@@ -32,7 +32,7 @@ from .coverage import (
     Relative,
 )
 from .errors import DomainError
-from .families import DistributionFamily, prob_range, prob_ranges, resolve_family
+from .families import DistributionFamily, _check_n, prob_range, prob_ranges, resolve_family
 
 # rows whose float thresholds sit this close to a decision boundary are
 # recomputed exactly
@@ -91,6 +91,7 @@ def indicator_coverage(
 ) -> float:
     """Coverage computed from the raw event, one support point at a time."""
     fam = resolve_family(family)
+    _check_n(n)
     theta = fam.require_theta(theta)
     rp = isinstance(estimator, RangePreserving)
     if rp and not estimator.lower <= theta <= estimator.upper:
@@ -224,6 +225,7 @@ def grid_min_coverage(
     indicator path.
     """
     fam = resolve_family(family)
+    _check_n(n)
     a = exact(a, name="a")
     b = exact(b, name="b")
     if not a < b:

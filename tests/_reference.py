@@ -72,3 +72,101 @@ def bernoulli_coverage(n: int, criterion, estimator, theta: Fraction) -> Fractio
         if abs(estimate_of(k, n, estimator) - theta) < m:
             total += math.comb(n, k) * p**k * (q - p) ** (n - k)
     return Fraction(total, q**n)
+
+
+def _lattice_points(spacing: Fraction, offset: Fraction, lo: Fraction, hi: Fraction):
+    """offset + k * spacing for every integer k with the point strictly inside (lo, hi)."""
+    k = math.floor((lo - offset) / spacing) - 1
+    points = []
+    while offset + k * spacing < hi:
+        theta = offset + k * spacing
+        if lo < theta:
+            points.append(theta)
+        k += 1
+    return points
+
+
+def reference_candidates(kind: str, *args):
+    """Candidate points (theta, sorted tags) and cardinality bound of a builder call.
+
+    `kind` is one of abs, rel, mixed, rp_abs, rp_rel, rp_mixed with the
+    builders' arguments (n, eps, a, b) or (n, eps_abs, eps_rel, a, b).  Each
+    lattice is walked k by k in Fractions from its definition:
+      plus-lattice   theta = k/n + eps
+      minus-lattice  theta = k/n - eps
+      rel-upper      theta = k/(n*(1+eps))
+      rel-lower      theta = k/(n*(1-eps))
+    Endpoints, clamp breakpoints and lattices live on the windows each
+    criterion/estimator pair prescribes; tags of coinciding points merge.
+    """
+    tags: dict[Fraction, set[str]] = {}
+
+    def add(theta, tag):
+        tags.setdefault(theta, set()).add(tag)
+
+    def add_within(theta, lo, hi):
+        if lo <= theta <= hi:
+            add(theta, "breakpoint")
+
+    def lattice(spacing, offset, lo, hi, tag):
+        for theta in _lattice_points(spacing, offset, lo, hi):
+            add(theta, tag)
+
+    def abs_lattices(n, eps, lo_minus, hi_minus, lo_plus, hi_plus):
+        lattice(Fraction(1, n), eps, lo_plus, hi_plus, "plus-lattice")
+        lattice(Fraction(1, n), -eps, lo_minus, hi_minus, "minus-lattice")
+
+    def rel_lattices(n, eps, lo_upper, hi_upper, lo_lower, hi_lower):
+        lattice(1 / (n * (1 + eps)), Fraction(0), lo_upper, hi_upper, "rel-upper")
+        lattice(1 / (n * (1 - eps)), Fraction(0), lo_lower, hi_lower, "rel-lower")
+
+    n, a, b = args[0], args[-2], args[-1]
+    add(a, "endpoint")
+    add(b, "endpoint")
+    zero = Fraction(0)
+    if kind == "abs":
+        eps = args[1]
+        abs_lattices(n, eps, a, b, a, b)
+        bound = 2 * n * (b - a) + 4
+    elif kind == "rel":
+        eps = args[1]
+        rel_lattices(n, eps, a, b, a, b)
+        bound = 2 * n * (b - a) + 4
+    elif kind == "rp_abs":
+        eps = args[1]
+        add_within(a + eps, a, b)
+        add_within(b - eps, a, b)
+        abs_lattices(n, eps, a, b - eps, a + eps, b)
+        bound = max(2 * n * (b - a - eps) + 6, Fraction(6))
+    elif kind == "rp_rel":
+        eps = args[1]
+        a_low, b_up = a / (1 - eps), b / (1 + eps)
+        add_within(a_low, a, b)
+        add_within(b_up, a, b)
+        rel_lattices(n, eps, a, b_up, a_low, b)
+        bound = (n * (1 + eps) * max(b_up - a, zero)
+                 + n * (1 - eps) * max(b - a_low, zero) + 6)
+    elif kind == "mixed":
+        ea, er = args[1], args[2]
+        c = ea / er
+        add(c, "breakpoint")
+        abs_lattices(n, ea, a, c, a, c)
+        rel_lattices(n, er, c, b, c, b)
+        bound = 2 * n * (b - a) + 7
+    elif kind == "rp_mixed":
+        ea, er = args[1], args[2]
+        c = ea / er
+        a_low, b_up = a / (1 - er), b / (1 + er)
+        add(c, "breakpoint")
+        add_within(a + ea, a, c)
+        add_within(b - ea, a, c)
+        abs_lattices(n, ea, a, min(b - ea, c), a + ea, c)
+        add_within(a_low, c, b)
+        add_within(b_up, c, b)
+        rel_lattices(n, er, c, b_up, max(a_low, c), b)
+        bound = (n * max(min(b - ea, c) - a, zero) + n * max(c - a - ea, zero)
+                 + n * (1 + er) * max(b_up - c, zero)
+                 + n * (1 - er) * max(b - max(a_low, c), zero) + 11)
+    else:
+        raise ValueError(f"unknown builder kind {kind!r}")
+    return [(theta, tuple(sorted(tags[theta]))) for theta in sorted(tags)], bound

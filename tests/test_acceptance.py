@@ -114,6 +114,7 @@ def test_criterion_1_candidate_minimum_equals_grid_minimum(capsys):
     assert bernoulli_elapsed < 120.0
 
 
+@pytest.mark.slow
 def test_criterion_2_window_formula_equals_indicator(capsys):
     """Closed-form coverage == event-by-event indicator sum, 10^4 triples."""
     rng = random.Random(20260802)
@@ -148,6 +149,7 @@ def test_criterion_2_window_formula_equals_indicator(capsys):
     assert not failures, failures[:5]
 
 
+@pytest.mark.slow
 def test_criterion_3_window_constant_between_candidates(capsys):
     """The acceptance window never changes strictly between candidate points."""
     rng = random.Random(20260803)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from covsize import (
     Absolute,
     DomainError,
+    GridSpec,
     Mixed,
     RangePreserving,
     Relative,
@@ -21,7 +22,9 @@ from covsize import (
     candidates_rp_abs,
     candidates_rp_mixed,
     candidates_rp_rel,
+    grid_min_coverage,
     indicator_coverage,
+    min_coverage,
 )
 from covsize.candidates import (
     TAG_BREAKPOINT,
@@ -31,6 +34,8 @@ from covsize.candidates import (
     TAG_REL_LOWER,
     TAG_REL_UPPER,
 )
+
+from _reference import reference_candidates
 
 F = Fraction
 
@@ -324,6 +329,80 @@ def test_lattice_tags_certify_membership(call):
         if TAG_REL_LOWER in p.tags:
             val = p.theta * n * (1 - er)
             assert val == int(val)
+
+
+# ---------------------------------------------------------------------------
+# the integer builder against the Fraction reference
+
+def assert_matches_reference(kind, args):
+    cset = _BUILDERS[kind](*args)
+    expected, bound = reference_candidates(kind, *args)
+    assert [(p.theta, p.tags) for p in cset.points] == expected
+    assert cset.cardinality_bound == bound
+    for t in cset.thetas:
+        assert type(t) is Fraction
+        assert t.denominator > 0 and math.gcd(t.numerator, t.denominator) == 1
+    return cset
+
+
+@settings(max_examples=300)
+@given(call=builder_calls())
+def test_builder_equals_fraction_reference(call):
+    try:
+        assert_matches_reference(*call)
+    except DomainError:
+        return  # drawn configuration violates a precondition; nothing to check
+
+
+def test_production_absolute_shape_equals_reference():
+    cset = assert_matches_reference("abs", (9622, F(1, 100), F(0), F(1)))
+    assert len(cset) == 2 + 2 * 9622  # endpoints plus n points on each lattice
+
+
+@pytest.mark.parametrize("n", range(892, 902))
+def test_production_relative_shapes_equal_reference(n):
+    assert_matches_reference("rel", (n, F(1, 5), F(1, 10), F(9, 10)))
+
+
+def test_coinciding_lattices_merge_tags_like_reference():
+    # 2 * eps * n = 10 is an integer, so every plus point is also a minus point
+    cset = assert_matches_reference("abs", (50, F(1, 10), F(0), F(1)))
+    interior = [p for p in cset.points if TAG_ENDPOINT not in p.tags]
+    assert interior and all(p.tags == (TAG_MINUS, TAG_PLUS) for p in interior)
+
+
+def test_range_preserving_mixed_shape_equals_reference():
+    assert_matches_reference("rp_mixed", (96, F(1, 10), F(1, 4), F(1, 20), F(19, 20)))
+
+
+# ---------------------------------------------------------------------------
+# n is validated before any candidate arithmetic
+
+_N_ENTRY_POINTS = {
+    "candidate_set_for": lambda n: candidate_set_for(
+        n, Absolute(F(1, 10)), UNBIASED, F(1, 10), F(9, 10)),
+    "candidates_abs": lambda n: candidates_abs(n, F(1, 10), F(1, 10), F(9, 10)),
+    "candidates_rel": lambda n: candidates_rel(n, F(1, 5), F(1, 10), F(9, 10)),
+    "candidates_mixed": lambda n: candidates_mixed(n, F(1, 10), F(1, 4), F(1, 10), F(9, 10)),
+    "candidates_rp_abs": lambda n: candidates_rp_abs(n, F(1, 10), F(1, 10), F(9, 10)),
+    "candidates_rp_rel": lambda n: candidates_rp_rel(n, F(1, 5), F(1, 10), F(9, 10)),
+    "candidates_rp_mixed": lambda n: candidates_rp_mixed(
+        n, F(1, 10), F(1, 4), F(1, 10), F(9, 10)),
+    "min_coverage": lambda n: min_coverage(
+        "bernoulli", n, Absolute(F(1, 10)), UNBIASED, F(1, 10), F(9, 10)),
+    "indicator_coverage": lambda n: indicator_coverage(
+        "bernoulli", n, Absolute(F(1, 10)), UNBIASED, F(1, 2)),
+    "grid_min_coverage": lambda n: grid_min_coverage(
+        "bernoulli", n, Absolute(F(1, 10)), UNBIASED, F(1, 10), F(9, 10),
+        GridSpec.divide(F(1, 10), F(9, 10), 100)),
+}
+
+
+@pytest.mark.parametrize("n", [0, -3, True, 2.5])
+@pytest.mark.parametrize("entry", sorted(_N_ENTRY_POINTS))
+def test_invalid_n_rejected_at_every_entry_point(entry, n):
+    with pytest.raises(DomainError, match="n must be a positive integer"):
+        _N_ENTRY_POINTS[entry](n)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Command line interface: outputs, exit codes, determinism."""
 
 import csv
+import hashlib
 import io
 import json
 import os
@@ -14,6 +15,8 @@ import pytest
 from covsize import UNBIASED, Absolute, min_coverage, min_sample_size
 from covsize.cli import main
 
+from test_acceptance import CLI_INVOCATIONS
+
 F = Fraction
 
 
@@ -21,6 +24,24 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# SHA-256 of the stdout of each acceptance-suite CLI invocation, frozen so that
+# refactors of the builders and renderers keep the bytes
+FROZEN_CLI_DIGESTS = {
+    "sample-size": "bab8897af66fab8154aeb82ee40d4e36f42757007a93d29f4ae9cb61787b6013",
+    "min-coverage": "71aa88d8a0dc7c4646d2f6b1b64c2a52808db27b1fcf6b32f77af90f2695ab12",
+    "coverage-curve": "83222e3989968e6525212ce463414b30a6dfe8f7a2b20e6f13a98836714825f8",
+    "candidates": "6b078111decbbe82e277d6ebdfad2a102ebbb1d53e12466281678dc9d8b88e17",
+    "verify": "b53357d88fea507177e7d0ac5a726f8fdb359470955bd2f603c767b3b0c7d358",
+}
+
+
+@pytest.mark.parametrize("argv", CLI_INVOCATIONS, ids=lambda argv: argv[0])
+def test_cli_invocations_reproduce_frozen_bytes(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == FROZEN_CLI_DIGESTS[argv[0]]
 
 
 def test_candidates_text_output(capsys):
