@@ -17,12 +17,6 @@ from .candidates import (
     CandidatePoint,
     CandidateSet,
     candidate_set_for,
-    candidates_abs,
-    candidates_mixed,
-    candidates_rel,
-    candidates_rp_abs,
-    candidates_rp_mixed,
-    candidates_rp_rel,
 )
 from .coverage import (
     Absolute,
@@ -83,12 +77,6 @@ __all__ = [
     "bounds_abs",
     "bounds_rel",
     "candidate_set_for",
-    "candidates_abs",
-    "candidates_mixed",
-    "candidates_rel",
-    "candidates_rp_abs",
-    "candidates_rp_mixed",
-    "candidates_rp_rel",
     "coverage",
     "exact",
     "get_family",

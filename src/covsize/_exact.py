@@ -14,8 +14,6 @@ from fractions import Fraction
 
 from .errors import DomainError
 
-ExactLike = "Fraction | int | str | Decimal"
-
 
 def exact(value: Fraction | int | str | Decimal, *, name: str = "value") -> Fraction:
     """Convert `value` to an exact Fraction.

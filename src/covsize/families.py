@@ -92,10 +92,15 @@ class DistributionFamily:
         return theta
 
 
-def _check_n(n: int) -> int:
+def _check_n(n: int, name: str = "n") -> int:
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise DomainError(f"n must be a positive integer, got {n!r}")
+        raise DomainError(f"{name} must be a positive integer, got {n!r}")
     return n
+
+
+def _check_int(value: int, name: str) -> None:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -231,8 +236,7 @@ def pmf(family: DistributionFamily | str, n: int, theta: Fraction, k: int) -> fl
     fam = resolve_family(family)
     n = _check_n(n)
     theta = fam.require_theta(theta)
-    if not isinstance(k, int) or isinstance(k, bool):
-        raise DomainError(f"k must be an integer, got {k!r}")
+    _check_int(k, "k")
     kmin, kmax = fam.support_bound(n)
     if k < kmin or (kmax is not None and k > kmax):
         return 0.0
@@ -311,6 +315,9 @@ def prob_range(
     fam = resolve_family(family)
     n = _check_n(n)
     theta = fam.require_theta(theta)
+    _check_int(k, "k")
+    if l is not None:
+        _check_int(l, "l")
     if fam.cdf_batch is None:
         return scalar_prob_range(fam, n, k, l, theta)
     kmin, kmax = fam.support_bound(n)

@@ -14,6 +14,7 @@ from typing import Callable, Optional
 from ._exact import exact
 from .coverage import ErrorCriterion, EstimatorKind
 from .errors import DomainError
+from .families import _check_n
 from .minimize import min_coverage
 
 # nudge for float comparison against 1 - delta when requested
@@ -38,8 +39,8 @@ class SampleSizeQuery:
         object.__setattr__(self, "delta", exact(self.delta, name="delta"))
         if not (0 < self.delta < 1):
             raise DomainError(f"delta must lie in (0, 1), got {self.delta}")
-        if self.n_start < 1:
-            raise DomainError(f"n_start must be >= 1, got {self.n_start}")
+        _check_n(self.n_start, "n_start")
+        _check_n(self.n_max, "n_max")
         if self.n_max < self.n_start:
             raise DomainError(
                 f"n_max ({self.n_max}) must be >= n_start ({self.n_start})"

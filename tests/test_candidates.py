@@ -16,12 +16,6 @@ from covsize import (
     Relative,
     UNBIASED,
     candidate_set_for,
-    candidates_abs,
-    candidates_mixed,
-    candidates_rel,
-    candidates_rp_abs,
-    candidates_rp_mixed,
-    candidates_rp_rel,
     grid_min_coverage,
     indicator_coverage,
     min_coverage,
@@ -44,11 +38,16 @@ def thetas(cset):
     return [p.theta for p in cset.points]
 
 
+def clamped(n, criterion, a, b):
+    """Candidate set for the range-preserving estimator clamped to [a, b]."""
+    return candidate_set_for(n, criterion, RangePreserving(a, b), a, b)
+
+
 # ---------------------------------------------------------------------------
 # fixed enumerations, absolute criterion
 
 def test_abs_coinciding_lattices():
-    cset = candidates_abs(10, F(1, 20), F(1, 5), F(4, 5))
+    cset = candidate_set_for(10, Absolute(F(1, 20)), UNBIASED, F(1, 5), F(4, 5))
     expected = [
         F(1, 5), F(1, 4), F(7, 20), F(9, 20), F(11, 20), F(13, 20), F(3, 4), F(4, 5)
     ]
@@ -61,12 +60,12 @@ def test_abs_coinciding_lattices():
 
 
 def test_abs_no_interior_lattice_points():
-    cset = candidates_abs(1, F(5), F(0), F(1))
+    cset = candidate_set_for(1, Absolute(F(5)), UNBIASED, F(0), F(1))
     assert thetas(cset) == [F(0), F(1)]
 
 
 def test_abs_small_case():
-    cset = candidates_abs(2, F(1, 4), F(0), F(1))
+    cset = candidate_set_for(2, Absolute(F(1, 4)), UNBIASED, F(0), F(1))
     assert thetas(cset) == [F(0), F(1, 4), F(3, 4), F(1)]
     assert cset.cardinality_bound == 8
 
@@ -75,25 +74,25 @@ def test_abs_small_case():
 # fixed enumerations, relative criterion
 
 def test_rel_fixed_case():
-    cset = candidates_rel(5, F(1, 5), F(1, 2), F(1))
+    cset = candidate_set_for(5, Relative(F(1, 5)), UNBIASED, F(1, 2), F(1))
     assert thetas(cset) == [F(1, 2), F(2, 3), F(3, 4), F(5, 6), F(1)]
     assert cset.cardinality_bound == 9
 
 
 def test_rel_spacing_wider_than_interval():
-    cset = candidates_rel(1, F(1, 2), F(10), F(11))
+    cset = candidate_set_for(1, Relative(F(1, 2)), UNBIASED, F(10), F(11))
     assert thetas(cset) == [F(10), F(32, 3), F(11)]
 
 
 def test_rel_endpoint_only():
     # both lattice spacings exceed b - a and no lattice point falls inside
-    cset = candidates_rel(1, F(1, 2), F(67, 20), F(69, 20))
+    cset = candidate_set_for(1, Relative(F(1, 2)), UNBIASED, F(67, 20), F(69, 20))
     assert thetas(cset) == [F(67, 20), F(69, 20)]
 
 
 def test_rel_rejects_nonpositive_a():
     with pytest.raises(DomainError):
-        candidates_rel(5, F(1, 5), F(0), F(1))
+        candidate_set_for(5, Relative(F(1, 5)), UNBIASED, F(0), F(1))
 
 
 # ---------------------------------------------------------------------------
@@ -101,7 +100,7 @@ def test_rel_rejects_nonpositive_a():
 
 def test_mixed_collects_both_lattices_per_side():
     # both absolute lattices below the crossover, both relative above it
-    cset = candidates_mixed(2, F(1, 4), F(1, 2), F(0), F(1))
+    cset = candidate_set_for(2, Mixed(F(1, 4), F(1, 2)), UNBIASED, F(0), F(1))
     assert thetas(cset) == [F(0), F(1, 4), F(1, 2), F(2, 3), F(1)]
     assert cset.cardinality_bound == 2 * 2 * 1 + 7
     point = {p.theta: p.tags for p in cset.points}
@@ -112,9 +111,9 @@ def test_mixed_collects_both_lattices_per_side():
 
 def test_mixed_crossover_must_be_interior():
     with pytest.raises(DomainError, match="pure absolute or pure relative"):
-        candidates_mixed(4, F(1, 2), F(1, 2), F(0), F(1))  # crossover 1 == b
+        candidate_set_for(4, Mixed(F(1, 2), F(1, 2)), UNBIASED, F(0), F(1))  # crossover 1 == b
     with pytest.raises(DomainError, match="pure absolute or pure relative"):
-        candidates_mixed(4, F(1, 8), F(1, 2), F(1, 4), F(1))  # crossover 1/4 == a
+        candidate_set_for(4, Mixed(F(1, 8), F(1, 2)), UNBIASED, F(1, 4), F(1))  # crossover 1/4 == a
 
 
 def test_mixed_lower_lattice_point_regression():
@@ -126,7 +125,7 @@ def test_mixed_lower_lattice_point_regression():
     misses it and overstates the minimum by about 9e-3.
     """
     n, ea, er = 4, F(3, 10), F(3, 5)
-    cset = candidates_mixed(n, ea, er, F(0), F(1))
+    cset = candidate_set_for(n, Mixed(ea, er), UNBIASED, F(0), F(1))
     assert F(9, 20) in thetas(cset)
 
     crit = Mixed(ea, er)
@@ -157,7 +156,7 @@ def test_mixed_lower_lattice_point_regression():
 # fixed enumerations, range-preserving estimator
 
 def test_rp_abs_fixed_case():
-    cset = candidates_rp_abs(10, F(1, 10), F(2, 5), F(7, 10))
+    cset = clamped(10, Absolute(F(1, 10)), F(2, 5), F(7, 10))
     assert thetas(cset) == [F(2, 5), F(1, 2), F(3, 5), F(7, 10)]
     point = {p.theta: p.tags for p in cset.points}
     assert TAG_BREAKPOINT in point[F(1, 2)]  # a + eps
@@ -167,21 +166,21 @@ def test_rp_abs_fixed_case():
 
 
 def test_rp_abs_margin_wider_than_interval():
-    cset = candidates_rp_abs(10, F(1, 2), F(2, 5), F(7, 10))
+    cset = clamped(10, Absolute(F(1, 2)), F(2, 5), F(7, 10))
     assert thetas(cset) == [F(2, 5), F(7, 10)]
     assert cset.cardinality_bound == 6
     assert len(cset) < cset.cardinality_bound
 
 
 def test_rp_abs_coinciding_breakpoints_deduplicate():
-    cset = candidates_rp_abs(4, F(1, 4), F(1, 2), F(1))
+    cset = clamped(4, Absolute(F(1, 4)), F(1, 2), F(1))
     mid = [p for p in cset.points if p.theta == F(3, 4)]
     assert len(mid) == 1
     assert TAG_BREAKPOINT in mid[0].tags
 
 
 def test_rp_rel_fixed_case():
-    cset = candidates_rp_rel(5, F(1, 5), F(1, 2), F(1))
+    cset = clamped(5, Relative(F(1, 5)), F(1, 2), F(1))
     assert thetas(cset) == [F(1, 2), F(5, 8), F(2, 3), F(3, 4), F(5, 6), F(1)]
     point = {p.theta: p.tags for p in cset.points}
     assert TAG_BREAKPOINT in point[F(5, 8)]  # a / (1 - eps)
@@ -192,20 +191,20 @@ def test_rp_rel_fixed_case():
 
 def test_rp_rel_strong_overlap_keeps_endpoints_only():
     # a/(1-eps) > b and b/(1+eps) < a: no side can ever miss
-    cset = candidates_rp_rel(7, F(1, 2), F(2, 3), F(3, 4))
+    cset = clamped(7, Relative(F(1, 2)), F(2, 3), F(3, 4))
     assert thetas(cset) == [F(2, 3), F(3, 4)]
 
 
 def test_rp_mixed_fixed_case():
-    cset = candidates_rp_mixed(2, F(1, 4), F(1, 2), F(0), F(1))
+    cset = clamped(2, Mixed(F(1, 4), F(1, 2)), F(0), F(1))
     assert thetas(cset) == [F(0), F(1, 4), F(1, 2), F(2, 3), F(1)]
 
 
 def test_rp_builders_reject_nonpositive_a():
     with pytest.raises(DomainError):
-        candidates_rp_abs(5, F(1, 10), F(0), F(1))
+        clamped(5, Absolute(F(1, 10)), F(0), F(1))
     with pytest.raises(DomainError):
-        candidates_rp_rel(5, F(1, 10), F(0), F(1))
+        clamped(5, Relative(F(1, 10)), F(0), F(1))
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +222,7 @@ def test_rp_rel_bound_covers_one_sided_configurations():
     """
     n, eps, a, b = 11, F(4, 5), F(2, 5), F(37, 40)
     assert a / (1 - eps) > b and b / (1 + eps) > a
-    cset = candidates_rp_rel(n, eps, a, b)
+    cset = clamped(n, Relative(eps), a, b)
     assert len(cset) == 6
     single_formula = 2 * n * (b - a) - n * eps * (a + b) + 6
     assert len(cset) >= single_formula  # the single formula undercounts
@@ -232,7 +231,7 @@ def test_rp_rel_bound_covers_one_sided_configurations():
 
 def test_rp_mixed_bound_covers_one_sided_configurations():
     n, ea, er, a, b = 56, F(227, 800), F(4, 5), F(11, 40), F(7, 10)
-    cset = candidates_rp_mixed(n, ea, er, a, b)
+    cset = clamped(n, Mixed(ea, er), a, b)
     assert len(cset) == 12
     single_formula = 2 * n * (b - a) - n * (ea + b * er) + 11
     assert len(cset) >= single_formula
@@ -273,13 +272,14 @@ def builder_calls(draw):
     return kind, (n, c * er, er, a, b)
 
 
+# each kind with the argument tuple `_reference.reference_candidates` takes
 _BUILDERS = {
-    "abs": candidates_abs,
-    "rel": candidates_rel,
-    "mixed": candidates_mixed,
-    "rp_abs": candidates_rp_abs,
-    "rp_rel": candidates_rp_rel,
-    "rp_mixed": candidates_rp_mixed,
+    "abs": lambda n, eps, a, b: candidate_set_for(n, Absolute(eps), UNBIASED, a, b),
+    "rel": lambda n, eps, a, b: candidate_set_for(n, Relative(eps), UNBIASED, a, b),
+    "mixed": lambda n, ea, er, a, b: candidate_set_for(n, Mixed(ea, er), UNBIASED, a, b),
+    "rp_abs": lambda n, eps, a, b: clamped(n, Absolute(eps), a, b),
+    "rp_rel": lambda n, eps, a, b: clamped(n, Relative(eps), a, b),
+    "rp_mixed": lambda n, ea, er, a, b: clamped(n, Mixed(ea, er), a, b),
 }
 
 
@@ -378,15 +378,17 @@ def test_range_preserving_mixed_shape_equals_reference():
 # ---------------------------------------------------------------------------
 # n is validated before any candidate arithmetic
 
+# candidates_<kind> runs candidate_set_for on the (criterion, estimator) pair
+# of `_BUILDERS[kind]`; the plain entry shows that n is checked before [a, b]
 _N_ENTRY_POINTS = {
     "candidate_set_for": lambda n: candidate_set_for(
-        n, Absolute(F(1, 10)), UNBIASED, F(1, 10), F(9, 10)),
-    "candidates_abs": lambda n: candidates_abs(n, F(1, 10), F(1, 10), F(9, 10)),
-    "candidates_rel": lambda n: candidates_rel(n, F(1, 5), F(1, 10), F(9, 10)),
-    "candidates_mixed": lambda n: candidates_mixed(n, F(1, 10), F(1, 4), F(1, 10), F(9, 10)),
-    "candidates_rp_abs": lambda n: candidates_rp_abs(n, F(1, 10), F(1, 10), F(9, 10)),
-    "candidates_rp_rel": lambda n: candidates_rp_rel(n, F(1, 5), F(1, 10), F(9, 10)),
-    "candidates_rp_mixed": lambda n: candidates_rp_mixed(
+        n, Absolute(F(1, 10)), UNBIASED, F(9, 10), F(1, 10)),
+    "candidates_abs": lambda n: _BUILDERS["abs"](n, F(1, 10), F(1, 10), F(9, 10)),
+    "candidates_rel": lambda n: _BUILDERS["rel"](n, F(1, 5), F(1, 10), F(9, 10)),
+    "candidates_mixed": lambda n: _BUILDERS["mixed"](n, F(1, 10), F(1, 4), F(1, 10), F(9, 10)),
+    "candidates_rp_abs": lambda n: _BUILDERS["rp_abs"](n, F(1, 10), F(1, 10), F(9, 10)),
+    "candidates_rp_rel": lambda n: _BUILDERS["rp_rel"](n, F(1, 5), F(1, 10), F(9, 10)),
+    "candidates_rp_mixed": lambda n: _BUILDERS["rp_mixed"](
         n, F(1, 10), F(1, 4), F(1, 10), F(9, 10)),
     "min_coverage": lambda n: min_coverage(
         "bernoulli", n, Absolute(F(1, 10)), UNBIASED, F(1, 10), F(9, 10)),
@@ -439,6 +441,6 @@ def test_candidate_set_for_requires_matching_clamp():
 
 def test_invalid_interval_rejected():
     with pytest.raises(DomainError):
-        candidates_abs(5, F(1, 4), F(3, 4), F(1, 4))
+        candidate_set_for(5, Absolute(F(1, 4)), UNBIASED, F(3, 4), F(1, 4))
     with pytest.raises(DomainError):
-        candidates_abs(5, F(1, 4), F(1, 2), F(1, 2))
+        candidate_set_for(5, Absolute(F(1, 4)), UNBIASED, F(1, 2), F(1, 2))

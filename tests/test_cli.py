@@ -26,22 +26,34 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-# SHA-256 of the stdout of each acceptance-suite CLI invocation, frozen so that
-# refactors of the builders and renderers keep the bytes
+# SHA-256 of the stdout of each acceptance-suite CLI invocation in each output
+# format, frozen so that refactors of the builders and renderers keep the bytes
 FROZEN_CLI_DIGESTS = {
-    "sample-size": "bab8897af66fab8154aeb82ee40d4e36f42757007a93d29f4ae9cb61787b6013",
-    "min-coverage": "71aa88d8a0dc7c4646d2f6b1b64c2a52808db27b1fcf6b32f77af90f2695ab12",
-    "coverage-curve": "83222e3989968e6525212ce463414b30a6dfe8f7a2b20e6f13a98836714825f8",
-    "candidates": "6b078111decbbe82e277d6ebdfad2a102ebbb1d53e12466281678dc9d8b88e17",
-    "verify": "b53357d88fea507177e7d0ac5a726f8fdb359470955bd2f603c767b3b0c7d358",
+    ("sample-size", "text"): "3d368812bad4373ae3948f1e8e6e3b8ad7376d78d158c6f87c346a70d380e09f",
+    ("sample-size", "json"): "bab8897af66fab8154aeb82ee40d4e36f42757007a93d29f4ae9cb61787b6013",
+    ("sample-size", "csv"): "6bf45200ee98412021ce926df0013260b8e0320ca813de54a980cfcc8438283c",
+    ("min-coverage", "text"): "7d65294c6d870211fa6d35425cd3b03c4c081edb1d4ef0fbf5e101668617dd12",
+    ("min-coverage", "json"): "71aa88d8a0dc7c4646d2f6b1b64c2a52808db27b1fcf6b32f77af90f2695ab12",
+    ("min-coverage", "csv"): "05dba58a8f5e1a9f307e524fc1294d09fa6cb679405cdd3d4a597595a315d785",
+    ("coverage-curve", "text"): "f3f00be2d7c0a77ca2d7c8dc86e0163e32cd5f428fe3dcf1fd677c2a491db7a4",
+    ("coverage-curve", "json"): "0c08995d788b94257fae02f33fb10d530a319ad3ea0c0ba78f852850aa5aec56",
+    ("coverage-curve", "csv"): "83222e3989968e6525212ce463414b30a6dfe8f7a2b20e6f13a98836714825f8",
+    ("candidates", "text"): "4e0eaf7ebcdd2f988b0717eb574e05f660d3490e78b8919ce538aca370c85afd",
+    ("candidates", "json"): "6b078111decbbe82e277d6ebdfad2a102ebbb1d53e12466281678dc9d8b88e17",
+    ("candidates", "csv"): "49d98f3d8103d4809b946cf0a1097e2fe314690cc1f37684c47fc0649e9a1d02",
+    ("verify", "text"): "e1a04692822bda20645f9c1e3f01f48b1d1bdb10c7dd7fd9456dd1799e43dba9",
+    ("verify", "json"): "b53357d88fea507177e7d0ac5a726f8fdb359470955bd2f603c767b3b0c7d358",
+    ("verify", "csv"): "3bb080ba57e0b559dc66139b066c6403acf2d5b8bcbda17f59ff9dcdbe1b7e28",
 }
 
 
 @pytest.mark.parametrize("argv", CLI_INVOCATIONS, ids=lambda argv: argv[0])
 def test_cli_invocations_reproduce_frozen_bytes(capsys, argv):
-    code, out, err = run_cli(capsys, *argv)
-    assert code == 0, err
-    assert hashlib.sha256(out.encode()).hexdigest() == FROZEN_CLI_DIGESTS[argv[0]]
+    at = argv.index("--format") + 1
+    for fmt in ("text", "json", "csv"):
+        code, out, err = run_cli(capsys, *argv[:at], fmt, *argv[at + 1:])
+        assert code == 0, err
+        assert hashlib.sha256(out.encode()).hexdigest() == FROZEN_CLI_DIGESTS[argv[0], fmt], fmt
 
 
 def test_candidates_text_output(capsys):

@@ -1,5 +1,6 @@
 """Distribution families: masses, range sums, truncation, registry."""
 
+import dataclasses
 import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -292,6 +293,18 @@ def test_bad_n_and_k_rejected():
         prob_range("bernoulli", 0, 0, 0, Fraction(1, 2))
     with pytest.raises(DomainError):
         pmf("bernoulli", 5, Fraction(1, 2), "2")
+
+
+@pytest.mark.parametrize("family", [
+    BERNOULLI, POISSON, dataclasses.replace(BERNOULLI, cdf_batch=None),
+], ids=["bernoulli", "poisson", "log-pmf-sum"])
+@pytest.mark.parametrize("k, l", [
+    (2.5, 5), (True, 5), ("2", 5), (3, 5.0), (3, False), (3, "5"), (2.5, None),
+])
+def test_prob_range_rejects_non_integer_window(family, k, l):
+    # a float k once widened the window: k = 2.5 gave Pr{2 <= Y <= 5}
+    with pytest.raises(DomainError, match="must be an integer"):
+        prob_range(family, 10, k, l, Fraction(1, 2))
 
 
 # ---------------------------------------------------------------------------

@@ -169,6 +169,15 @@ def test_query_validation():
         bernoulli_abs_query(delta=0.05)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("n_start", 2.5), ("n_start", "3"), ("n_start", True),
+    ("n_max", 50.5), ("n_max", "50"), ("n_max", True),
+])
+def test_query_rejects_non_integer_n_bounds(field, value):
+    with pytest.raises(DomainError, match=f"{field} must be a positive integer"):
+        bernoulli_abs_query(**{field: value})
+
+
 def test_relative_search_on_poisson_interval():
     query = SampleSizeQuery(
         family="poisson",
