@@ -28,7 +28,9 @@ exceeds the number of lattice points strictly inside that window.
 All arithmetic is exact.  `_Collector.build` puts every offered point over
 one common denominator, so each lattice is one range of integer numerators,
 points are merged by tag and sorted as integers, and a Fraction is made only
-for each emitted point.
+for each emitted point.  Given a window, it clamps each lattice's range to
+it, so a sample-size search can reject an n on the few candidates near the
+previous n's worst theta at O(1) cost instead of O(n).
 """
 
 from __future__ import annotations
@@ -103,19 +105,39 @@ class _Collector:
         self._bound += max(hi - lo, 0) / spacing + 1
         self._lattices.append((spacing, offset, lo, hi, tag))
 
-    def build(self, rule: str) -> CandidateSet:
+    def build(self, rule: str,
+              window: Optional[tuple[Fraction, Fraction]] = None) -> CandidateSet:
+        """The collected set, or with `window` = (lo, hi) only its lattice
+        points inside [lo, hi] plus every kept endpoint and breakpoint; the
+        rule and the cardinality bound stay those of the whole set."""
         den = math.lcm(*(t.denominator for t, _ in self._singles),
                        *(f.denominator for lattice in self._lattices for f in lattice[:2]))
 
         def over(f: Fraction) -> int:  # numerator of f over den
             return f.numerator * (den // f.denominator)
 
-        runs: list[tuple[str, Iterable[int]]] = [(tag, (over(t),)) for t, tag in self._singles]
+        singles = [(tag, over(t)) for t, tag in self._singles]
+        runs: list[tuple[str, Iterable[int]]] = [(tag, (x,)) for tag, x in singles]
+
+        def k_ratio(f: Fraction, step: int, base: int) -> tuple[int, int]:
+            # (f - offset) / spacing as (numerator, positive denominator), where
+            # step and base are spacing and offset over den
+            return f.numerator * den - base * f.denominator, step * f.denominator
+
         for spacing, offset, lo, hi, tag in self._lattices:
-            kmin = math.floor((lo - offset) / spacing) + 1
-            kmax = math.ceil((hi - offset) / spacing) - 1  # below kmin when lo >= hi
             step, base = over(spacing), over(offset)
-            runs.append((tag, range(base + kmin * step, base + (kmax + 1) * step, step)))
+            (lo_num, lo_den), (hi_num, hi_den) = (k_ratio(f, step, base) for f in (lo, hi))
+            kmin = lo_num // lo_den + 1
+            kmax = -(-hi_num // hi_den) - 1  # below kmin when lo >= hi
+            whole = range(base + kmin * step, base + (kmax + 1) * step, step)
+            if window is not None:
+                # a single on this lattice keeps its lattice tag, as in the whole set
+                runs.append((tag, [x for _, x in singles if x in whole]))
+                (lo_num, lo_den), (hi_num, hi_den) = (k_ratio(f, step, base) for f in window)
+                kmin = max(kmin, -(-lo_num // lo_den))
+                kmax = min(kmax, hi_num // hi_den)
+                whole = range(base + kmin * step, base + (kmax + 1) * step, step)
+            runs.append((tag, whole))
         # tags in sorted order, so each point's tuple comes out sorted
         tags: dict[int, tuple[str, ...]] = {}
         for tag, xs in sorted(runs, key=lambda run: run[0]):
@@ -133,16 +155,22 @@ def candidate_set_for(
     estimator: EstimatorKind,
     a: Fraction,
     b: Fraction,
+    *,
+    window: Optional[tuple[Fraction, Fraction]] = None,
 ) -> CandidateSet:
     """Build the candidate set matching a (criterion, estimator) pair on [a, b].
 
     Relative needs a > 0, and so does range-preserving Absolute; Mixed needs
     a >= 0 and its crossover strictly inside (a, b).  A range-preserving
-    clamp must equal [a, b].
+    clamp must equal [a, b].  With `window` = (lo, hi), exact, only the
+    lattice points in [lo, hi] are emitted, plus every endpoint and
+    breakpoint, so a window of width O(1/n) costs O(1) instead of O(n).
     """
     _check_n(n)
     a = exact(a, name="a")
     b = exact(b, name="b")
+    if window is not None:
+        window = (exact(window[0], name="window"), exact(window[1], name="window"))
     clamped = isinstance(estimator, RangePreserving)
     if clamped:
         if estimator.lower != a or estimator.upper != b:
@@ -203,4 +231,4 @@ def candidate_set_for(
             upper_hi, lower_lo = b_up, max(a_low, c)
         col.lattice(Fraction(1, n * (1 + er)), Fraction(0), c, upper_hi, TAG_REL_UPPER)
         col.lattice(Fraction(1, n * (1 - er)), Fraction(0), lower_lo, b, TAG_REL_LOWER)
-    return col.build(f"{name}/{'range-preserving' if clamped else 'unbiased'}")
+    return col.build(f"{name}/{'range-preserving' if clamped else 'unbiased'}", window)

@@ -194,7 +194,9 @@ def _cmd_sample_size(args: argparse.Namespace) -> int:
         n_max=args.n_max,
         guard_band=args.guard_band,
     )
-    result = min_sample_size(query, threads=args.threads)
+    # a printed trace holds each n's full minimum, not the witness that rejected it
+    full_trace = args.trace or args.format == "csv"
+    result = min_sample_size(query, threads=args.threads, full_trace=full_trace)
     if args.format == "json":
         obj = {
             "command": "sample-size",
@@ -503,7 +505,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--guard-band", action="store_true",
                    help="raise the pass threshold by 1e-12 to absorb float noise")
     p.add_argument("--trace", action="store_true",
-                   help="include every examined n in the output")
+                   help="include every examined n, each with its full minimum, in "
+                        "the output (CSV always has it); each n is then swept in full")
     p.add_argument("--threads", type=_positive_int, default=None)
     _add_output_args(p)
     p.set_defaults(handler=_cmd_sample_size)

@@ -173,7 +173,7 @@ def acceptance_windows(
             open_lo = x_lo * ad < an * den
             open_hi = x_hi * bd > bn * den
         rows.append((n * x_lo // den + 1, -(-n * x_hi // den) - 1, open_lo, open_hi))
-    lo, hi, open_lo, open_hi = zip(*rows)
+    lo, hi, open_lo, open_hi = tuple(zip(*rows)) or ((), (), (), ())
     return (np.array(lo, dtype=np.int64), np.array(hi, dtype=np.int64),
             np.array(open_lo, dtype=bool), np.array(open_hi, dtype=bool))
 

@@ -16,10 +16,13 @@ from .coverage import ErrorCriterion, EstimatorKind, acceptance_windows
 from .coverage import coverage  # noqa: F401
 from .errors import DomainError
 from .families import (
-    DistributionFamily, _check_n, prob_ranges, resolve_family, scalar_prob_range,
+    DistributionFamily, _check_int, _check_n, prob_ranges, resolve_family,
+    scalar_prob_range,
 )
 
 THREADS_ENV = "COVSIZE_THREADS"
+# a witness looks this many lattice spacings (1/n) either side of its centre
+WITNESS_RADIUS = 3
 
 
 def resolve_threads(threads: Optional[int]) -> int:
@@ -33,6 +36,7 @@ def resolve_threads(threads: Optional[int]) -> int:
             threads = int(raw)
         except ValueError:
             raise DomainError(f"{THREADS_ENV} must be an integer, got {raw!r}") from None
+    _check_int(threads, "thread count")
     if threads < 1:
         raise DomainError(f"thread count must be >= 1, got {threads}")
     return threads
@@ -80,6 +84,39 @@ def min_coverage(
             )
     # every candidate lies in [a, b], inside the family's parameter interval
     cset = candidate_set_for(n, criterion, estimator, a, b)
+    return _evaluate(fam, n, criterion, estimator, cset)
+
+
+def witness_min_coverage(
+    family: DistributionFamily | str,
+    n: int,
+    criterion: ErrorCriterion,
+    estimator: EstimatorKind,
+    a: Fraction,
+    b: Fraction,
+    near: Fraction,
+) -> CoverageReport:
+    """`min_coverage` over the candidates within WITNESS_RADIUS / n of `near`.
+
+    The report's candidate set is `min_coverage`'s restricted to that window,
+    plus every endpoint and breakpoint, and is evaluated by the same code, so
+    each value equals `min_coverage`'s at that theta bit for bit and the
+    minimum is an upper bound on the whole set's.  The arguments are not
+    checked beyond what building the candidates checks.
+    """
+    r = Fraction(WITNESS_RADIUS, _check_n(n))
+    cset = candidate_set_for(n, criterion, estimator, a, b, window=(near - r, near + r))
+    return _evaluate(resolve_family(family), n, criterion, estimator, cset)
+
+
+def _evaluate(
+    fam: DistributionFamily,
+    n: int,
+    criterion: ErrorCriterion,
+    estimator: EstimatorKind,
+    cset: CandidateSet,
+) -> CoverageReport:
+    """Coverage at every candidate; ties break toward the smallest theta."""
     thetas = cset.thetas
     lo, hi, open_lo, open_hi = acceptance_windows(n, criterion, estimator, thetas)
     lo = np.where(open_lo, fam.support_bound(n)[0], lo)

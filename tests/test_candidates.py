@@ -21,6 +21,7 @@ from covsize import (
     min_coverage,
 )
 from covsize.candidates import (
+    CandidatePoint,
     TAG_BREAKPOINT,
     TAG_ENDPOINT,
     TAG_MINUS,
@@ -373,6 +374,59 @@ def test_coinciding_lattices_merge_tags_like_reference():
 
 def test_range_preserving_mixed_shape_equals_reference():
     assert_matches_reference("rp_mixed", (96, F(1, 10), F(1, 4), F(1, 20), F(19, 20)))
+
+
+# ---------------------------------------------------------------------------
+# the windowed build: the whole set cut to a window, singles kept
+
+def _pair(kind, args):
+    """(n, criterion, estimator, a, b) of a `builder_calls()` draw."""
+    n, *margins, a, b = args
+    make = {"abs": Absolute, "rel": Relative, "mixed": Mixed}[kind.removeprefix("rp_")]
+    estimator = RangePreserving(a, b) if kind.startswith("rp_") else UNBIASED
+    return n, make(*margins), estimator, a, b
+
+
+def assert_window_cuts_whole_set(spec, lo, hi):
+    whole = candidate_set_for(*spec)
+    part = candidate_set_for(*spec, window=(lo, hi))
+    singles = {TAG_ENDPOINT, TAG_BREAKPOINT}
+    expected = tuple(p for p in whole.points
+                     if lo <= p.theta <= hi or singles.intersection(p.tags))
+    assert part.points == expected
+    assert part.rule == whole.rule
+    assert part.cardinality_bound == whole.cardinality_bound
+    return part
+
+
+@settings(max_examples=300)
+@given(
+    call=builder_calls(),
+    centre=st.fractions(min_value=F(-1, 4), max_value=F(5, 4), max_denominator=64),
+    radius=st.fractions(min_value=F(-1, 16), max_value=F(1, 2), max_denominator=64),
+)
+def test_windowed_build_is_the_whole_set_cut_to_the_window(call, centre, radius):
+    try:
+        spec = _pair(*call)
+        candidate_set_for(*spec)
+    except DomainError:
+        return  # drawn configuration violates a precondition; nothing to check
+    assert_window_cuts_whole_set(spec, centre - radius, centre + radius)
+
+
+def test_windowed_build_keeps_lattice_tags_of_singles_outside_it():
+    # the breakpoint a + eps = 1/5 is also the minus-lattice point 3/10 - 1/10
+    spec = (10, Absolute(F(1, 10)), RangePreserving(F(1, 10), F(9, 10)), F(1, 10), F(9, 10))
+    part = assert_window_cuts_whole_set(spec, F(9, 20), F(11, 20))
+    assert CandidatePoint(F(1, 5), (TAG_BREAKPOINT, TAG_MINUS)) in part.points
+    assert len(part) < len(candidate_set_for(*spec))
+
+
+def test_windowed_build_is_constant_size_at_large_n():
+    spec = (9622, Absolute(F(1, 100)), UNBIASED, F(0), F(1))
+    r = F(3, 9622)
+    part = assert_window_cuts_whole_set(spec, F(1, 2) - r, F(1, 2) + r)
+    assert len(part) <= 2 + 2 * 7  # endpoints plus at most 7 points per lattice
 
 
 # ---------------------------------------------------------------------------

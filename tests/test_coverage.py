@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -18,6 +19,8 @@ from covsize import (
     bounds_rel,
     coverage,
 )
+
+from covsize.coverage import acceptance_windows
 
 from _reference import bernoulli_coverage
 
@@ -92,6 +95,13 @@ def test_bounds_rel_window_is_exactly_the_strict_event(n, eps, theta):
 
 # ---------------------------------------------------------------------------
 # criterion and estimator validation
+
+def test_acceptance_windows_of_no_theta_are_empty_arrays():
+    lo, hi, open_lo, open_hi = acceptance_windows(5, Absolute(F(1, 4)), UNBIASED, ())
+    assert [(x.dtype, x.shape) for x in (lo, hi, open_lo, open_hi)] == [
+        (np.int64, (0,)), (np.int64, (0,)), (bool, (0,)), (bool, (0,)),
+    ]
+
 
 def test_criterion_validation():
     with pytest.raises(DomainError):

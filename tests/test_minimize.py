@@ -9,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from covsize import (
+    POISSON,
     Absolute,
+    DistributionFamily,
     DomainError,
     Mixed,
     RangePreserving,
@@ -18,7 +20,7 @@ from covsize import (
     coverage,
     min_coverage,
 )
-from covsize.minimize import resolve_threads
+from covsize.minimize import resolve_threads, witness_min_coverage
 
 from _reference import bernoulli_coverage
 
@@ -138,6 +140,49 @@ def test_resolve_threads():
             resolve_threads(None)
     with pytest.raises(DomainError, match=">= 1"):
         resolve_threads(0)
+
+
+@pytest.mark.parametrize("threads", [2.5, True, "3"])
+def test_resolve_threads_rejects_non_integers(threads):
+    with pytest.raises(DomainError, match="must be an integer"):
+        resolve_threads(threads)
+    with pytest.raises(DomainError, match="must be an integer"):
+        min_coverage("bernoulli", 5, Absolute(F(1, 4)), UNBIASED, F(0), F(1),
+                     threads=threads)
+
+
+# Poisson without its batch functions: every probability is a log-pmf sum
+POISSON_LOG_PMF = DistributionFamily(
+    name="poisson-log-pmf",
+    param_space=POISSON.param_space,
+    support_bound=POISSON.support_bound,
+    log_pmf=POISSON.log_pmf,
+    tail_cutoff=POISSON.tail_cutoff,
+)
+
+
+@pytest.mark.parametrize("family, n, criterion, estimator, a, b", [
+    ("bernoulli", 101, Absolute(F(1, 10)), UNBIASED, F(0), F(1)),
+    ("bernoulli", 96, Mixed(F(1, 10), F(1, 4)), RangePreserving(F(1, 20), F(19, 20)),
+     F(1, 20), F(19, 20)),
+    ("poisson", 65, Relative(F(1, 4)), UNBIASED, F(1), F(5)),
+    ("poisson", 40, Absolute(F(1, 2)), UNBIASED, F(1), F(10)),
+    (POISSON_LOG_PMF, 65, Relative(F(1, 4)), UNBIASED, F(1), F(5)),
+], ids=["bernoulli-absolute", "bernoulli-rp-mixed", "poisson-relative",
+        "poisson-absolute", "log-pmf-clone"])
+def test_witness_values_equal_the_full_sweep_bit_for_bit(family, n, criterion, estimator,
+                                                          a, b):
+    full = min_coverage(family, n, criterion, estimator, a, b)
+    values = dict(full.evaluations)
+    for near in (a, full.argmin_theta, (a + b) / 2, (a + 3 * b) / 4, b):
+        witness = witness_min_coverage(family, n, criterion, estimator, a, b, near)
+        assert len(witness.evaluations) < len(full.evaluations)
+        for theta, value in witness.evaluations:
+            assert value == values[theta]
+        assert witness.min_coverage >= full.min_coverage
+        if near == full.argmin_theta:
+            assert witness.min_coverage == full.min_coverage
+            assert witness.argmin_theta == full.argmin_theta
 
 
 def test_interval_must_sit_inside_family_support():

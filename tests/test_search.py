@@ -12,6 +12,7 @@ from covsize import (
     SampleSizeQuery,
     SampleSizeResult,
     UNBIASED,
+    coverage,
     min_coverage,
     min_sample_size,
 )
@@ -51,13 +52,59 @@ def test_trace_is_gapless_and_consistent():
 
 
 def test_trace_matches_direct_minimization():
-    result = min_sample_size(bernoulli_abs_query())
+    result = min_sample_size(bernoulli_abs_query(), full_trace=True)
     for n, cov, argmin in result.trace:
         report = min_coverage(
             "bernoulli", n, Absolute(F(1, 4)), UNBIASED, F(0), F(1)
         )
         assert report.min_coverage == cov
         assert report.argmin_theta == argmin
+
+
+# the second query's witnesses lie above the full minimum at some n
+@pytest.mark.parametrize("query", [
+    bernoulli_abs_query(),
+    SampleSizeQuery(family="poisson", criterion=Relative(F(1, 8)), estimator=UNBIASED,
+                    a=F(1, 2), b=F(2), delta=F(1, 4), n_start=2, n_max=500),
+], ids=["bernoulli-absolute", "poisson-relative"])
+def test_default_trace_holds_witnesses_bounded_by_full_minima(query):
+    result = min_sample_size(query)
+    threshold = float(1 - query.delta)
+    args = (query.criterion, query.estimator, query.a, query.b)
+    above = 0
+    for n, cov, theta in result.trace:
+        report = min_coverage(query.family, n, *args)
+        assert cov >= report.min_coverage
+        assert cov == coverage(query.family, n, query.criterion, query.estimator, theta)
+        above += cov > report.min_coverage
+    assert all(cov <= threshold for _, cov, _ in result.trace[:-1])
+    for n, cov, theta in result.trace[-2:]:
+        report = min_coverage(query.family, n, *args)
+        assert (cov, theta) == (report.min_coverage, report.argmin_theta)
+    if query.family == "poisson":
+        assert above > 0  # so the lower bound is exercised
+
+
+def test_full_sweeps_count_the_whole_set_evaluations():
+    query = bernoulli_abs_query()
+    result = min_sample_size(query)
+    assert result.full_sweeps == (2, result.n_min - 1, result.n_min)
+    full = min_sample_size(query, full_trace=True)
+    assert full.full_sweeps == tuple(range(2, full.n_min + 1))
+    assert (full.n_min, full.argmin_theta) == (result.n_min, result.argmin_theta)
+    assert "full_sweeps" not in repr(result)
+
+
+@pytest.mark.slow
+def test_epsilon_one_hundredth_query_takes_three_full_sweeps():
+    crit = Absolute(F(1, 100))
+    query = SampleSizeQuery(family="bernoulli", criterion=crit, estimator=UNBIASED,
+                            a=F(0), b=F(1), delta=F(1, 20), n_start=2, n_max=20_000)
+    result = min_sample_size(query)
+    assert result.n_min == 9651
+    assert len(result.full_sweeps) <= 3
+    before = min_coverage("bernoulli", 9650, crit, UNBIASED, F(0), F(1))
+    assert result.trace[-2] == (9650, before.min_coverage, before.argmin_theta)
 
 
 def test_comparison_is_strict_not_at_least():
