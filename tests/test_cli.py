@@ -1,5 +1,6 @@
 """Command line interface: outputs, exit codes, determinism."""
 
+import argparse
 import csv
 import hashlib
 import io
@@ -13,7 +14,7 @@ from fractions import Fraction
 import pytest
 
 from covsize import UNBIASED, Absolute, min_coverage, min_sample_size
-from covsize.cli import main
+from covsize.cli import build_parser, main
 
 from test_acceptance import CLI_INVOCATIONS
 
@@ -54,6 +55,134 @@ def test_cli_invocations_reproduce_frozen_bytes(capsys, argv):
         code, out, err = run_cli(capsys, *argv[:at], fmt, *argv[at + 1:])
         assert code == 0, err
         assert hashlib.sha256(out.encode()).hexdigest() == FROZEN_CLI_DIGESTS[argv[0], fmt], fmt
+
+
+_SEARCH = ("sample-size", "--family", "bernoulli", "--abs-eps", "1/4", "--a", "0", "--b", "1")
+_MIN_COVERAGE = ("min-coverage", "--family", "bernoulli", "--n", "45", "--rel-eps", "1/5",
+                 "--a", "1/10", "--b", "9/10")
+_CURVE = ("coverage-curve", "--family", "poisson", "--n", "8", "--abs-eps", "1/2",
+          "--a", "1", "--b", "3", "--step", "1/3", "--no-candidates")
+_CANDIDATES = ("candidates", "--n", "30", "--rel-eps", "1/3", "--a", "1/8", "--b", "7/8",
+               "--estimator", "range-preserving")
+_VERIFY = ("verify", "--family", "bernoulli", "--n", "25", "--abs-eps", "1/10",
+           "--a", "0", "--b", "1", "--cells", "1000", "--tol", "-1")
+
+# exit code and SHA-256 of stdout for the output paths the acceptance
+# invocations above do not take: a search without its trace and one that
+# finds nothing, a minimum without evaluations, a plain grid, a relative
+# range-preserving candidate set, and a verification discrepancy
+FROZEN_CLI_PATHS = [
+    pytest.param(_SEARCH + ("--delta", "1/10"), "text", 0,
+                 "4d53ed27b06c2435581e75eafda81fbef3d515a60582490675db8d489143ed29",
+                 id="sample-size-text"),
+    pytest.param(_SEARCH + ("--delta", "1/10"), "json", 0,
+                 "8d597ca43180b958a95204d49f583bf78f762dcb4d74a55758ffdcd9f654e827",
+                 id="sample-size-json"),
+    pytest.param(_SEARCH + ("--delta", "1/1000", "--n-max", "4"), "text", 0,
+                 "31c6bc420d2a4764be38bf55dd7f1748d5eaf97e96a8ef683281e913016cb776",
+                 id="not-found-text"),
+    pytest.param(_SEARCH + ("--delta", "1/1000", "--n-max", "4"), "json", 0,
+                 "05ac057c939a8f8e914e3ff89eca651ea2a2e3e267e85848732e37fe36a92c77",
+                 id="not-found-json"),
+    pytest.param(_SEARCH + ("--delta", "1/1000", "--n-max", "4"), "csv", 0,
+                 "6616e4317c943f40c5f23657d2142b71333b4d40e6589b6f31c5f244183e7bff",
+                 id="not-found-csv"),
+    pytest.param(_MIN_COVERAGE, "text", 0,
+                 "8664152c0e7175fb8bc74f8eadfa9a6e8e481d83c4c0bdb2a9a9cdf1beb43292",
+                 id="min-coverage-text"),
+    pytest.param(_MIN_COVERAGE, "json", 0,
+                 "bebc897dce1e705b52a277888d8e441d980230cbf88798af452cffc62169b091",
+                 id="min-coverage-json"),
+    pytest.param(_CURVE, "text", 0,
+                 "f2d43db8f805b5d54640c2d3e484b15a25ada92e9d66eeae20465e506858ae0d",
+                 id="coverage-curve-text"),
+    pytest.param(_CURVE, "json", 0,
+                 "7bdb86f3fd94df201fc5af4ca59818b0fc1f11789525b582a1e133eb728117f7",
+                 id="coverage-curve-json"),
+    pytest.param(_CANDIDATES, "text", 0,
+                 "3a12d4b91f155dce430242b8b9c0055b230488a28917d31982a58c73cd687196",
+                 id="candidates-text"),
+    pytest.param(_VERIFY, "text", 4,
+                 "90eb3218c1685b4789f601c10dac915a9cc6ec4c8dc62b669980b2b04833c1c5",
+                 id="verify-text"),
+    pytest.param(_VERIFY, "json", 4,
+                 "7affbe208326a7620b175d2c062199498f0ed37e5a2ea50dd0809db6e0f4f838",
+                 id="verify-json"),
+    pytest.param(_VERIFY, "csv", 4,
+                 "69ee41d9c699d06134ed8d8e5b8609cb9f136c78306240c429b53e135d211fdc",
+                 id="verify-csv"),
+]
+
+
+@pytest.mark.parametrize("argv, fmt, exit_code, digest", FROZEN_CLI_PATHS)
+def test_cli_paths_reproduce_frozen_bytes_and_exit_codes(
+    capsys, tmp_path, argv, fmt, exit_code, digest
+):
+    code, out, err = run_cli(capsys, *argv, "--format", fmt)
+    assert code == exit_code, err
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    # --output writes the very bytes that go to stdout
+    target = tmp_path / "out"
+    code, to_stdout, _ = run_cli(capsys, *argv, "--format", fmt, "--output", str(target))
+    assert code == exit_code and to_stdout == ""
+    assert target.read_bytes() == out.encode()
+
+
+# (default, required, choices) of every option of every subcommand; the
+# order of options in --help may change, this surface may not
+_COMMON_OPTIONS = {
+    "--abs-eps": (None, False, None),
+    "--rel-eps": (None, False, None),
+    "--estimator": ("unbiased", False, ("unbiased", "range-preserving")),
+    "--a": (None, True, None),
+    "--b": (None, True, None),
+    "--format": ("text", False, ("text", "json", "csv")),
+    "--output": ("-", False, None),
+}
+_FAMILY_N = {"--family": (None, True, None), "--n": (None, True, None)}
+_THREADS = {"--threads": (None, False, None)}
+FROZEN_PARSER_SURFACE = {
+    "sample-size": {
+        **_COMMON_OPTIONS, **_THREADS,
+        "--family": (None, True, None),
+        "--delta": (None, True, None),
+        "--n-start": (2, False, None),
+        "--n-max": (1_000_000, False, None),
+        "--guard-band": (False, False, None),
+        "--trace": (False, False, None),
+    },
+    "min-coverage": {
+        **_COMMON_OPTIONS, **_FAMILY_N, **_THREADS,
+        "--evaluations": (False, False, None),
+    },
+    "coverage-curve": {
+        **_COMMON_OPTIONS, **_FAMILY_N,
+        "--format": ("csv", False, ("text", "json", "csv")),
+        "--step": (None, False, None),
+        "--cells": (1000, False, None),
+        "--no-candidates": (False, False, None),
+    },
+    "candidates": {**_COMMON_OPTIONS, "--n": (None, True, None)},
+    "verify": {
+        **_COMMON_OPTIONS, **_FAMILY_N, **_THREADS,
+        "--step": (None, False, None),
+        "--cells": (10_000, False, None),
+        "--tol": (5e-10, False, None),
+    },
+}
+
+
+def test_parser_surface_is_frozen():
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == set(FROZEN_PARSER_SURFACE)
+    for command, expected in FROZEN_PARSER_SURFACE.items():
+        surface = {
+            "/".join(action.option_strings): (action.default, action.required, action.choices)
+            for action in sub.choices[command]._actions
+            if not isinstance(action, argparse._HelpAction)
+        }
+        assert surface == expected, command
 
 
 def test_candidates_text_output(capsys):
