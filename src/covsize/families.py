@@ -5,9 +5,10 @@ theta.  The two built-in families are Bernoulli (Y_n is binomial(n, theta))
 and Poisson (Y_n is Poisson(n * theta)).  Custom families can be registered
 through the same interface as long as Y_n stays integer valued.
 
-Range probabilities of the built-in families are differences of the library
-CDFs `bdtr` / `pdtr`, evaluated for many thetas at once; a family without a
-`cdf_batch` sums its log-space pmf with compensated summation.  The minimization
+A family gives its log-space pmf and, optionally, a batched CDF.  Range
+probabilities of the built-in families are differences of the library CDFs
+`bdtr` / `pdtr`, evaluated for many thetas at once; a family without a
+`cdf_batch` sums its pmf term by term with compensated summation.  The minimization
 theory elsewhere in the package relies on theta -> Pr{k <= Y_n <= l | theta}
 having at most one interior peak on the parameter interval.  That holds for
 the built-in families; `peak_count` is provided as an empirical diagnostic
@@ -26,9 +27,6 @@ from scipy import special as _sps
 
 from ._exact import exact
 from .errors import DomainError
-
-# windows at least this wide are summed through the vectorized log-pmf
-_BATCH_MIN_WIDTH = 65
 
 
 @dataclass(frozen=True)
@@ -67,14 +65,14 @@ class DistributionFamily:
 
     `cdf_batch(n, thetas, ks)`, Pr{Y_n <= k} elementwise, is optional; a
     family that has it gets every range probability from `prob_ranges`, one
-    vectorized call per n, instead of a log-pmf sum per theta.
+    vectorized call per n, instead of a log-pmf sum per theta.  There is no
+    batched log-pmf: `log_pmf_batch=` is not accepted.
     """
 
     name: str
     param_space: ParamSpace
     support_bound: Callable[[int], tuple[int, Optional[int]]]
     log_pmf: Callable[[int, float, int], float]
-    log_pmf_batch: Optional[Callable[[int, float, np.ndarray], np.ndarray]] = None
     cdf_batch: Optional[Callable[[int, np.ndarray, np.ndarray], np.ndarray]] = None
     tail_cutoff: Optional[Callable[[int, Fraction], int]] = None
 
@@ -90,6 +88,15 @@ class DistributionFamily:
                 f"of family '{self.name}'"
             )
         return theta
+
+    def require_interval(self, a: Fraction, b: Fraction) -> None:
+        """Raise DomainError unless both exact endpoints lie in the parameter space."""
+        for endpoint, label in ((a, "a"), (b, "b")):
+            if not self.param_space.admits(endpoint):
+                raise DomainError(
+                    f"interval endpoint {label}={endpoint} outside parameter space "
+                    f"{self.param_space.describe()} of family '{self.name}'"
+                )
 
 
 def _check_n(n: int, name: str = "n") -> int:
@@ -120,21 +127,6 @@ def _bernoulli_log_pmf(n: int, theta: float, k: int) -> float:
     )
 
 
-def _bernoulli_log_pmf_batch(n: int, theta: float, ks: np.ndarray) -> np.ndarray:
-    if theta <= 0.0:
-        return np.where(ks == 0, 0.0, -np.inf)
-    if theta >= 1.0:
-        return np.where(ks == n, 0.0, -np.inf)
-    kf = ks.astype(np.float64)
-    return (
-        _sps.gammaln(n + 1)
-        - _sps.gammaln(kf + 1)
-        - _sps.gammaln(n - kf + 1)
-        + kf * math.log(theta)
-        + (n - kf) * math.log1p(-theta)
-    )
-
-
 def _bernoulli_cdf_batch(n: int, theta: np.ndarray, k: np.ndarray) -> np.ndarray:
     kk = np.minimum(k, n).astype(np.float64)
     out = _sps.bdtr(np.maximum(kk, 0.0), n, theta)
@@ -146,7 +138,6 @@ BERNOULLI = DistributionFamily(
     param_space=ParamSpace(Fraction(0), Fraction(1), True, True),
     support_bound=lambda n: (0, n),
     log_pmf=_bernoulli_log_pmf,
-    log_pmf_batch=_bernoulli_log_pmf_batch,
     cdf_batch=_bernoulli_cdf_batch,
 )
 
@@ -159,12 +150,6 @@ def _poisson_log_pmf(n: int, theta: float, k: int) -> float:
     if lam <= 0.0:
         return 0.0 if k == 0 else -math.inf
     return k * math.log(lam) - lam - math.lgamma(k + 1)
-
-
-def _poisson_log_pmf_batch(n: int, theta: float, ks: np.ndarray) -> np.ndarray:
-    lam = n * theta
-    kf = ks.astype(np.float64)
-    return kf * math.log(lam) - lam - _sps.gammaln(kf + 1)
 
 
 def _poisson_cdf_batch(n: int, theta: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -184,7 +169,6 @@ POISSON = DistributionFamily(
     param_space=ParamSpace(Fraction(0), None, False, False),
     support_bound=lambda n: (0, None),
     log_pmf=_poisson_log_pmf,
-    log_pmf_batch=_poisson_log_pmf_batch,
     cdf_batch=_poisson_cdf_batch,
     tail_cutoff=_poisson_tail_cutoff,
 )
@@ -248,10 +232,6 @@ def window_sum(fam: DistributionFamily, n: int, theta: Fraction, lo: int, hi: in
     if lo > hi:
         return 0.0
     tf = float(theta)
-    width = hi - lo + 1
-    if width >= _BATCH_MIN_WIDTH and fam.log_pmf_batch is not None:
-        logs = fam.log_pmf_batch(n, tf, np.arange(lo, hi + 1, dtype=np.int64))
-        return float(math.fsum(np.exp(logs)))
     return math.fsum(math.exp(fam.log_pmf(n, tf, k)) for k in range(lo, hi + 1))
 
 

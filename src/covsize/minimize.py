@@ -76,12 +76,7 @@ def min_coverage(
     resolve_threads(threads)
     a = exact(a, name="a")
     b = exact(b, name="b")
-    for endpoint, label in ((a, "a"), (b, "b")):
-        if not fam.param_space.admits(endpoint):
-            raise DomainError(
-                f"interval endpoint {label}={endpoint} outside parameter space "
-                f"{fam.param_space.describe()} of family '{fam.name}'"
-            )
+    fam.require_interval(a, b)
     # every candidate lies in [a, b], inside the family's parameter interval
     cset = candidate_set_for(n, criterion, estimator, a, b)
     return _evaluate(fam, n, criterion, estimator, cset)

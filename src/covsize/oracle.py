@@ -230,12 +230,7 @@ def grid_min_coverage(
     b = exact(b, name="b")
     if not a < b:
         raise DomainError(f"need a < b, got a={a}, b={b}")
-    for endpoint, label in ((a, "a"), (b, "b")):
-        if not fam.param_space.admits(endpoint):
-            raise DomainError(
-                f"interval endpoint {label}={endpoint} outside parameter space "
-                f"{fam.param_space.describe()} of family '{fam.name}'"
-            )
+    fam.require_interval(a, b)
     if isinstance(estimator, RangePreserving) and (
         estimator.lower != a or estimator.upper != b
     ):

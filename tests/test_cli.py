@@ -365,6 +365,19 @@ def test_verify_ok_and_discrepancy_exit_codes(capsys):
     assert "result: DISCREPANCY" in out
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
+def test_verify_rejects_a_non_finite_tolerance(capsys, tol):
+    # a NaN tolerance used to print "tolerance": NaN, which is not JSON, and
+    # report a discrepancy of 0.0 as a failure
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--family", "bernoulli", "--n", "9", "--abs-eps", "1/8",
+              "--a", "0", "--b", "1", "--cells", "400", f"--tol={tol}", "--format", "json"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "finite" in captured.err
+
+
 def test_verify_json_fields(capsys):
     code, out, _ = run_cli(
         capsys,

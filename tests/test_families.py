@@ -162,17 +162,23 @@ def test_range_monotone_in_both_endpoints(n, theta, k, l):
     assert narrower_k <= base + 1e-12
 
 
-def test_batch_and_scalar_summation_agree():
-    # window width 80 exercises the vectorized path; recompute term by term
-    # (the two log-gamma implementations differ in final ulps, hence the slack)
+def test_window_sum_matches_exact_binomial_range():
+    # a width-80 window summed term by term from the log-pmf, against the
+    # exact rational sum (log-gamma rounding leaves a few ulps per term)
     n, theta = 200, Fraction(1, 2)
     lo, hi = 60, 139
-    batch = window_sum(BERNOULLI, n, theta, lo, hi)
-    scalar = math.fsum(
-        math.exp(BERNOULLI.log_pmf(n, float(theta), k)) for k in range(lo, hi + 1)
-    )
-    assert batch == pytest.approx(scalar, abs=5e-13)
-    assert batch == pytest.approx(float(binom_range(n, lo, hi, theta)), abs=5e-13)
+    total = window_sum(BERNOULLI, n, theta, lo, hi)
+    assert total == pytest.approx(float(binom_range(n, lo, hi, theta)), abs=5e-13)
+
+
+def test_log_pmf_batch_is_not_accepted():
+    # a family gives log_pmf and, optionally, cdf_batch; there is no batched log-pmf
+    with pytest.raises(TypeError, match="log_pmf_batch"):
+        DistributionFamily(
+            name="batched", param_space=BERNOULLI.param_space,
+            support_bound=BERNOULLI.support_bound, log_pmf=BERNOULLI.log_pmf,
+            log_pmf_batch=lambda n, theta, ks: ks,
+        )
 
 
 @pytest.mark.parametrize("fam", [BERNOULLI, POISSON])

@@ -13,11 +13,13 @@ from covsize import (
     Absolute,
     DistributionFamily,
     DomainError,
+    GridSpec,
     Mixed,
     RangePreserving,
     Relative,
     UNBIASED,
     coverage,
+    grid_min_coverage,
     min_coverage,
 )
 from covsize.minimize import resolve_threads, witness_min_coverage
@@ -127,6 +129,18 @@ def test_thread_count_does_not_change_bits():
 def test_poisson_needs_positive_lower_endpoint_for_relative():
     with pytest.raises(DomainError):
         min_coverage("poisson", 5, Relative(F(1, 4)), UNBIASED, F(0), F(2))
+
+
+@pytest.mark.parametrize("family, a, b, named", [
+    ("bernoulli", F(1, 2), F(3, 2), "b=3/2"),
+    ("poisson", F(0), F(2), "a=0"),
+])
+def test_endpoint_outside_parameter_space_is_named_by_both_entry_points(family, a, b, named):
+    args = (family, 6, Absolute(F(1, 4)), UNBIASED, a, b)
+    with pytest.raises(DomainError, match=f"interval endpoint {named} outside"):
+        min_coverage(*args)
+    with pytest.raises(DomainError, match=f"interval endpoint {named} outside"):
+        grid_min_coverage(*args, GridSpec.divide(a, b, cells=10))
 
 
 def test_resolve_threads():
