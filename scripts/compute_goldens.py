@@ -16,10 +16,15 @@ reach the same n_min.
 Run from the repository root:  python3 scripts/compute_goldens.py
 """
 
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
-from covsize import Absolute, GridSpec, Relative, UNBIASED, grid_min_coverage
+# import covsize from this checkout's src/, installed or not
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from covsize import Absolute, GridSpec, Relative, UNBIASED, grid_min_coverage  # noqa: E402
 
 F = Fraction
 

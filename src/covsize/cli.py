@@ -21,6 +21,7 @@ import dataclasses
 import io
 import json
 import math
+import re
 import sys
 from fractions import Fraction
 from typing import Optional
@@ -358,6 +359,10 @@ def build_parser() -> argparse.ArgumentParser:
                 cells=10_000)
     p.add_argument("--tol", type=_finite_float, default=5e-10,
                    help="largest acceptable |candidate min - grid min| (finite)")
+    # argparse takes only -1 and -.5 shapes for negative numbers; widen that so
+    # "--tol -1e-3" is a value and "--tol -inf" reaches the finiteness check
+    p._negative_number_matcher = re.compile(
+        r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$|^-(inf|infinity|nan)$", re.IGNORECASE)
     return parser
 
 

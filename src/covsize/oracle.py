@@ -1,8 +1,9 @@
 """Brute-force cross-checks for the closed-form coverage machinery.
 
 `indicator_coverage` never touches the window formulas: it tests the raw
-acceptance event k by k in exact arithmetic (the estimate is nondecreasing
-in k, so the accepted set is one contiguous window, found by direct scan).
+acceptance event in exact arithmetic.  The estimate is nondecreasing in k,
+so each half of the event is monotone and the accepted set is one
+contiguous window, whose ends are found by bisection on the raw event.
 `grid_min_coverage` sweeps a dense theta grid, optionally merged with the
 candidate points, and reports the smallest coverage seen.  Agreement between
 this scan and the candidate-set minimum is what certifies the reduction.
@@ -15,6 +16,7 @@ re-evaluated through the exact scalar path, as are all candidate points.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -89,7 +91,7 @@ def indicator_coverage(
     estimator: EstimatorKind,
     theta: Fraction,
 ) -> float:
-    """Coverage computed from the raw event, one support point at a time."""
+    """Coverage computed from the raw event, its window ends found by bisection."""
     fam = resolve_family(family)
     _check_n(n)
     theta = fam.require_theta(theta)
@@ -102,16 +104,16 @@ def indicator_coverage(
     m = _margin_at(criterion, theta)
     kmin, kmax = fam.support_bound(n)
 
-    def accepted(k: int) -> bool:
+    def estimate(k: int) -> Fraction:
         v = Fraction(k, n)
         if rp:
             if v < estimator.lower:
                 v = estimator.lower
             elif v > estimator.upper:
                 v = estimator.upper
-        return abs(v - theta) < m
+        return v
 
-    # transitions of `accepted` happen while the estimate moves through
+    # transitions of the event happen while the estimate moves through
     # (theta - m, theta + m) or up to the upper clamp; beyond both it is
     # constant in k
     top_change = math.ceil(n * (theta + m)) + 2
@@ -120,24 +122,19 @@ def indicator_coverage(
     if kmax is not None:
         top_change = min(top_change, kmax)
 
-    if accepted(kmin):
-        lo = kmin
-    else:
-        # below this every estimate is either at the (rejected) lower clamp
-        # or more than m under theta
-        start = max(kmin, math.floor(n * (theta - m)) - 2)
-        lo = next((k for k in range(start, top_change + 1) if accepted(k)), None)
-        if lo is None:
-            return 0.0
-
-    k = lo
-    while k < top_change and accepted(k + 1):
-        k += 1
-    if k >= top_change and accepted(k):
+    # the estimate is nondecreasing in k, so each half of |v - theta| < m is
+    # monotone: bisect for the first k above theta - m, then for the first k
+    # at or past theta + m
+    ks = range(kmin, top_change + 1)
+    first = bisect_left(ks, True, key=lambda k: estimate(k) - theta > -m)
+    stop = bisect_left(ks, True, first, key=lambda k: estimate(k) - theta >= m)
+    if stop == first:
+        return 0.0
+    if stop == len(ks):
         # still accepted where transitions have stopped: window runs through
         # the top of the support
-        return prob_range(fam, n, lo, None, theta)
-    return prob_range(fam, n, lo, k, theta)
+        return prob_range(fam, n, ks[first], None, theta)
+    return prob_range(fam, n, ks[first], ks[stop - 1], theta)
 
 
 # ---------------------------------------------------------------------------

@@ -378,6 +378,28 @@ def test_verify_rejects_a_non_finite_tolerance(capsys, tol):
     assert "finite" in captured.err
 
 
+@pytest.mark.parametrize("tol", ["-1e-3", "-2.5E+1", "-1."])
+def test_verify_takes_a_negative_tolerance_in_any_float_form(capsys, tol):
+    # argparse reads "-1e-3" as an option unless told it is a number
+    code, out, err = run_cli(
+        capsys, "verify", "--family", "bernoulli", "--n", "9", "--abs-eps", "1/8",
+        "--a", "0", "--b", "1", "--cells", "400", "--tol", tol, "--format", "json",
+    )
+    assert (code, err) == (4, "")
+    assert json.loads(out)["tolerance"] == float(tol)
+
+
+@pytest.mark.parametrize("tol", ["-inf", "-Infinity", "-nan"])
+def test_verify_rejects_a_separate_non_finite_tolerance_token(capsys, tol):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--family", "bernoulli", "--n", "9", "--abs-eps", "1/8",
+              "--a", "0", "--b", "1", "--cells", "400", "--tol", tol])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "expected a finite number" in captured.err
+
+
 def test_verify_json_fields(capsys):
     code, out, _ = run_cli(
         capsys,

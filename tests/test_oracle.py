@@ -1,6 +1,7 @@
 """Brute-force oracle: indicator coverage and dense grid scans."""
 
 import dataclasses
+import math
 from fractions import Fraction
 
 import pytest
@@ -20,7 +21,9 @@ from covsize import (
     indicator_coverage,
     min_coverage,
 )
+from covsize import oracle
 from covsize.families import BERNOULLI
+from tests._reference import bernoulli_coverage, estimate_of, margin_at, poisson_pmf_dec
 
 F = Fraction
 
@@ -73,6 +76,143 @@ def test_indicator_agrees_with_window_formula(n, num, eps_num, kind, rp):
     lhs = coverage("bernoulli", n, crit, est, theta)
     rhs = indicator_coverage("bernoulli", n, crit, est, theta)
     assert lhs == pytest.approx(rhs, abs=1e-12)
+
+
+def brute_force(family, n, crit, est, theta):
+    """Accepted outcomes and their coverage, classifying k one at a time.
+
+    Bernoulli walks the whole support; Poisson walks k up to a cutoff many
+    standard deviations above n*theta, so a window that is still open there
+    runs through the top of the support.
+    """
+    m = margin_at(crit, theta)
+    if family == "bernoulli":
+        top = n
+    else:
+        lam = n * theta
+        top = math.ceil(lam + 40 * math.sqrt(lam) + 60)
+    accepted = [k for k in range(top + 1) if abs(estimate_of(k, n, est) - theta) < m]
+    if family == "bernoulli":
+        value = float(bernoulli_coverage(n, crit, est, theta))
+    else:
+        value = float(sum(poisson_pmf_dec(n * theta, k) for k in accepted))
+    return accepted, top, value
+
+
+def indicator_window(monkeypatch, family, n, crit, est, theta):
+    """indicator_coverage's value and the outcomes of the window it summed."""
+    windows = []
+    real = oracle.prob_range
+
+    def recording(fam, n_, lo, hi, theta_):
+        windows.append((lo, hi))
+        return real(fam, n_, lo, hi, theta_)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(oracle, "prob_range", recording)
+        value = indicator_coverage(family, n, crit, est, theta)
+    assert len(windows) <= 1
+    return value, windows
+
+
+def assert_matches_brute_force(monkeypatch, family, n, crit, est, theta):
+    accepted, top, expected = brute_force(family, n, crit, est, theta)
+    value, windows = indicator_window(monkeypatch, family, n, crit, est, theta)
+    if windows:
+        lo, hi = windows[0]
+        summed = list(range(lo, top + 1 if hi is None else hi + 1))
+    else:
+        summed = []
+    assert summed == accepted, (family, n, crit, est, theta)
+    if not accepted:
+        assert value == 0.0
+    assert value == pytest.approx(expected, rel=1e-12, abs=1e-14)
+    return accepted, top, value
+
+
+RP_BERNOULLI = RangePreserving(F(1, 5), F(4, 5))
+RP_POISSON = RangePreserving(F(2), F(5))
+
+# (family, n, criterion, estimator, theta, what the window should look like)
+WINDOW_CASES = [
+    # n = 4, theta = 5/8: |k/4 - 5/8| < 1/16 has no solution
+    ("bernoulli", 4, Absolute(F(1, 16)), UNBIASED, F(5, 8), "empty"),
+    ("poisson", 3, Relative(F(1, 20)), UNBIASED, F(1, 2), "empty"),
+    ("bernoulli", 7, Absolute(F(1)), UNBIASED, F(3, 7), "whole"),
+    ("bernoulli", 9, Mixed(F(3, 5), F(1, 2)), UNBIASED, F(1, 2), "whole"),
+    # theta + eps above 1: the window runs to k = n
+    ("bernoulli", 12, Absolute(F(1, 4)), UNBIASED, F(9, 10), "open"),
+    # the upper clamp holds every large k at 4/5 or 5, inside the margin
+    ("bernoulli", 15, Absolute(F(1, 10)), RP_BERNOULLI, F(3, 4), "open"),
+    ("poisson", 6, Absolute(F(1, 2)), RP_POISSON, F(19, 4), "open"),
+    ("poisson", 6, Relative(F(1, 5)), RP_POISSON, F(5), "open"),
+    # the lower clamp lifts every small k to 1/5 or 2, inside the margin
+    ("bernoulli", 15, Absolute(F(1, 10)), RP_BERNOULLI, F(1, 4), "from-bottom"),
+    ("poisson", 6, Absolute(F(1, 2)), RP_POISSON, F(9, 4), "from-bottom"),
+    ("poisson", 6, Relative(F(1, 5)), RP_POISSON, F(2), "from-bottom"),
+    # both clamps inside the margin: every outcome is accepted
+    ("bernoulli", 11, Absolute(F(7, 10)), RP_BERNOULLI, F(1, 2), "whole"),
+]
+
+
+@pytest.mark.parametrize("family,n,crit,est,theta,shape", WINDOW_CASES)
+def test_indicator_window_shapes_match_brute_force(monkeypatch, family, n, crit, est,
+                                                   theta, shape):
+    accepted, top, value = assert_matches_brute_force(monkeypatch, family, n, crit, est,
+                                                      theta)
+    if shape == "empty":
+        assert accepted == [] and value == 0.0
+    elif shape == "whole":
+        assert accepted == list(range(top + 1))
+        assert value == pytest.approx(1.0, abs=1e-15)
+    elif shape == "open":
+        assert accepted[0] > 0 and accepted[-1] == top
+    else:
+        assert accepted[0] == 0 and accepted[-1] < top
+
+
+def boundary_thetas(n, crit, a, b):
+    """Every theta in [a, b] where an outcome k sits exactly on a margin edge:
+    k/n +- eps for an absolute margin, k/(n(1 +- eps)) for a relative one."""
+    points = set()
+    for k in range(-2, 2 * n * math.ceil(b + 1) + 3):
+        if isinstance(crit, (Absolute, Mixed)):
+            eps = crit.eps if isinstance(crit, Absolute) else crit.eps_abs
+            points |= {F(k, n) + eps, F(k, n) - eps}
+        if isinstance(crit, (Relative, Mixed)):
+            eps = crit.eps if isinstance(crit, Relative) else crit.eps_rel
+            points |= {F(k, n) / (1 + eps), F(k, n) / (1 - eps)}
+    if isinstance(crit, Mixed):
+        c = crit.eps_abs / crit.eps_rel
+        points |= {c, c - F(1, 10**9), c + F(1, 10**9)}
+    return sorted(t for t in points if a <= t <= b)
+
+
+@pytest.mark.parametrize("family,n,crit,est,a,b", [
+    ("bernoulli", 10, Absolute(F(1, 10)), UNBIASED, F(0), F(1)),
+    ("bernoulli", 13, Absolute(F(2, 9)), RangePreserving(F(1, 10), F(9, 10)), F(1, 10),
+     F(9, 10)),
+    ("bernoulli", 12, Relative(F(1, 4)), UNBIASED, F(1, 20), F(1)),
+    ("bernoulli", 11, Relative(F(1, 3)), RangePreserving(F(1, 6), F(5, 6)), F(1, 6),
+     F(5, 6)),
+    # crossover c = eps_abs / eps_rel = 2/5
+    ("bernoulli", 14, Mixed(F(1, 10), F(1, 4)), UNBIASED, F(1, 20), F(19, 20)),
+    ("bernoulli", 9, Mixed(F(1, 10), F(1, 4)), RangePreserving(F(1, 10), F(9, 10)),
+     F(1, 10), F(9, 10)),
+    ("poisson", 4, Absolute(F(1, 2)), UNBIASED, F(1, 2), F(5)),
+    ("poisson", 5, Relative(F(1, 4)), RangePreserving(F(1), F(4)), F(1), F(4)),
+    # crossover c = 3
+    ("poisson", 3, Mixed(F(3, 4), F(1, 4)), UNBIASED, F(1), F(6)),
+    ("poisson", 4, Mixed(F(3, 4), F(1, 4)), RangePreserving(F(1), F(6)), F(1), F(6)),
+])
+def test_indicator_matches_brute_force_on_every_margin_edge(monkeypatch, family, n, crit,
+                                                            est, a, b):
+    # exactly on an edge the strict inequality rejects the outcome; the
+    # bisection must land on the same side as the k-by-k classification
+    thetas = boundary_thetas(n, crit, a, b)
+    assert len(thetas) >= n // 2
+    for theta in thetas:
+        assert_matches_brute_force(monkeypatch, family, n, crit, est, theta)
 
 
 def test_grid_spec_validation():
@@ -209,3 +349,27 @@ def test_grid_scan_range_preserving_degenerate():
     )
     assert value == 1.0
     assert theta == F(2, 5)
+
+
+# the three frozen reference sample sizes of the acceptance suite, and the
+# large-n absolute query (eps = 1/100 on [0, 1]), all at delta = 1/20
+GOLDEN_SCALE = [
+    ("bernoulli", Absolute(F(1, 10)), F(0), F(1), 101),
+    ("bernoulli", Relative(F(1, 5)), F(1, 10), F(9, 10), 901),
+    ("poisson", Absolute(F(1, 2)), F(1), F(10), 156),
+    ("bernoulli", Absolute(F(1, 100)), F(0), F(1), 9651),
+]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("family,crit,a,b,n_min", GOLDEN_SCALE)
+def test_grid_certifies_the_decisions_at_golden_scale(family, crit, a, b, n_min):
+    threshold = float(1 - F(1, 20))
+    grid = GridSpec.divide(a, b, cells=10_000, include_candidates=True)
+    for n, passes in ((n_min - 1, False), (n_min, True)):
+        report = min_coverage(family, n, crit, UNBIASED, a, b)
+        value, theta = grid_min_coverage(family, n, crit, UNBIASED, a, b, grid)
+        assert abs(value - report.min_coverage) <= 5e-10, n
+        assert theta == report.argmin_theta, n
+        assert (value > threshold) is passes, n
+        assert (report.min_coverage > threshold) is passes, n
