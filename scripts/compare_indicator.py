@@ -1,15 +1,20 @@
-"""Compare `indicator_coverage` of two checkouts value for value.
+"""Compare `indicator_coverage` or `min_coverage` of two checkouts value for value.
 
 Draws criterion-1-style instances (both families, all six criterion/
-estimator pairs, with the instance generator of tests/test_acceptance.py),
-and for each one evaluates `indicator_coverage` at a random sample of its
-candidate points (where the acceptance window changes, so lattice theta are
-included) and at a few random grid rows of [a, b].  Each checkout is run in
-its own interpreter; the values must be equal as floats (`==`), not merely
-close.
+estimator pairs, with the instance generator of tests/test_acceptance.py).
+With `--route indicator` (the default) it evaluates `indicator_coverage` at
+a random sample of each instance's candidate points (where the acceptance
+window changes, so lattice theta are included) and at a few random grid rows
+of [a, b].  With `--route min-coverage` it runs `min_coverage` on every
+instance and on the production shapes (n = 9622 absolute 1/100, n = 892..901
+relative 1/5, n = 96 range-preserving mixed, and the witness sets of the
+last two), and records the rule, the cardinality bound, every candidate's
+theta, tags and value, and the argmin.  Each checkout is run in its own
+interpreter; the values must be equal as floats (`==`), not merely close.
 
 Run from the repository root:
     python3 scripts/compare_indicator.py --other ../old-checkout/src
+    python3 scripts/compare_indicator.py --other ../old-checkout/src --route min-coverage
 """
 
 import argparse
@@ -49,9 +54,61 @@ def dump(src: Path, count: int, seed: int, candidates: int, grid_rows: int) -> l
     return out
 
 
+def production_shapes() -> list:
+    """(family, n, criterion, estimator, a, b) of the production workload's
+    min_coverage calls and its range-preserving mixed search at n_min."""
+    from covsize import UNBIASED, Absolute, Mixed, RangePreserving, Relative
+
+    F = Fraction
+    shapes = [("bernoulli", 9622, Absolute(F(1, 100)), UNBIASED, F(0), F(1))]
+    shapes += [("bernoulli", n, Relative(F(1, 5)), UNBIASED, F(1, 10), F(9, 10))
+               for n in range(892, 902)]
+    shapes += [("bernoulli", 96, Mixed(F(1, 10), F(1, 4)), RangePreserving(a, 1 - a), a, 1 - a)
+               for a in (F(1, 20), F(1, 10))]
+    return shapes
+
+
+def dump_min_coverage(src: Path, count: int, seed: int) -> list:
+    """[label, rule, bound, theta, tags, value.hex()] for every candidate of
+    every report, then [label, "argmin", min.hex(), argmin theta]."""
+    sys.path[:0] = [str(src), str(ROOT)]
+    import covsize
+    from covsize import min_coverage
+    from covsize.minimize import witness_min_coverage
+
+    if not Path(covsize.__file__).resolve().is_relative_to(src):
+        sys.exit(f"covsize was imported from {covsize.__file__}, not {src}")
+    from tests.test_acceptance import PAIRS, random_instance
+
+    rng = random.Random(seed)
+    calls = []
+    for i in range(count):
+        family = "bernoulli" if i % 4 else "poisson"
+        pair = PAIRS[i % 6]
+        n, crit, est, a, b = random_instance(rng, pair, family)
+        calls.append((f"{family} {'/'.join(pair)} {i}", family, n, crit, est, a, b))
+    calls += [(f"production {j}", *shape) for j, shape in enumerate(production_shapes())]
+    out = []
+    for label, family, n, crit, est, a, b in calls:
+        report = min_coverage(family, n, crit, est, a, b)
+        reports = [(label, report)]
+        if label.startswith("production"):
+            near = report.argmin_theta
+            reports.append((label + " witness", witness_min_coverage(
+                family, n + 1, crit, est, a, b, near=near)))
+        for name, rep in reports:
+            cset = rep.candidate_set
+            for point, (theta, value) in zip(cset.points, rep.evaluations):
+                assert point.theta == theta
+                out.append([name, cset.rule, str(cset.cardinality_bound), str(theta),
+                            ",".join(point.tags), value.hex()])
+            out.append([name, "argmin", rep.min_coverage.hex(), str(rep.argmin_theta)])
+    return out
+
+
 def run(src: Path, args) -> list:
     proc = subprocess.run(
-        [sys.executable, __file__, "--dump", "--src", str(src),
+        [sys.executable, __file__, "--dump", "--src", str(src), "--route", args.route,
          "--instances", str(args.instances), "--seed", str(args.seed),
          "--candidates", str(args.candidates), "--grid-rows", str(args.grid_rows)],
         check=True, capture_output=True, text=True,
@@ -69,23 +126,34 @@ def main() -> int:
                         help="candidate points sampled per instance")
     parser.add_argument("--grid-rows", type=int, default=4,
                         help="random grid rows per instance")
+    parser.add_argument("--route", choices=("indicator", "min-coverage"), default="indicator")
     parser.add_argument("--dump", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.dump:
-        rows = dump(args.src.resolve(), args.instances, args.seed,
-                    args.candidates, args.grid_rows)
+        if args.route == "indicator":
+            rows = dump(args.src.resolve(), args.instances, args.seed,
+                        args.candidates, args.grid_rows)
+        else:
+            rows = dump_min_coverage(args.src.resolve(), args.instances, args.seed)
         json.dump(rows, sys.stdout)
         return 0
     if args.other is None:
         parser.error("--other is required")
     mine, theirs = run(args.src.resolve(), args), run(args.other.resolve(), args)
-    if [row[:4] for row in mine] != [row[:4] for row in theirs]:
-        sys.exit("the two checkouts drew different points")
-    diffs = [(a, b[4]) for a, b in zip(mine, theirs) if a[4] != b[4]]
-    families = sorted({row[0] for row in mine})
-    pairs = sorted({row[1] for row in mine})
-    print(f"{len(mine)} theta on {args.instances} instances "
-          f"({', '.join(families)}; {len(pairs)} pairs): {len(diffs)} differ")
+    if args.route == "min-coverage":
+        diffs = [(a, b) for a, b in zip(mine, theirs) if a != b]
+        if len(mine) != len(theirs):
+            diffs.append((f"{len(mine)} rows", f"{len(theirs)} rows"))
+        print(f"{len(mine)} rows (candidates and argmins) on {args.instances} instances "
+              f"and the production shapes: {len(diffs)} differ")
+    else:
+        if [row[:4] for row in mine] != [row[:4] for row in theirs]:
+            sys.exit("the two checkouts drew different points")
+        diffs = [(a, b[4]) for a, b in zip(mine, theirs) if a[4] != b[4]]
+        families = sorted({row[0] for row in mine})
+        pairs = sorted({row[1] for row in mine})
+        print(f"{len(mine)} theta on {args.instances} instances "
+              f"({', '.join(families)}; {len(pairs)} pairs): {len(diffs)} differ")
     for row, other in diffs[:10]:
         print("  ", row, "other:", other)
     return 1 if diffs else 0

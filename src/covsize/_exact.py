@@ -30,11 +30,11 @@ def exact(value: Fraction | int | str | Decimal, *, name: str = "value") -> Frac
             f"'{value!r}' or a Fraction to keep arithmetic exact"
         )
     if isinstance(value, (Fraction, int)):
-        return Fraction(value)
+        return value if type(value) is Fraction else Fraction(value)
     if isinstance(value, (str, Decimal)):
         try:
             return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
+        except (ValueError, ZeroDivisionError, OverflowError) as exc:
             raise DomainError(f"{name}: cannot parse {value!r} as an exact number") from exc
     raise DomainError(f"{name}: unsupported type {type(value).__name__}")
 

@@ -20,35 +20,35 @@ Lattice families, tagged by provenance:
   rel-upper      theta = k/(n*(1+eps))    (upper window endpoint jumps)
   rel-lower      theta = k/(n*(1-eps))    (lower window endpoint jumps)
 
-The strict cardinality bound is derived while the points are offered: one
-per offered endpoint or breakpoint, whether or not it is kept, plus
-max(hi - lo, 0) / spacing + 1 per lattice on the open window (lo, hi), which
-exceeds the number of lattice points strictly inside that window.
+The strict cardinality bound counts one per offered endpoint or breakpoint,
+whether or not it is kept, plus max(hi - lo, 0) / spacing + 1 per lattice on
+the open window (lo, hi), which exceeds the number of lattice points strictly
+inside that window.
 
-All arithmetic is exact.  `_Collector.build` puts every offered point over
-one common denominator, so each lattice is one range of integer numerators,
-points are merged by tag and sorted as integers, and a Fraction is made only
-for each emitted point.  Given a window, it clamps each lattice's range to
-it, so a sample-size search can reject an n on the few candidates near the
-previous n's worst theta at O(1) cost instead of O(n).
+All arithmetic is exact.  `_build` puts every point over one common
+denominator, each lattice one range of integer numerators, and merges them as
+integers; a Fraction is made only when a caller asks for the thetas.  Given a
+window, it clamps each lattice's range to it, so a sample-size search can
+reject an n on the few candidates near the previous n's worst theta in O(1).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional
+from functools import cached_property
+from typing import Iterator, Optional
+
+import numpy as np
 
 from ._exact import exact
 from .coverage import (
-    Absolute,
     ErrorCriterion,
     EstimatorKind,
-    Mixed,
     RangePreserving,
-    Relative,
     Unbiased,
+    margins,
 )
 from .errors import DomainError
 from .families import _check_n
@@ -69,84 +69,99 @@ class CandidatePoint:
 
 @dataclass(frozen=True)
 class CandidateSet:
-    """Sorted, deduplicated candidate points plus the rule's cardinality bound."""
+    """Sorted, deduplicated candidate points plus the rule's cardinality bound.
+
+    Each run (base, step, den, ks, tag) holds the thetas (base + step * k) / den
+    for k in the range ks: one per lattice, one of length 1 per endpoint or
+    breakpoint.  The points are the arrays `numerators` (over `den`, ascending)
+    and each one's `run` index and `k`; `floats`, `thetas` and `points` are
+    made from them on first access.
+    """
 
     rule: str
-    points: tuple[CandidatePoint, ...]
     cardinality_bound: Fraction
+    den: int
+    runs: tuple[tuple[int, int, int, range, str], ...]
+    numerators: np.ndarray = field(repr=False, compare=False)
+    run: np.ndarray = field(repr=False, compare=False)
+    k: np.ndarray = field(repr=False, compare=False)
 
-    @property
+    @cached_property
+    def floats(self) -> np.ndarray:
+        """float(theta) of every point, one correctly rounded division each."""
+        x = self.numerators  # exact as float64 up to 2**53
+        x = x if max(-x[0], x[-1], self.den) <= 2**53 else x.astype(object)
+        return np.asarray(x / self.den, dtype=float)
+
+    @cached_property
     def thetas(self) -> tuple[Fraction, ...]:
-        return tuple(p.theta for p in self.points)
+        return tuple(Fraction(x, self.den) for x in self.numerators.tolist())
+
+    @cached_property
+    def points(self) -> tuple[CandidatePoint, ...]:
+        tags: dict[int, set[str]] = {}
+        for base, step, _, ks, tag in self.runs:
+            for k in ks:
+                tags.setdefault(base + step * k, set()).add(tag)
+        return tuple(CandidatePoint(t, tuple(sorted(tags[x])))
+                     for t, x in zip(self.thetas, self.numerators.tolist()))
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.numerators)
 
     def __iter__(self) -> Iterator[CandidatePoint]:
         return iter(self.points)
 
 
-class _Collector:
-    def __init__(self) -> None:
-        self._singles: list[tuple[Fraction, str]] = []
-        self._lattices: list[tuple[Fraction, Fraction, Fraction, Fraction, str]] = []
-        self._bound = Fraction(0)
+def _build(rule: str, offered: list[tuple[Fraction, str, bool]],
+           lattices: list[tuple[Fraction, Fraction, Fraction, Fraction, str]],
+           window: Optional[tuple[Fraction, Fraction]]) -> CandidateSet:
+    """The set of the kept points among the offered (theta, tag, kept) and of
+    the lattices (spacing, offset, lo, hi, tag), each the points offset + k *
+    spacing, k integer, strictly inside (lo, hi); with `window` = (lo, hi)
+    only the lattice points inside [lo, hi].  The rule and the cardinality
+    bound stay those of the whole set."""
+    singles = [(t, tag) for t, tag, kept in offered if kept]
+    den = math.lcm(*(t.denominator for t, _ in singles),
+                   *(f.denominator for lattice in lattices for f in lattice[:2]))
 
-    def add(self, theta: Fraction, tag: str,
-            lo: Optional[Fraction] = None, hi: Optional[Fraction] = None) -> None:
-        """Offer one point; it is kept only inside [lo, hi] when those are given."""
-        self._bound += 1
-        if lo is None or lo <= theta <= hi:
-            self._singles.append((theta, tag))
+    def over(f: Fraction) -> int:  # numerator of f over den
+        return f.numerator * (den // f.denominator)
 
-    def lattice(self, spacing: Fraction, offset: Fraction, lo: Fraction, hi: Fraction,
-                tag: str) -> None:
-        """Points offset + k * spacing, k integer, strictly inside (lo, hi)."""
-        self._bound += max(hi - lo, 0) / spacing + 1
-        self._lattices.append((spacing, offset, lo, hi, tag))
+    runs = [(over(t), 0, den, range(1), tag) for t, tag in singles]
+    bound = (len(offered), 1)  # as numerator and denominator
+    top = max(abs(run[0]) for run in runs)  # 2 * top >= every |base + step * k|
 
-    def build(self, rule: str,
-              window: Optional[tuple[Fraction, Fraction]] = None) -> CandidateSet:
-        """The collected set, or with `window` = (lo, hi) only its lattice
-        points inside [lo, hi] plus every kept endpoint and breakpoint; the
-        rule and the cardinality bound stay those of the whole set."""
-        den = math.lcm(*(t.denominator for t, _ in self._singles),
-                       *(f.denominator for lattice in self._lattices for f in lattice[:2]))
+    def k_ratio(f: Fraction, step: int, base: int) -> tuple[int, int]:
+        # (f - offset) / spacing as (numerator, positive denominator), where
+        # step and base are spacing and offset over den
+        return f.numerator * den - base * f.denominator, step * f.denominator
 
-        def over(f: Fraction) -> int:  # numerator of f over den
-            return f.numerator * (den // f.denominator)
-
-        singles = [(tag, over(t)) for t, tag in self._singles]
-        runs: list[tuple[str, Iterable[int]]] = [(tag, (x,)) for tag, x in singles]
-
-        def k_ratio(f: Fraction, step: int, base: int) -> tuple[int, int]:
-            # (f - offset) / spacing as (numerator, positive denominator), where
-            # step and base are spacing and offset over den
-            return f.numerator * den - base * f.denominator, step * f.denominator
-
-        for spacing, offset, lo, hi, tag in self._lattices:
-            step, base = over(spacing), over(offset)
-            (lo_num, lo_den), (hi_num, hi_den) = (k_ratio(f, step, base) for f in (lo, hi))
-            kmin = lo_num // lo_den + 1
-            kmax = -(-hi_num // hi_den) - 1  # below kmin when lo >= hi
+    for spacing, offset, lo, hi, tag in lattices:
+        step, base = over(spacing), over(offset)
+        (lo_num, lo_den), (hi_num, hi_den) = (k_ratio(f, step, base) for f in (lo, hi))
+        kmin = lo_num // lo_den + 1
+        kmax = -(-hi_num // hi_den) - 1  # below kmin when lo >= hi
+        q = lo_den * hi_den  # bound += max(hi - lo, 0) / spacing + 1
+        bound = (bound[0] * q + bound[1] * (max(hi_num * lo_den - lo_num * hi_den, 0) + q),
+                 bound[1] * q)
+        if window is not None:
+            # a single on this lattice keeps its lattice tag, as in the whole set
             whole = range(base + kmin * step, base + (kmax + 1) * step, step)
-            if window is not None:
-                # a single on this lattice keeps its lattice tag, as in the whole set
-                runs.append((tag, [x for _, x in singles if x in whole]))
-                (lo_num, lo_den), (hi_num, hi_den) = (k_ratio(f, step, base) for f in window)
-                kmin = max(kmin, -(-lo_num // lo_den))
-                kmax = min(kmax, hi_num // hi_den)
-                whole = range(base + kmin * step, base + (kmax + 1) * step, step)
-            runs.append((tag, whole))
-        # tags in sorted order, so each point's tuple comes out sorted
-        tags: dict[int, tuple[str, ...]] = {}
-        for tag, xs in sorted(runs, key=lambda run: run[0]):
-            for x in xs:
-                have = tags.get(x, ())
-                if tag not in have:
-                    tags[x] = have + (tag,)
-        points = tuple(CandidatePoint(Fraction(x, den), tags[x]) for x in sorted(tags))
-        return CandidateSet(rule=rule, points=points, cardinality_bound=self._bound)
+            runs += [(x, 0, den, range(1), tag) for x, *_ in runs[:len(singles)] if x in whole]
+            (lo_num, lo_den), (hi_num, hi_den) = (k_ratio(f, step, base) for f in window)
+            kmin = max(kmin, -(-lo_num // lo_den))
+            kmax = min(kmax, hi_num // hi_den)
+        if kmin <= kmax:
+            runs.append((base, step, den, range(kmin, kmax + 1), tag))
+            top = max(top, abs(base), step * max(-kmin, kmax + 1))
+    dtype = np.int64 if top < 2**62 else object  # else Python ints, which never wrap
+    run = np.repeat(np.arange(len(runs)), [len(r[3]) for r in runs])
+    k = np.concatenate([np.arange(r[3].start, r[3].stop, dtype=dtype) for r in runs])
+    base, step = np.array([r[:2] for r in runs], dtype)[run].T
+    numerators, first = np.unique(base + step * k, return_index=True)
+    return CandidateSet(rule, Fraction(*bound), den, tuple(runs), numerators,
+                        run[first], k[first])
 
 
 def candidate_set_for(
@@ -182,53 +197,46 @@ def candidate_set_for(
         raise DomainError(f"unknown criterion/estimator pair {criterion!r}, {estimator!r}")
     if not a < b:
         raise DomainError(f"need a < b, got a={a}, b={b}")
+    ea, er, c = margins(criterion)
+    if er is None and clamped and a <= 0:
+        raise DomainError(f"range-preserving absolute rule needs a > 0, got a={a}")
+    if ea is None and a <= 0:
+        what = "range-preserving relative rule" if clamped else "relative criterion"
+        raise DomainError(f"{what} needs a > 0, got a={a}")
+    if c is not None and a < 0:
+        raise DomainError(f"mixed criterion needs a >= 0, got a={a}")
+    if c is not None and not a < c < b:
+        raise DomainError(
+            f"mixed crossover eps_abs/eps_rel = {c} must lie strictly inside "
+            f"({a}, {b}); outside it one margin dominates everywhere, so use a "
+            f"pure absolute or pure relative criterion instead"
+        )
+    name = "absolute" if er is None else "relative" if ea is None else "mixed"
     # margin eps_abs on [a, c] and eps_rel * theta on [c, b]
-    match criterion:
-        case Absolute(eps=ea):
-            name, er, c = "absolute", None, b
-            if clamped and a <= 0:
-                raise DomainError(f"range-preserving absolute rule needs a > 0, got a={a}")
-        case Relative(eps=er):
-            name, ea, c = "relative", None, a
-            if a <= 0:
-                what = "range-preserving relative rule" if clamped else "relative criterion"
-                raise DomainError(f"{what} needs a > 0, got a={a}")
-        case Mixed(eps_abs=ea, eps_rel=er):
-            name, c = "mixed", criterion.crossover
-            if a < 0:
-                raise DomainError(f"mixed criterion needs a >= 0, got a={a}")
-            if not a < c < b:
-                raise DomainError(
-                    f"mixed crossover eps_abs/eps_rel = {c} must lie strictly inside "
-                    f"({a}, {b}); outside it one margin dominates everywhere, so use a "
-                    f"pure absolute or pure relative criterion instead"
-                )
-        case _:
-            raise DomainError(f"unknown criterion/estimator pair {criterion!r}, {estimator!r}")
+    c = b if er is None else a if ea is None else c
 
-    col = _Collector()
-    col.add(a, TAG_ENDPOINT)
-    col.add(b, TAG_ENDPOINT)
+    # every offered endpoint and breakpoint counts in the bound, kept or not
+    offered = [(a, TAG_ENDPOINT, True), (b, TAG_ENDPOINT, True)]
     if a < c < b:
-        col.add(c, TAG_BREAKPOINT)
+        offered.append((c, TAG_BREAKPOINT, True))
+    lattices = []
     if ea is not None:
         # clamped, the upper window endpoint (minus lattice) matters up to
         # b - eps and the lower one (plus lattice) from a + eps
         minus_hi, plus_lo = c, a
         if clamped:
-            col.add(a + ea, TAG_BREAKPOINT, a, c)
-            col.add(b - ea, TAG_BREAKPOINT, a, c)
+            offered += [(t, TAG_BREAKPOINT, a <= t <= c) for t in (a + ea, b - ea)]
             minus_hi, plus_lo = min(b - ea, c), a + ea
-        col.lattice(Fraction(1, n), -ea, a, minus_hi, TAG_MINUS)
-        col.lattice(Fraction(1, n), ea, plus_lo, c, TAG_PLUS)
+        lattices += [(Fraction(1, n), -ea, a, minus_hi, TAG_MINUS),
+                     (Fraction(1, n), ea, plus_lo, c, TAG_PLUS)]
     if er is not None:
         upper_hi, lower_lo = b, c
         if clamped:
             a_low = a / (1 - er)  # below it the clamp at a cannot miss low
             b_up = b / (1 + er)   # above it the clamp at b cannot miss high
-            col.add(a_low, TAG_BREAKPOINT, c, b)
-            col.add(b_up, TAG_BREAKPOINT, c, b)
+            offered += [(t, TAG_BREAKPOINT, c <= t <= b) for t in (a_low, b_up)]
             upper_hi, lower_lo = b_up, max(a_low, c)
-        col.lattice(Fraction(1, n * (1 + er)), Fraction(0), c, upper_hi, TAG_REL_UPPER)
-        col.lattice(Fraction(1, n * (1 - er)), Fraction(0), lower_lo, b, TAG_REL_LOWER)
-    return col.build(f"{name}/{'range-preserving' if clamped else 'unbiased'}", window)
+        lattices += [(Fraction(1, n * (1 + er)), Fraction(0), c, upper_hi, TAG_REL_UPPER),
+                     (Fraction(1, n * (1 - er)), Fraction(0), lower_lo, b, TAG_REL_LOWER)]
+    rule = f"{name}/{'range-preserving' if clamped else 'unbiased'}"
+    return _build(rule, offered, lattices, window)

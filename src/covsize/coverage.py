@@ -15,8 +15,10 @@ numerators and denominators before any probability is touched.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -73,7 +75,7 @@ class Mixed:
         if not (0 < self.eps_rel < 1):
             raise DomainError(f"relative margin must lie in (0, 1), got {self.eps_rel}")
 
-    @property
+    @cached_property
     def crossover(self) -> Fraction:
         return self.eps_abs / self.eps_rel
 
@@ -114,68 +116,80 @@ UNBIASED = Unbiased()
 # ---------------------------------------------------------------------------
 # integer windows
 
+def margins(criterion: ErrorCriterion) -> tuple[Optional[Fraction], ...]:
+    """(eps_abs, eps_rel, c): eps_abs up to the crossover c, eps_rel * theta beyond."""
+    match criterion:
+        case Absolute(eps=eps):
+            return eps, None, None
+        case Relative(eps=eps):
+            return None, eps, None
+        case Mixed(eps_abs=ea, eps_rel=er):
+            return ea, er, criterion.crossover
+    raise DomainError(f"unknown criterion {criterion!r}")
+
+
 def acceptance_windows(
     n: int,
     criterion: ErrorCriterion,
     estimator: EstimatorKind,
-    thetas: Sequence[Fraction],
+    runs: Sequence[tuple],
+    run: Sequence[int],
+    k: Sequence[int],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Acceptance windows of many exact thetas at one n, in integer arithmetic.
+    """Acceptance windows at the thetas (base + step * k) / den, each point
+    given by the index `run` of its run (base, step, den, ks, ...) in `runs`
+    and its `k` in that run's nonempty range ks.
 
     Returns int64 arrays lo, hi and boolean masks open_lo, open_hi; an open
     side (a clamped side that cannot miss) runs through that end of the
-    support.  For theta = p/q and margin e/d (times theta if relative) the
-    edges are x/(q*d) with x = p*d -+ e*s, s = q (absolute) or p (relative).
+    support.  A run, with step >= 0, lies on one side of the crossover, so
+    n * (theta -+ margin) is affine in k along it: each window end is one
+    floor division of integers and each clamp flag one comparison.  A single
+    theta is a run of one.
     """
     _check_n(n)
-    # margins as (numerator, denominator); the mixed margin is the absolute
-    # one up to the crossover cn/cd and the relative one beyond it
-    cn, cd = 0, 1
-    match criterion:
-        case Absolute(eps=eps):
-            abs_m, rel_m = (eps.numerator, eps.denominator), None
-        case Relative(eps=eps):
-            abs_m, rel_m = None, (eps.numerator, eps.denominator)
-        case Mixed(eps_abs=ea, eps_rel=er):
-            abs_m, rel_m = (ea.numerator, ea.denominator), (er.numerator, er.denominator)
-            cn, cd = criterion.crossover.numerator, criterion.crossover.denominator
-        case _:
-            raise DomainError(f"unknown criterion {criterion!r}")
-    match estimator:
-        case Unbiased():
-            clamp = None
-        case RangePreserving(lower=lower, upper=upper):
-            clamp = (lower.numerator, lower.denominator, upper.numerator, upper.denominator)
-        case _:
-            raise DomainError(f"unknown estimator {estimator!r}")
-    rows = []
-    for theta in thetas:
-        p, q = theta.numerator, theta.denominator
-        relative = abs_m is None or (rel_m is not None and p * cd > cn * q)
-        if relative:
-            if p <= 0:
-                raise DomainError(f"relative coverage needs theta > 0, got {theta}")
-            (e, d), s = rel_m, p
+    ea, er, c = margins(criterion)
+    clamp = estimator if isinstance(estimator, RangePreserving) else None
+    if clamp is None and not isinstance(estimator, Unbiased):
+        raise DomainError(f"unknown estimator {estimator!r}")
+    rows, top = [], 0  # top >= every |p|, |t| and |q * k|, so 2 * top >= |p + q * k|
+    for base, step, den, span, *_ in runs:
+        g = math.gcd(base, step, den)
+        u, v, w = base // g, step // g, den // g
+        first, last = u + v * span[0], u + v * span[-1]  # the run's thetas times w
+        if ea is None or (er is not None and first * c.denominator > c.numerator * w):
+            if first <= 0:
+                raise DomainError(f"relative coverage needs theta > 0, got {Fraction(first, w)}")
+            e, d, s0, s1 = er.numerator, er.denominator, u, v
         else:
-            (e, d), s = abs_m, q
-        x_lo, x_hi, den = p * d - e * s, p * d + e * s, q * d
-        open_lo = open_hi = False
+            e, d, s0, s1 = ea.numerator, ea.denominator, w, 0
+        # margin e/d (times theta if relative): with r = w * d the window ends
+        # lo = floor(n * (theta - margin)) + 1 and hi = ceil(n * (theta + margin)) - 1
+        # are x // r for x = r * n * (theta - margin) + r and r * n * (theta + margin) - 1
+        r, t_lo, t_hi = w * d, 0, 0
         if clamp is not None:
-            an, ad, bn, bd = clamp
-            if not (an * q <= p * ad and p * bd <= bn * q):
-                raise DomainError(
-                    f"theta={theta} outside the range-preserving interval "
-                    f"[{estimator.lower}, {estimator.upper}]"
-                )
+            (an, ad), (bn, bd) = clamp.lower.as_integer_ratio(), clamp.upper.as_integer_ratio()
+            if first * ad < an * w or last * bd > bn * w:
+                x = Fraction(first if first * ad < an * w else last, w)
+                raise DomainError(f"theta={x} outside the range-preserving interval "
+                                  f"[{clamp.lower}, {clamp.upper}]")
             # the clamped estimate misses low only when theta - margin >= a
             # (so the clamp at a is itself a miss), and misses high only when
             # theta + margin <= b; an inactive side cannot miss
-            open_lo = x_lo * ad < an * den
-            open_hi = x_hi * bd > bn * den
-        rows.append((n * x_lo // den + 1, -(-n * x_hi // den) - 1, open_lo, open_hi))
-    lo, hi, open_lo, open_hi = tuple(zip(*rows)) or ((), (), (), ())
-    return (np.array(lo, dtype=np.int64), np.array(hi, dtype=np.int64),
-            np.array(open_lo, dtype=bool), np.array(open_hi, dtype=bool))
+            t_lo, t_hi = -(-n * an * r // ad) + r, n * bn * r // bd
+        p_lo, p_hi = n * (d * u - e * s0) + r, n * (d * u + e * s0) - 1
+        q_lo, q_hi = n * (d * v - e * s1), n * (d * v + e * s1)
+        rows.append((p_lo, p_hi, r, t_lo, t_hi, q_lo, q_hi))
+        top |= (abs(p_lo) | abs(p_hi) | r | abs(t_lo) | abs(t_hi)
+                | max(abs(q_lo), abs(q_hi)) * max(-span.start, span.stop))
+    # int64 where nothing can wrap around, else Python ints (object dtype)
+    dtype = np.int64 if top < 2**62 else object
+    table = np.array(rows, dtype).reshape(-1, 7)[np.asarray(run, np.intp)].T
+    x = table[0:2] + table[5:7] * np.asarray(k, dtype)
+    lo, hi = np.asarray(x // table[2], np.int64)
+    if clamp is None:
+        return lo, hi, lo != lo, lo != lo
+    return lo, hi, np.asarray(x[0] < table[3], bool), np.asarray(x[1] >= table[4], bool)
 
 
 def acceptance_window(
@@ -192,7 +206,8 @@ def acceptance_window(
     no distribution family.
     """
     theta = exact(theta, name="theta")
-    lo, hi, open_lo, open_hi = acceptance_windows(n, criterion, estimator, (theta,))
+    run = (theta.numerator, 0, theta.denominator, range(1))
+    lo, hi, open_lo, open_hi = acceptance_windows(n, criterion, estimator, (run,), [0], [0])
     return (None if open_lo[0] else int(lo[0]), None if open_hi[0] else int(hi[0]))
 
 

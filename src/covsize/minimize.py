@@ -5,6 +5,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -44,13 +45,18 @@ def resolve_threads(threads: Optional[int]) -> int:
 
 @dataclass(frozen=True)
 class CoverageReport:
-    """Minimum coverage over [a, b] at a fixed n, with all candidate evaluations."""
+    """Minimum coverage over [a, b] at a fixed n: `values` holds the coverage at
+    each candidate, in order, and `evaluations` pairs them with the thetas."""
 
     n: int
     min_coverage: float
     argmin_theta: Fraction
-    evaluations: tuple[tuple[Fraction, float], ...]
+    values: tuple[float, ...]
     candidate_set: CandidateSet
+
+    @cached_property
+    def evaluations(self) -> tuple[tuple[Fraction, float], ...]:
+        return tuple(zip(self.candidate_set.thetas, self.values))
 
 
 def min_coverage(
@@ -112,26 +118,24 @@ def _evaluate(
     cset: CandidateSet,
 ) -> CoverageReport:
     """Coverage at every candidate; ties break toward the smallest theta."""
-    thetas = cset.thetas
-    lo, hi, open_lo, open_hi = acceptance_windows(n, criterion, estimator, thetas)
+    lo, hi, open_lo, open_hi = acceptance_windows(n, criterion, estimator, cset.runs,
+                                                  cset.run, cset.k)
     lo = np.where(open_lo, fam.support_bound(n)[0], lo)
     if fam.cdf_batch is not None:
-        tf = np.array([float(t) for t in thetas])
-        values = prob_ranges(fam, n, tf, lo, hi, open_hi).tolist()
+        values = prob_ranges(fam, n, cset.floats, lo, hi, open_hi).tolist()
     else:
         values = [
             1.0 if top and bottom else scalar_prob_range(fam, n, k, None if top else l, t)
             for t, k, l, bottom, top in zip(
-                thetas, lo.tolist(), hi.tolist(), open_lo.tolist(), open_hi.tolist()
+                cset.thetas, lo.tolist(), hi.tolist(), open_lo.tolist(), open_hi.tolist()
             )
         ]
-
     best = min(values)
-    argmin = next(t for t, v in zip(thetas, values) if v == best)
+    argmin = values.index(best)
     return CoverageReport(
         n=n,
         min_coverage=best,
-        argmin_theta=argmin,
-        evaluations=tuple(zip(thetas, values)),
+        argmin_theta=Fraction(int(cset.numerators[argmin]), cset.den),
+        values=tuple(values),
         candidate_set=cset,
     )

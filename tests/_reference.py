@@ -10,6 +10,7 @@ formulas, or candidate machinery, so agreement is evidence, not tautology.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -56,6 +57,22 @@ def estimate_of(k: int, n: int, estimator) -> Fraction:
         if value > estimator.upper:
             return estimator.upper
     return value
+
+
+def reference_window(n: int, criterion, estimator, theta: Fraction):
+    """(lo, hi, open_lo, open_hi) of the acceptance window at theta, from the
+    definitions in Fractions: lo is the least k with k/n > theta - margin and
+    hi the greatest k with k/n < theta + margin, each found by bisection on
+    k; a clamped side is open when no clamped estimate can miss on it, that
+    is when theta - margin < lower (or theta + margin > upper)."""
+    m = margin_at(criterion, theta)
+    span = n * (math.ceil(abs(theta) + m) + 1)
+    ks = range(-span, span + 1)
+    lo = ks[bisect_left(ks, True, key=lambda k: Fraction(k, n) > theta - m)]
+    hi = ks[bisect_left(ks, True, key=lambda k: Fraction(k, n) >= theta + m) - 1]
+    if not isinstance(estimator, RangePreserving):
+        return lo, hi, False, False
+    return lo, hi, theta - m < estimator.lower, theta + m > estimator.upper
 
 
 def bernoulli_coverage(n: int, criterion, estimator, theta: Fraction) -> Fraction:

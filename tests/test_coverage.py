@@ -1,5 +1,6 @@
 """Coverage probabilities: windows, criteria, estimators, branch gluing."""
 
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -20,6 +21,7 @@ from covsize import (
     coverage,
 )
 
+from covsize._exact import exact
 from covsize.coverage import acceptance_windows
 
 from _reference import bernoulli_coverage
@@ -97,10 +99,18 @@ def test_bounds_rel_window_is_exactly_the_strict_event(n, eps, theta):
 # criterion and estimator validation
 
 def test_acceptance_windows_of_no_theta_are_empty_arrays():
-    lo, hi, open_lo, open_hi = acceptance_windows(5, Absolute(F(1, 4)), UNBIASED, ())
+    lo, hi, open_lo, open_hi = acceptance_windows(5, Absolute(F(1, 4)), UNBIASED, (), [], [])
     assert [(x.dtype, x.shape) for x in (lo, hi, open_lo, open_hi)] == [
         (np.int64, (0,)), (np.int64, (0,)), (bool, (0,)), (bool, (0,)),
     ]
+
+
+@pytest.mark.parametrize("text", ["Infinity", "-Infinity", "NaN", "sNaN"])
+def test_non_finite_decimals_are_domain_errors(text):
+    with pytest.raises(DomainError, match="cannot parse"):
+        exact(Decimal(text), name="eps")
+    with pytest.raises(DomainError, match="eps"):
+        Absolute(Decimal(text))
 
 
 def test_criterion_validation():
