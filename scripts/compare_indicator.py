@@ -9,12 +9,16 @@ of [a, b].  With `--route min-coverage` it runs `min_coverage` on every
 instance and on the production shapes (n = 9622 absolute 1/100, n = 892..901
 relative 1/5, n = 96 range-preserving mixed, and the witness sets of the
 last two), and records the rule, the cardinality bound, every candidate's
-theta, tags and value, and the argmin.  Each checkout is run in its own
-interpreter; the values must be equal as floats (`==`), not merely close.
+theta, tags and value, and the argmin.  With `--route grid` it runs
+`grid_min_coverage` on every instance over a grid of `--cells` cells, once
+without and once with the candidate points, and records each value and
+theta.  Each checkout is run in its own interpreter; the values must be
+equal as floats (`==`), not merely close.
 
 Run from the repository root:
     python3 scripts/compare_indicator.py --other ../old-checkout/src
     python3 scripts/compare_indicator.py --other ../old-checkout/src --route min-coverage
+    python3 scripts/compare_indicator.py --other ../old-checkout/src --route grid --cells 2000
 """
 
 import argparse
@@ -106,11 +110,38 @@ def dump_min_coverage(src: Path, count: int, seed: int) -> list:
     return out
 
 
+def dump_grid(src: Path, count: int, seed: int, cells: int) -> list:
+    """[family, pair, n, grid min.hex(), theta, grid-and-candidates min.hex(),
+    theta] for every instance."""
+    sys.path[:0] = [str(src), str(ROOT)]
+    import covsize
+    from covsize import GridSpec, grid_min_coverage
+
+    if not Path(covsize.__file__).resolve().is_relative_to(src):
+        sys.exit(f"covsize was imported from {covsize.__file__}, not {src}")
+    from tests.test_acceptance import PAIRS, random_instance
+
+    rng = random.Random(seed)
+    out = []
+    for i in range(count):
+        family = "bernoulli" if i % 4 else "poisson"
+        pair = PAIRS[i % 6]
+        n, crit, est, a, b = random_instance(rng, pair, family)
+        row = [family, "/".join(pair), n]
+        for include in (False, True):
+            grid = GridSpec.divide(a, b, cells=cells, include_candidates=include)
+            value, theta = grid_min_coverage(family, n, crit, est, a, b, grid)
+            row += [value.hex(), str(theta)]
+        out.append(row)
+    return out
+
+
 def run(src: Path, args) -> list:
     proc = subprocess.run(
         [sys.executable, __file__, "--dump", "--src", str(src), "--route", args.route,
          "--instances", str(args.instances), "--seed", str(args.seed),
-         "--candidates", str(args.candidates), "--grid-rows", str(args.grid_rows)],
+         "--candidates", str(args.candidates), "--grid-rows", str(args.grid_rows),
+         "--cells", str(args.cells)],
         check=True, capture_output=True, text=True,
     )
     return json.loads(proc.stdout)
@@ -126,13 +157,18 @@ def main() -> int:
                         help="candidate points sampled per instance")
     parser.add_argument("--grid-rows", type=int, default=4,
                         help="random grid rows per instance")
-    parser.add_argument("--route", choices=("indicator", "min-coverage"), default="indicator")
+    parser.add_argument("--cells", type=int, default=10_000,
+                        help="grid cells per instance (--route grid)")
+    parser.add_argument("--route", choices=("indicator", "min-coverage", "grid"),
+                        default="indicator")
     parser.add_argument("--dump", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.dump:
         if args.route == "indicator":
             rows = dump(args.src.resolve(), args.instances, args.seed,
                         args.candidates, args.grid_rows)
+        elif args.route == "grid":
+            rows = dump_grid(args.src.resolve(), args.instances, args.seed, args.cells)
         else:
             rows = dump_min_coverage(args.src.resolve(), args.instances, args.seed)
         json.dump(rows, sys.stdout)
@@ -146,6 +182,12 @@ def main() -> int:
             diffs.append((f"{len(mine)} rows", f"{len(theirs)} rows"))
         print(f"{len(mine)} rows (candidates and argmins) on {args.instances} instances "
               f"and the production shapes: {len(diffs)} differ")
+    elif args.route == "grid":
+        if [row[:3] for row in mine] != [row[:3] for row in theirs]:
+            sys.exit("the two checkouts drew different instances")
+        diffs = [(a, b[3:]) for a, b in zip(mine, theirs) if a != b]
+        print(f"{len(mine)} instances, {args.cells}-cell grids with and without "
+              f"candidates: {len(diffs)} differ")
     else:
         if [row[:4] for row in mine] != [row[:4] for row in theirs]:
             sys.exit("the two checkouts drew different points")

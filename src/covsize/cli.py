@@ -228,8 +228,10 @@ def _cmd_min_coverage(args: argparse.Namespace, crit: ErrorCriterion,
                    argmin_theta_float=float(theta), candidates=len(cset),
                    cardinality_bound=ratio_str(cset.cardinality_bound))
     rec.lines.append(f"candidates: {len(cset)} (cardinality bound {cset.cardinality_bound})")
-    points = [(p.theta, v, p.tags) for p, (_, v) in zip(cset.points, report.evaluations)]
-    _add_points(rec, "evaluations", points, show=args.evaluations)
+    # a row per candidate is read only by CSV and --evaluations
+    if args.evaluations or args.format == "csv":
+        points = [(p.theta, v, p.tags) for p, (_, v) in zip(cset.points, report.evaluations)]
+        _add_points(rec, "evaluations", points, show=args.evaluations)
     rec.lines.append(f"min coverage: {report.min_coverage!r} at theta = {ratio_str(theta)} "
                      f"({float(theta)!r})")
 

@@ -4,19 +4,25 @@
 acceptance event in exact arithmetic.  The estimate is nondecreasing in k,
 so each half of the event is monotone and the accepted set is one
 contiguous window, whose ends are found by bisection on the raw event.
+Each probe compares the (clamped) estimate k/n with theta - m and theta + m
+by integer cross-multiplication; no Fraction is built per probe.
 `grid_min_coverage` sweeps a dense theta grid, optionally merged with the
 candidate points, and reports the smallest coverage seen.  Agreement between
 this scan and the candidate-set minimum is what certifies the reduction.
 
 The grid scan has a vectorized fast path built on library CDFs; any grid row
 whose window thresholds land near an integer, or near a clamp switchover, is
-re-evaluated through the exact scalar path, as are all candidate points.
+re-evaluated through the exact path, as are all candidate points.  The exact
+rows find their windows one theta at a time, then take their probabilities
+from one `prob_ranges` call per group (flagged rows, candidates), each row
+bit-equal to the scalar `prob_range` that `indicator_coverage` calls.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -84,15 +90,15 @@ def _margin_at(criterion: ErrorCriterion, theta: Fraction) -> Fraction:
     raise DomainError(f"unknown criterion {criterion!r}")
 
 
-def indicator_coverage(
-    family: DistributionFamily | str,
+def _window(
+    fam: DistributionFamily,
     n: int,
     criterion: ErrorCriterion,
     estimator: EstimatorKind,
     theta: Fraction,
-) -> float:
-    """Coverage computed from the raw event, its window ends found by bisection."""
-    fam = resolve_family(family)
+) -> Optional[tuple[int, Optional[int]]]:
+    """Accepted outcomes at theta as (lo, hi), hi None when the window runs
+    through the top of the support; None when no outcome is accepted."""
     _check_n(n)
     theta = fam.require_theta(theta)
     rp = isinstance(estimator, RangePreserving)
@@ -102,21 +108,29 @@ def indicator_coverage(
             f"[{estimator.lower}, {estimator.upper}]"
         )
     m = _margin_at(criterion, theta)
+    low, high = theta - m, theta + m
     kmin, kmax = fam.support_bound(n)
 
-    def estimate(k: int) -> Fraction:
-        v = Fraction(k, n)
-        if rp:
-            if v < estimator.lower:
-                v = estimator.lower
-            elif v > estimator.upper:
-                v = estimator.upper
-        return v
+    def past(edge: Fraction, inclusive: bool):
+        """Key k -> estimate(k) > edge (>= if inclusive), in integers: k/n
+        against p/q is k*q against p*n, and a clamped estimate is a constant
+        whose side of the edge is decided once."""
+        q, pn = edge.denominator, edge.numerator * n
+        raw = (lambda k: k * q >= pn) if inclusive else (lambda k: k * q > pn)
+        if not rp:
+            return raw
+        lower, upper = estimator.lower, estimator.upper
+        at_lower = lower >= edge if inclusive else lower > edge
+        at_upper = upper >= edge if inclusive else upper > edge
+        ld, lpn = lower.denominator, lower.numerator * n
+        ud, upn = upper.denominator, upper.numerator * n
+        return lambda k: (at_lower if k * ld < lpn
+                          else at_upper if k * ud > upn else raw(k))
 
     # transitions of the event happen while the estimate moves through
     # (theta - m, theta + m) or up to the upper clamp; beyond both it is
     # constant in k
-    top_change = math.ceil(n * (theta + m)) + 2
+    top_change = math.ceil(n * high) + 2
     if rp:
         top_change = max(top_change, math.ceil(n * estimator.upper) + 2)
     if kmax is not None:
@@ -126,15 +140,52 @@ def indicator_coverage(
     # monotone: bisect for the first k above theta - m, then for the first k
     # at or past theta + m
     ks = range(kmin, top_change + 1)
-    first = bisect_left(ks, True, key=lambda k: estimate(k) - theta > -m)
-    stop = bisect_left(ks, True, first, key=lambda k: estimate(k) - theta >= m)
+    first = bisect_left(ks, True, key=past(low, False))
+    stop = bisect_left(ks, True, first, key=past(high, True))
     if stop == first:
-        return 0.0
-    if stop == len(ks):
-        # still accepted where transitions have stopped: window runs through
-        # the top of the support
-        return prob_range(fam, n, ks[first], None, theta)
-    return prob_range(fam, n, ks[first], ks[stop - 1], theta)
+        return None
+    # still accepted where transitions have stopped: the window runs through
+    # the top of the support
+    return ks[first], None if stop == len(ks) else ks[stop - 1]
+
+
+def indicator_coverage(
+    family: DistributionFamily | str,
+    n: int,
+    criterion: ErrorCriterion,
+    estimator: EstimatorKind,
+    theta: Fraction,
+) -> float:
+    """Coverage computed from the raw event, its window ends found by bisection."""
+    fam = resolve_family(family)
+    window = _window(fam, n, criterion, estimator, theta)
+    return 0.0 if window is None else prob_range(fam, n, *window, theta)
+
+
+def _exact_values(
+    fam: DistributionFamily,
+    n: int,
+    criterion: ErrorCriterion,
+    estimator: EstimatorKind,
+    thetas: Sequence[Fraction],
+) -> np.ndarray:
+    """`indicator_coverage` at each theta.  With `cdf_batch` the non-empty
+    windows go through one `prob_ranges` call, whose rows are bit-equal to
+    `prob_range`; otherwise each theta takes the scalar path."""
+    if fam.cdf_batch is None:
+        return np.array([indicator_coverage(fam, n, criterion, estimator, t) for t in thetas],
+                        dtype=np.float64)
+    windows = [_window(fam, n, criterion, estimator, t) for t in thetas]
+    full = [j for j, w in enumerate(windows) if w is not None]
+    values = np.zeros(len(thetas), dtype=np.float64)
+    if full:
+        lo, hi = zip(*(windows[j] for j in full))
+        open_top = np.array([h is None for h in hi])
+        # an open row's upper CDF is never read; its lo stands in
+        hi = [l if h is None else h for l, h in zip(lo, hi)]
+        tf = np.array([float(thetas[j]) for j in full])
+        values[full] = prob_ranges(fam, n, tf, np.array(lo), np.array(hi), open_top)
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +270,7 @@ def grid_min_coverage(
 
     Returns (value, theta); ties resolve to the smallest theta.  Candidate
     points and boundary-suspicious grid rows are evaluated through the exact
-    indicator path.
+    indicator path, each group in one batch.
     """
     fam = resolve_family(family)
     _check_n(n)
@@ -245,31 +296,26 @@ def grid_min_coverage(
     def exact_theta(j: int) -> Fraction:
         return a + j * grid.step
 
-    values: Optional[np.ndarray] = None
-    if (
-        fam.cdf_batch is not None
-        and rows >= _VECTOR_MIN_ROWS
-    ):
+    if fam.cdf_batch is not None and rows >= _VECTOR_MIN_ROWS:
         tf = float(a) + float(grid.step) * np.arange(rows, dtype=np.float64)
         values, flagged = _vector_rows(fam, n, criterion, estimator, tf, float(a), float(b))
-        for j in np.nonzero(flagged)[0]:
-            values[j] = indicator_coverage(fam, n, criterion, estimator, exact_theta(int(j)))
-    if values is None:
+        exact_rows = np.nonzero(flagged)[0]
+    else:
         values = np.empty(rows, dtype=np.float64)
-        for j in range(rows):
-            values[j] = indicator_coverage(fam, n, criterion, estimator, exact_theta(j))
-
-    best = float(values.min())
-    attaining = [exact_theta(int(j)) for j in np.nonzero(values == best)[0][:1]]
+        exact_rows = np.arange(rows)
+    values[exact_rows] = _exact_values(fam, n, criterion, estimator,
+                                       [exact_theta(int(j)) for j in exact_rows])
+    # argmin takes the first, smallest theta of the tied rows
+    j = int(np.argmin(values))
+    best, theta = float(values[j]), exact_theta(j)
 
     if grid.include_candidates:
-        cset = candidate_set_for(n, criterion, estimator, a, b)
-        for theta in cset.thetas:
-            v = indicator_coverage(fam, n, criterion, estimator, theta)
-            if v < best:
-                best = v
-                attaining = [theta]
-            elif v == best:
-                attaining.append(theta)
+        thetas = candidate_set_for(n, criterion, estimator, a, b).thetas
+        cand = _exact_values(fam, n, criterion, estimator, thetas)
+        low = float(cand.min())
+        if low <= best:
+            tied = min(t for t, v in zip(thetas, cand.tolist()) if v == low)
+            theta = tied if low < best else min(theta, tied)
+            best = low
 
-    return best, min(attaining)
+    return best, theta

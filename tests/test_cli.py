@@ -247,6 +247,33 @@ def test_min_coverage_json_matches_library(capsys):
     assert got == dict(report.evaluations)
 
 
+@pytest.mark.parametrize("fmt,evaluations,built", [
+    ("text", False, False), ("json", False, False),
+    ("text", True, True), ("json", True, True), ("csv", False, True),
+])
+def test_min_coverage_builds_candidate_rows_only_when_printed(capsys, monkeypatch, fmt,
+                                                              evaluations, built):
+    # text and JSON print one line per candidate only with --evaluations, so
+    # without it the report's lazy per-candidate fields stay uncomputed
+    import covsize.cli as cli
+
+    reports = []
+
+    def capturing(*args, **kwargs):
+        reports.append(min_coverage(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(cli, "min_coverage", capturing)
+    argv = ["min-coverage", "--family", "bernoulli", "--n", "40", "--abs-eps", "1/10",
+            "--a", "0", "--b", "1", "--format", fmt]
+    code, out, _ = run_cli(capsys, *argv, *(["--evaluations"] if evaluations else []))
+    assert code == 0 and out
+    (report,) = reports
+    assert ("evaluations" in report.__dict__) is built
+    assert ("points" in report.candidate_set.__dict__) is built
+    assert ("thetas" in report.candidate_set.__dict__) is built
+
+
 def test_min_coverage_csv_header(capsys):
     code, out, _ = run_cli(
         capsys,

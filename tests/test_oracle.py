@@ -2,8 +2,10 @@
 
 import dataclasses
 import math
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,14 +18,16 @@ from covsize import (
     RangePreserving,
     Relative,
     UNBIASED,
+    candidate_set_for,
     coverage,
     grid_min_coverage,
     indicator_coverage,
     min_coverage,
 )
 from covsize import oracle
-from covsize.families import BERNOULLI
+from covsize.families import BERNOULLI, POISSON
 from tests._reference import bernoulli_coverage, estimate_of, margin_at, poisson_pmf_dec
+from tests.test_acceptance import PAIRS, random_instance
 
 F = Fraction
 
@@ -373,3 +377,139 @@ def test_grid_certifies_the_decisions_at_golden_scale(family, crit, a, b, n_min)
         assert theta == report.argmin_theta, n
         assert (value > threshold) is passes, n
         assert (report.min_coverage > threshold) is passes, n
+
+
+def per_row_scan(fam, n, crit, est, a, b, grid):
+    """grid_min_coverage as a row-by-row scan: the vectorized rows where the
+    grid takes them, then every flagged row and every candidate through its
+    own indicator_coverage call.  Also returns the exactly evaluated grid
+    rows and the candidates."""
+    rows = math.floor((b - a) / grid.step) + 1
+    thetas = [a + j * grid.step for j in range(rows)]
+    if fam.cdf_batch is not None and rows >= oracle._VECTOR_MIN_ROWS:
+        tf = float(a) + float(grid.step) * np.arange(rows, dtype=np.float64)
+        values, flagged = oracle._vector_rows(fam, n, crit, est, tf, float(a), float(b))
+        values, flagged = values.tolist(), flagged.tolist()
+    else:
+        values, flagged = [None] * rows, [True] * rows
+    exact = [t for t, f in zip(thetas, flagged) if f]
+    cands = candidate_set_for(n, crit, est, a, b).thetas if grid.include_candidates else ()
+    for j in range(rows):
+        if flagged[j]:
+            values[j] = indicator_coverage(fam, n, crit, est, thetas[j])
+    points = list(zip(values, thetas))
+    points += [(indicator_coverage(fam, n, crit, est, t), t) for t in cands]
+    best = min(v for v, _ in points)
+    return best, min(t for v, t in points if v == best), exact, cands
+
+
+PLAIN_BERNOULLI = dataclasses.replace(BERNOULLI, cdf_batch=None)
+PLAIN_POISSON = dataclasses.replace(POISSON, cdf_batch=None)
+
+
+def batch_cases():
+    """(family, n, criterion, estimator, a, b, cells) for both families, the
+    log-pmf-only clones and all six pairs, on grids of 12 (all rows exact)
+    and 60 cells, plus a case with narrow margins and one whose grid rows
+    put outcomes exactly on a margin edge."""
+    rng = random.Random(20261018)
+    cases = []
+    for fam in (BERNOULLI, POISSON, PLAIN_BERNOULLI, PLAIN_POISSON):
+        for pair in PAIRS:
+            for cells in (12, 60):
+                n, crit, est, a, b = random_instance(rng, pair, fam.name)
+                cases.append((fam, n, crit, est, a, b, cells))
+        # margins narrower than 1/(2n): most rows accept no outcome at all
+        for cells in (12, 60):
+            if fam.name == "bernoulli":
+                cases.append((fam, 4, Absolute(F(1, 16)), UNBIASED, F(0), F(1), cells))
+            else:
+                cases.append((fam, 3, Relative(F(1, 20)), UNBIASED, F(1, 2), F(3), cells))
+        # n(theta +- eps) is an integer on every sixth (tenth) row
+        if fam.name == "bernoulli":
+            cases.append((fam, 10, Absolute(F(1, 10)), UNBIASED, F(0), F(1), 60))
+        else:
+            cases.append((fam, 4, Absolute(F(1, 2)), UNBIASED, F(1, 2), F(5), 60))
+    return cases
+
+
+def test_batched_exact_rows_equal_per_row_indicator_coverage(monkeypatch):
+    calls = {"prob_range": 0, "prob_ranges": 0}
+    for name in calls:
+        real = getattr(oracle, name)
+
+        def counting(*args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(oracle, name, counting)
+    shapes = {"empty": 0, "open": 0, "closed": 0, "on an edge": 0}
+    for fam, n, crit, est, a, b, cells in batch_cases():
+        grid = GridSpec.divide(a, b, cells=cells)
+        expected, theta, rows, cands = per_row_scan(fam, n, crit, est, a, b, grid)
+        exact = rows + list(cands)
+        for name in calls:
+            calls[name] = 0
+        assert grid_min_coverage(fam, n, crit, est, a, b, grid) == (expected, theta), (
+            fam.name, n, crit, est, a, b, cells)
+        if fam.cdf_batch is not None:
+            # at most one batch each for the vectorized rows (60 cells only),
+            # the flagged rows and the candidates
+            assert calls["prob_range"] == 0
+            assert calls["prob_ranges"] <= 2 + (cells == 60)
+            if cells == 60:
+                # vectorized rows whose thresholds hit an integer, which
+                # _near_int flags for the exact path
+                shapes["on an edge"] += sum(
+                    (n * (t - margin_at(crit, t))).denominator == 1
+                    or (n * (t + margin_at(crit, t))).denominator == 1 for t in rows)
+            # the batch is value for value the scalar path
+            batched = oracle._exact_values(fam, n, crit, est, exact)
+            assert batched.tolist() == [indicator_coverage(fam, n, crit, est, t)
+                                        for t in exact]
+        for t in exact:
+            window = oracle._window(fam, n, crit, est, t)
+            shapes["empty" if window is None else "open" if window[1] is None
+                   else "closed"] += 1
+    assert min(shapes.values()) > 0, shapes
+
+
+def clamp_edges(crit, est, a, b):
+    """Every theta in [a, b] where a clamped estimate (lower or upper) sits
+    exactly on a margin edge."""
+    points = set()
+    for v in (est.lower, est.upper):
+        if isinstance(crit, (Absolute, Mixed)):
+            eps = crit.eps if isinstance(crit, Absolute) else crit.eps_abs
+            points |= {v + eps, v - eps}
+        if isinstance(crit, (Relative, Mixed)):
+            eps = crit.eps if isinstance(crit, Relative) else crit.eps_rel
+            points |= {v / (1 + eps), v / (1 - eps)}
+    return sorted(t for t in points if a <= t <= b)
+
+
+@settings(max_examples=150)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    family=st.sampled_from(["bernoulli", "poisson"]),
+    pair=st.sampled_from(PAIRS),
+    where=st.sampled_from(["anywhere", "outcome edge", "clamp edge"]),
+    pick=st.integers(min_value=0, max_value=10**6),
+    den=st.integers(min_value=1, max_value=10**6),
+)
+def test_integer_keyed_window_matches_the_brute_force_event(seed, family, pair, where,
+                                                            pick, den):
+    # criterion-1-style draws; theta is any rational in [a, b], or a point
+    # where an outcome or a clamped estimate sits exactly on a margin edge
+    n, crit, est, a, b = random_instance(random.Random(seed), pair, family)
+    edges = []
+    if where == "outcome edge":
+        edges = boundary_thetas(n, crit, a, b)
+    elif where == "clamp edge" and isinstance(est, RangePreserving):
+        edges = clamp_edges(crit, est, a, b)
+    if edges:
+        theta = edges[pick % len(edges)]
+    else:
+        theta = a + F(pick % (den + 1), den) * (b - a)
+    # a fresh MonkeyPatch per example: prob_range is restored after each one
+    assert_matches_brute_force(pytest.MonkeyPatch(), family, n, crit, est, theta)
