@@ -12,16 +12,23 @@ last two), and records the rule, the cardinality bound, every candidate's
 theta, tags and value, and the argmin.  With `--route grid` it runs
 `grid_min_coverage` on every instance over a grid of `--cells` cells, once
 without and once with the candidate points, and records each value and
-theta.  Each checkout is run in its own interpreter; the values must be
-equal as floats (`==`), not merely close.
+theta.  These two routes also run every instance on a copy of its family
+without `cdf_batch`, whose probabilities are log-pmf sums, and count its
+differences apart from the built-in families', with how many of them are
+now exactly 1.0.  Each checkout is run in its own interpreter; the values
+must be equal as floats (`==`), not merely close.
 
 Run from the repository root:
     python3 scripts/compare_indicator.py --other ../old-checkout/src
     python3 scripts/compare_indicator.py --other ../old-checkout/src --route min-coverage
     python3 scripts/compare_indicator.py --other ../old-checkout/src --route grid --cells 2000
+
+The log-pmf copies make most of the grid route's time, since every one of
+their rows takes the exact path: `--instances 120 --cells 40` is a quick run.
 """
 
 import argparse
+import dataclasses
 import json
 import random
 import subprocess
@@ -30,6 +37,16 @@ from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+ONE = (1.0).hex()
+LOG_PMF = " log-pmf"  # label suffix of a family's copy without cdf_batch
+
+
+def with_log_pmf_copy(family: str) -> list:
+    """[(label, family)] for the built-in family and its log-pmf-only copy."""
+    from covsize import get_family
+
+    fam = get_family(family)
+    return [(family, fam), (family + LOG_PMF, dataclasses.replace(fam, cdf_batch=None))]
 
 
 def dump(src: Path, count: int, seed: int, candidates: int, grid_rows: int) -> list:
@@ -90,7 +107,8 @@ def dump_min_coverage(src: Path, count: int, seed: int) -> list:
         family = "bernoulli" if i % 4 else "poisson"
         pair = PAIRS[i % 6]
         n, crit, est, a, b = random_instance(rng, pair, family)
-        calls.append((f"{family} {'/'.join(pair)} {i}", family, n, crit, est, a, b))
+        calls += [(f"{label} {'/'.join(pair)} {i}", fam, n, crit, est, a, b)
+                  for label, fam in with_log_pmf_copy(family)]
     calls += [(f"production {j}", *shape) for j, shape in enumerate(production_shapes())]
     out = []
     for label, family, n, crit, est, a, b in calls:
@@ -127,13 +145,28 @@ def dump_grid(src: Path, count: int, seed: int, cells: int) -> list:
         family = "bernoulli" if i % 4 else "poisson"
         pair = PAIRS[i % 6]
         n, crit, est, a, b = random_instance(rng, pair, family)
-        row = [family, "/".join(pair), n]
-        for include in (False, True):
-            grid = GridSpec.divide(a, b, cells=cells, include_candidates=include)
-            value, theta = grid_min_coverage(family, n, crit, est, a, b, grid)
-            row += [value.hex(), str(theta)]
-        out.append(row)
+        for label, fam in with_log_pmf_copy(family):
+            row = [label, "/".join(pair), n]
+            for include in (False, True):
+                grid = GridSpec.divide(a, b, cells=cells, include_candidates=include)
+                value, theta = grid_min_coverage(fam, n, crit, est, a, b, grid)
+                row += [value.hex(), str(theta)]
+            out.append(row)
     return out
+
+
+def log_pmf_summary(diffs: list) -> str:
+    """Differences on built-in families and on log-pmf copies; a copy's row
+    is "now 1.0" when a value moved and every value that moved (a hex
+    float field; a theta may move with it) is now exactly 1.0."""
+    copies = [(a, b) for a, b in diffs if LOG_PMF in a[0]]
+    moved = [[(x, y) for x, y in zip(a, b) if x != y and str(x).startswith(("0x", "-0x"))]
+             for a, b in copies]
+    now_one = [m for m in moved if m and all(x == ONE for x, _ in m)]
+    above = sum(any(float.fromhex(y) > 1.0 for _, y in m) for m in now_one)
+    return (f"  built-in families: {len(diffs) - len(copies)} differ; log-pmf copies: "
+            f"{len(copies)} differ, {len(now_one)} of them now exactly 1.0 "
+            f"({above} above 1.0 in the other checkout)")
 
 
 def run(src: Path, args) -> list:
@@ -180,14 +213,16 @@ def main() -> int:
         diffs = [(a, b) for a, b in zip(mine, theirs) if a != b]
         if len(mine) != len(theirs):
             diffs.append((f"{len(mine)} rows", f"{len(theirs)} rows"))
-        print(f"{len(mine)} rows (candidates and argmins) on {args.instances} instances "
-              f"and the production shapes: {len(diffs)} differ")
+        print(f"{len(mine)} rows (candidates and argmins) on {args.instances} instances, "
+              f"their log-pmf copies and the production shapes: {len(diffs)} differ")
+        print(log_pmf_summary(diffs))
     elif args.route == "grid":
         if [row[:3] for row in mine] != [row[:3] for row in theirs]:
             sys.exit("the two checkouts drew different instances")
-        diffs = [(a, b[3:]) for a, b in zip(mine, theirs) if a != b]
-        print(f"{len(mine)} instances, {args.cells}-cell grids with and without "
-              f"candidates: {len(diffs)} differ")
+        diffs = [(a, b) for a, b in zip(mine, theirs) if a != b]
+        print(f"{len(mine)} rows ({args.instances} instances and their log-pmf copies), "
+              f"{args.cells}-cell grids with and without candidates: {len(diffs)} differ")
+        print(log_pmf_summary(diffs))
     else:
         if [row[:4] for row in mine] != [row[:4] for row in theirs]:
             sys.exit("the two checkouts drew different points")
@@ -196,7 +231,8 @@ def main() -> int:
         pairs = sorted({row[1] for row in mine})
         print(f"{len(mine)} theta on {args.instances} instances "
               f"({', '.join(families)}; {len(pairs)} pairs): {len(diffs)} differ")
-    for row, other in diffs[:10]:
+    # built-in families' differences first; sorted() keeps their order
+    for row, other in sorted(diffs, key=lambda d: LOG_PMF in str(d[0][0]))[:10]:
         print("  ", row, "other:", other)
     return 1 if diffs else 0
 

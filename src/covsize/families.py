@@ -5,14 +5,15 @@ theta.  The two built-in families are Bernoulli (Y_n is binomial(n, theta))
 and Poisson (Y_n is Poisson(n * theta)).  Custom families can be registered
 through the same interface as long as Y_n stays integer valued.
 
-A family gives its log-space pmf and, optionally, a batched CDF.  Range
-probabilities of the built-in families are differences of the library CDFs
-`bdtr` / `pdtr`, evaluated for many thetas at once; a family without a
-`cdf_batch` sums its pmf term by term with compensated summation.  The minimization
-theory elsewhere in the package relies on theta -> Pr{k <= Y_n <= l | theta}
-having at most one interior peak on the parameter interval.  That holds for
-the built-in families; `peak_count` is provided as an empirical diagnostic
-for custom ones.
+A family gives its log-space pmf and, optionally, a batched CDF.  Every
+range probability comes from `prob_ranges`, which serves both kinds: with a
+`cdf_batch` (the built-in families use the library CDFs `bdtr` / `pdtr`) a
+row is a difference of two CDF values, evaluated for many thetas in one
+call; without one it is a compensated sum of the pmf term by term, at most
+1.0.  The minimization theory elsewhere in the package relies on
+theta -> Pr{k <= Y_n <= l | theta} having at most one interior peak on the
+parameter interval.  That holds for the built-in families; `peak_count` is
+provided as an empirical diagnostic for custom ones.
 """
 
 from __future__ import annotations
@@ -60,13 +61,13 @@ class DistributionFamily:
     `support_bound(n)` returns (k_min, k_max) for Y_n, with k_max None when
     the support is unbounded above.  `log_pmf(n, theta, k)` takes theta as a
     float and must be finite or -inf.  Families with unbounded support must
-    provide `tail_cutoff(n, theta)`, an integer beyond which the upper tail
-    mass is below 1e-15.
+    provide `tail_cutoff(n, theta)`, also with a float theta: an integer
+    beyond which the upper tail mass is below 1e-15.
 
-    `cdf_batch(n, thetas, ks)`, Pr{Y_n <= k} elementwise, is optional; a
-    family that has it gets every range probability from `prob_ranges`, one
-    vectorized call per n, instead of a log-pmf sum per theta.  There is no
-    batched log-pmf: `log_pmf_batch=` is not accepted.
+    `cdf_batch(n, thetas, ks)`, Pr{Y_n <= k} elementwise, is optional.
+    `prob_ranges` serves both kinds of family: with it, one vectorized call
+    per n; without it, a log-pmf sum per theta.  There is no batched
+    log-pmf: `log_pmf_batch=` is not accepted.
     """
 
     name: str
@@ -74,7 +75,7 @@ class DistributionFamily:
     support_bound: Callable[[int], tuple[int, Optional[int]]]
     log_pmf: Callable[[int, float, int], float]
     cdf_batch: Optional[Callable[[int, np.ndarray, np.ndarray], np.ndarray]] = None
-    tail_cutoff: Optional[Callable[[int, Fraction], int]] = None
+    tail_cutoff: Optional[Callable[[int, float], int]] = None
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -158,7 +159,7 @@ def _poisson_cdf_batch(n: int, theta: np.ndarray, k: np.ndarray) -> np.ndarray:
     return np.where(k < 0, 0.0, out)
 
 
-def _poisson_tail_cutoff(n: int, theta: Fraction) -> int:
+def _poisson_tail_cutoff(n: int, theta: float) -> int:
     # Chernoff: mass beyond lam + 40*sqrt(lam) + 40 is far below 1e-15
     lam = float(n * theta)
     return int(math.ceil(lam + 40.0 * math.sqrt(lam))) + 40
@@ -227,14 +228,6 @@ def pmf(family: DistributionFamily | str, n: int, theta: Fraction, k: int) -> fl
     return math.exp(fam.log_pmf(n, float(theta), k))
 
 
-def window_sum(fam: DistributionFamily, n: int, theta: Fraction, lo: int, hi: int) -> float:
-    """Sum of pmf over the inclusive integer window [lo, hi], compensated."""
-    if lo > hi:
-        return 0.0
-    tf = float(theta)
-    return math.fsum(math.exp(fam.log_pmf(n, tf, k)) for k in range(lo, hi + 1))
-
-
 def prob_ranges(
     fam: DistributionFamily,
     n: int,
@@ -243,38 +236,32 @@ def prob_ranges(
     hi: np.ndarray,
     open_top: np.ndarray,
 ) -> np.ndarray:
-    """Pr{lo <= Y_n <= hi | theta} per float theta, from one `cdf_batch` call.
+    """Pr{lo <= Y_n <= hi | theta} per float theta.
 
     Rows flagged in `open_top` have no upper limit; windows are clipped to
-    the support, an empty one gives 0.0.  Callers validate n and theta.
+    the support, an empty one gives 0.0.  With `cdf_batch` all rows come
+    from one call.  Otherwise each row is a compensated sum of the pmf, an
+    open top of unbounded support cut at `tail_cutoff`: exactly 1.0 over the
+    whole support and never above it.  Callers validate n and theta.
     """
     kmin, kmax = fam.support_bound(n)
     lo = np.maximum(lo, kmin)
     if kmax is not None:
         hi = np.minimum(hi, kmax)
+    if fam.cdf_batch is None:
+        out = []
+        for theta, k, l, top in zip(thetas.tolist(), lo.tolist(), hi.tolist(), open_top.tolist()):
+            if top:
+                l = kmax if kmax is not None else max(fam.tail_cutoff(n, theta), k)
+            terms = (math.exp(fam.log_pmf(n, theta, j)) for j in range(k, l + 1))
+            out.append(1.0 if k == kmin and (top or l == kmax) else min(math.fsum(terms), 1.0))
+        return np.array(out, dtype=np.float64)
     m = len(thetas)
     cdf = fam.cdf_batch(n, np.concatenate((thetas, thetas)), np.concatenate((lo - 1, hi)))
     # a difference of two CDFs in [0, 1] is at most 1; only a negative can need clipping
     out = np.maximum(np.where(open_top, 1.0, cdf[m:]) - cdf[:m], 0.0)
     out[~open_top & (hi < lo)] = 0.0
     return out
-
-
-def scalar_prob_range(
-    fam: DistributionFamily, n: int, k: int, l: Optional[int], theta: Fraction
-) -> float:
-    """`prob_range` by log-pmf summation, without argument checks."""
-    if l is not None and k > l:
-        return 0.0
-    kmin, kmax = fam.support_bound(n)
-    lo = max(k, kmin)
-    if l is not None:
-        hi = l if kmax is None else min(l, kmax)
-    elif kmax is not None:
-        hi = kmax
-    else:
-        hi = max(fam.tail_cutoff(n, theta), lo)
-    return window_sum(fam, n, theta, lo, hi)
 
 
 def prob_range(
@@ -287,10 +274,9 @@ def prob_range(
     """Pr{k <= Y_n <= l | theta}; l=None means no upper limit.
 
     Returns 0.0 when the window is empty.  The window is clipped to the
-    support.  With `cdf_batch` this is one row of `prob_ranges`, the same
-    float operations on the same CDF values, so the two are bit-equal;
-    otherwise the pmf is summed, the upper tail of unbounded support
-    truncated where the residual mass is below 1e-15.
+    support.  This is one row of `prob_ranges`, bit-equal to it for both
+    kinds of family; with `cdf_batch` it makes the same float operations on
+    the same two CDF values directly, which costs less than a batch of one.
     """
     fam = resolve_family(family)
     n = _check_n(n)
@@ -298,14 +284,16 @@ def prob_range(
     _check_int(k, "k")
     if l is not None:
         _check_int(l, "l")
+    tf = float(theta)
     if fam.cdf_batch is None:
-        return scalar_prob_range(fam, n, k, l, theta)
+        top = l is None
+        row = np.array([k]), np.array([k if top else l]), np.array([top])
+        return float(prob_ranges(fam, n, np.array([tf]), *row)[0])
     kmin, kmax = fam.support_bound(n)
     lo = max(k, kmin)
     hi = lo if l is None else l if kmax is None else min(l, kmax)
     if l is not None and hi < lo:
         return 0.0
-    tf = float(theta)
     lower, upper = fam.cdf_batch(n, np.array([tf, tf]), np.array([lo - 1, hi])).tolist()
     return max((1.0 if l is None else upper) - lower, 0.0)
 

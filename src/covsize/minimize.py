@@ -16,10 +16,7 @@ from .coverage import ErrorCriterion, EstimatorKind, acceptance_windows
 # not called here: perfbench's tracer still wraps this name, which it checks exists
 from .coverage import coverage  # noqa: F401
 from .errors import DomainError
-from .families import (
-    DistributionFamily, _check_int, _check_n, prob_ranges, resolve_family,
-    scalar_prob_range,
-)
+from .families import DistributionFamily, _check_int, _check_n, prob_ranges, resolve_family
 
 THREADS_ENV = "COVSIZE_THREADS"
 # a witness looks this many lattice spacings (1/n) either side of its centre
@@ -71,11 +68,13 @@ def min_coverage(
 ) -> CoverageReport:
     """Minimize coverage over theta in [a, b] by evaluating the candidate set.
 
-    Windows come from one integer pass and, with `cdf_batch`, probabilities
-    from one vectorized call.  Ties break toward the smallest theta among
-    float-equal values, so exact ties such as the mirror points theta and
-    1 - theta of a symmetric query can swap when the floats' last bits do.
-    Evaluations are in ascending theta order; `threads` is only validated.
+    Windows come from one integer pass and probabilities from one
+    `prob_ranges` call at the candidates' floats, vectorized with `cdf_batch`
+    and a log-pmf sum per candidate without.  Ties break toward the smallest
+    theta among float-equal values, so exact ties such as the mirror points
+    theta and 1 - theta of a symmetric query can swap when the floats' last
+    bits do.  Evaluations are in ascending theta order; `threads` is only
+    validated.
     """
     fam = resolve_family(family)
     _check_n(n)
@@ -121,15 +120,7 @@ def _evaluate(
     lo, hi, open_lo, open_hi = acceptance_windows(n, criterion, estimator, cset.runs,
                                                   cset.run, cset.k)
     lo = np.where(open_lo, fam.support_bound(n)[0], lo)
-    if fam.cdf_batch is not None:
-        values = prob_ranges(fam, n, cset.floats, lo, hi, open_hi).tolist()
-    else:
-        values = [
-            1.0 if top and bottom else scalar_prob_range(fam, n, k, None if top else l, t)
-            for t, k, l, bottom, top in zip(
-                cset.thetas, lo.tolist(), hi.tolist(), open_lo.tolist(), open_hi.tolist()
-            )
-        ]
+    values = prob_ranges(fam, n, cset.floats, lo, hi, open_hi).tolist()
     best = min(values)
     argmin = values.index(best)
     return CoverageReport(

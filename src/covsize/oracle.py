@@ -12,9 +12,10 @@ this scan and the candidate-set minimum is what certifies the reduction.
 
 The grid scan has a vectorized fast path built on library CDFs; any grid row
 whose window thresholds land near an integer, or near a clamp switchover, is
-re-evaluated through the exact path, as are all candidate points.  The exact
-rows find their windows one theta at a time, then take their probabilities
-from one `prob_ranges` call per group (flagged rows, candidates), each row
+re-evaluated through the exact path, as are all candidate points and every
+row of a family without `cdf_batch`.  The exact rows find their windows one
+theta at a time, then take their probabilities from one `prob_ranges` call
+per group (flagged rows, candidates), for either kind of family, each row
 bit-equal to the scalar `prob_range` that `indicator_coverage` calls.
 """
 
@@ -169,12 +170,8 @@ def _exact_values(
     estimator: EstimatorKind,
     thetas: Sequence[Fraction],
 ) -> np.ndarray:
-    """`indicator_coverage` at each theta.  With `cdf_batch` the non-empty
-    windows go through one `prob_ranges` call, whose rows are bit-equal to
-    `prob_range`; otherwise each theta takes the scalar path."""
-    if fam.cdf_batch is None:
-        return np.array([indicator_coverage(fam, n, criterion, estimator, t) for t in thetas],
-                        dtype=np.float64)
+    """`indicator_coverage` at each theta: the non-empty windows go through
+    one `prob_ranges` call, whose rows are bit-equal to `prob_range`."""
     windows = [_window(fam, n, criterion, estimator, t) for t in thetas]
     full = [j for j, w in enumerate(windows) if w is not None]
     values = np.zeros(len(thetas), dtype=np.float64)
@@ -268,9 +265,11 @@ def grid_min_coverage(
 ) -> tuple[float, Fraction]:
     """Smallest coverage over the grid (and candidates, if included) on [a, b].
 
-    Returns (value, theta); ties resolve to the smallest theta.  Candidate
-    points and boundary-suspicious grid rows are evaluated through the exact
-    indicator path, each group in one batch.
+    Returns (value, theta); ties resolve to the smallest theta.  With
+    `cdf_batch`, grids of at least `_VECTOR_MIN_ROWS` rows are scanned in
+    float arithmetic first; candidate points, boundary-suspicious grid rows
+    and every row of a family without `cdf_batch` are evaluated through the
+    exact indicator path, each group in one `prob_ranges` batch.
     """
     fam = resolve_family(family)
     _check_n(n)

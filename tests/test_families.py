@@ -18,17 +18,25 @@ from covsize import (
     DistributionFamily,
     DomainError,
     ParamSpace,
+    RangePreserving,
+    Relative,
     available_families,
     coverage,
     get_family,
+    indicator_coverage,
+    min_coverage,
     peak_count,
     pmf,
     prob_range,
     register_family,
 )
-from covsize.families import _REGISTRY, prob_ranges, window_sum
+from covsize.families import _REGISTRY, prob_ranges
 
 from _reference import bernoulli_coverage, binom_pmf, binom_range, poisson_pmf_dec
+
+# log-pmf-only copies of the built-in families: every range probability is a pmf sum
+PLAIN_BERNOULLI = dataclasses.replace(BERNOULLI, cdf_batch=None)
+PLAIN_POISSON = dataclasses.replace(POISSON, cdf_batch=None)
 
 thetas_01 = st.fractions(min_value=0, max_value=1, max_denominator=64)
 small_n = st.integers(min_value=1, max_value=40)
@@ -162,13 +170,28 @@ def test_range_monotone_in_both_endpoints(n, theta, k, l):
     assert narrower_k <= base + 1e-12
 
 
-def test_window_sum_matches_exact_binomial_range():
+def test_log_pmf_sum_matches_exact_binomial_range():
     # a width-80 window summed term by term from the log-pmf, against the
     # exact rational sum (log-gamma rounding leaves a few ulps per term)
     n, theta = 200, Fraction(1, 2)
     lo, hi = 60, 139
-    total = window_sum(BERNOULLI, n, theta, lo, hi)
+    total = prob_range(PLAIN_BERNOULLI, n, lo, hi, theta)
     assert total == pytest.approx(float(binom_range(n, lo, hi, theta)), abs=5e-13)
+
+
+def test_log_pmf_sum_is_one_over_the_whole_support_and_never_above():
+    # log-gamma rounding can sum the whole support to a few ulps above 1
+    assert prob_range(PLAIN_BERNOULLI, 5, 0, None, Fraction(1, 2)) == 1.0
+    assert prob_range(PLAIN_BERNOULLI, 5, -3, 9, Fraction(1, 2)) == 1.0
+    assert prob_range(PLAIN_POISSON, 3, 0, None, Fraction(4, 3)) == 1.0
+    # a clamp wide enough that every outcome is accepted
+    crit, est = Absolute(Fraction(1, 2)), RangePreserving(Fraction(2, 5), Fraction(3, 5))
+    assert indicator_coverage(PLAIN_BERNOULLI, 7, crit, est, Fraction(1, 2)) == 1.0
+    assert coverage(PLAIN_BERNOULLI, 7, crit, est, Fraction(1, 2)) == 1.0
+    # windows just short of the support, summed to within an ulp of 1
+    report = min_coverage(PLAIN_BERNOULLI, 400, Relative(Fraction(1, 5)), UNBIASED,
+                          Fraction(1, 10), Fraction(9, 10))
+    assert max(report.values) <= 1.0
 
 
 def test_log_pmf_batch_is_not_accepted():
@@ -181,12 +204,13 @@ def test_log_pmf_batch_is_not_accepted():
         )
 
 
-@pytest.mark.parametrize("fam", [BERNOULLI, POISSON])
+@pytest.mark.parametrize("fam", [BERNOULLI, POISSON, PLAIN_BERNOULLI, PLAIN_POISSON])
 def test_prob_range_is_bit_equal_to_a_prob_ranges_row(fam):
     # coverage(), indicator_coverage and min_coverage agree with == only if
-    # the scalar call and a batched row give the same float
+    # the scalar call and a batched row give the same float; the Poisson
+    # windows with l = None run through tail_cutoff on the log-pmf path
     n = 37
-    thetas = [Fraction(j, 46) for j in range(47)] if fam is BERNOULLI else [
+    thetas = [Fraction(j, 46) for j in range(47)] if fam.name == "bernoulli" else [
         Fraction(j, 23) for j in range(1, 70)]
     windows = [(k, l) for k in range(-3, 45, 4) for l in (None, *range(k - 2, 48, 5))]
     rows = [(t, k, l) for t in thetas for k, l in windows]

@@ -383,7 +383,7 @@ def per_row_scan(fam, n, crit, est, a, b, grid):
     """grid_min_coverage as a row-by-row scan: the vectorized rows where the
     grid takes them, then every flagged row and every candidate through its
     own indicator_coverage call.  Also returns the exactly evaluated grid
-    rows and the candidates."""
+    rows, the candidates, and the indicator_coverage values of both."""
     rows = math.floor((b - a) / grid.step) + 1
     thetas = [a + j * grid.step for j in range(rows)]
     if fam.cdf_batch is not None and rows >= oracle._VECTOR_MIN_ROWS:
@@ -394,13 +394,12 @@ def per_row_scan(fam, n, crit, est, a, b, grid):
         values, flagged = [None] * rows, [True] * rows
     exact = [t for t, f in zip(thetas, flagged) if f]
     cands = candidate_set_for(n, crit, est, a, b).thetas if grid.include_candidates else ()
-    for j in range(rows):
-        if flagged[j]:
-            values[j] = indicator_coverage(fam, n, crit, est, thetas[j])
-    points = list(zip(values, thetas))
-    points += [(indicator_coverage(fam, n, crit, est, t), t) for t in cands]
+    per_row = [indicator_coverage(fam, n, crit, est, t) for t in (*exact, *cands)]
+    flagged_values = iter(per_row)
+    values = [next(flagged_values) if f else v for v, f in zip(values, flagged)]
+    points = list(zip(values, thetas)) + list(zip(per_row[len(exact):], cands))
     best = min(v for v, _ in points)
-    return best, min(t for v, t in points if v == best), exact, cands
+    return best, min(t for v, t in points if v == best), exact, cands, per_row
 
 
 PLAIN_BERNOULLI = dataclasses.replace(BERNOULLI, cdf_batch=None)
@@ -446,27 +445,25 @@ def test_batched_exact_rows_equal_per_row_indicator_coverage(monkeypatch):
     shapes = {"empty": 0, "open": 0, "closed": 0, "on an edge": 0}
     for fam, n, crit, est, a, b, cells in batch_cases():
         grid = GridSpec.divide(a, b, cells=cells)
-        expected, theta, rows, cands = per_row_scan(fam, n, crit, est, a, b, grid)
+        expected, theta, rows, cands, per_row = per_row_scan(fam, n, crit, est, a, b, grid)
         exact = rows + list(cands)
         for name in calls:
             calls[name] = 0
         assert grid_min_coverage(fam, n, crit, est, a, b, grid) == (expected, theta), (
             fam.name, n, crit, est, a, b, cells)
-        if fam.cdf_batch is not None:
-            # at most one batch each for the vectorized rows (60 cells only),
-            # the flagged rows and the candidates
-            assert calls["prob_range"] == 0
-            assert calls["prob_ranges"] <= 2 + (cells == 60)
-            if cells == 60:
-                # vectorized rows whose thresholds hit an integer, which
-                # _near_int flags for the exact path
-                shapes["on an edge"] += sum(
-                    (n * (t - margin_at(crit, t))).denominator == 1
-                    or (n * (t + margin_at(crit, t))).denominator == 1 for t in rows)
-            # the batch is value for value the scalar path
-            batched = oracle._exact_values(fam, n, crit, est, exact)
-            assert batched.tolist() == [indicator_coverage(fam, n, crit, est, t)
-                                        for t in exact]
+        vectorized = fam.cdf_batch is not None and cells == 60
+        # at most one batch each for the vectorized rows, the flagged (or,
+        # without them, all) rows and the candidates
+        assert calls["prob_range"] == 0
+        assert calls["prob_ranges"] <= 2 + vectorized
+        if vectorized:
+            # vectorized rows whose thresholds hit an integer, which
+            # _near_int flags for the exact path
+            shapes["on an edge"] += sum(
+                (n * (t - margin_at(crit, t))).denominator == 1
+                or (n * (t + margin_at(crit, t))).denominator == 1 for t in rows)
+        # the batch is value for value the scalar path
+        assert oracle._exact_values(fam, n, crit, est, exact).tolist() == per_row
         for t in exact:
             window = oracle._window(fam, n, crit, est, t)
             shapes["empty" if window is None else "open" if window[1] is None
