@@ -1,4 +1,5 @@
-"""Compare `indicator_coverage` or `min_coverage` of two checkouts value for value.
+"""Compare `indicator_coverage`, `min_coverage` or `min_sample_size` of two
+checkouts value for value.
 
 Draws criterion-1-style instances (both families, all six criterion/
 estimator pairs, with the instance generator of tests/test_acceptance.py).
@@ -16,12 +17,21 @@ theta.  These two routes also run every instance on a copy of its family
 without `cdf_batch`, whose probabilities are log-pmf sums, and count its
 differences apart from the built-in families', with how many of them are
 now exactly 1.0.  Each checkout is run in its own interpreter; the values
-must be equal as floats (`==`), not merely close.
+must be equal as floats (`==`), not merely close.  With `--route search` it
+runs `min_sample_size` on a fixed query set (the goldens 101 / 901 / 156,
+the Poisson relative query with n_min 65, the range-preserving mixed query
+with n_min 96 for both seeded a, the absolute 1/100 query, and 48 more:
+Bernoulli absolute on [0, 1], Bernoulli relative on [1/10, 9/10], Poisson
+relative on [1/2, 2] and Bernoulli range-preserving mixed (1/10, eps) on
+[1/20, 19/20], for eps in {1/4, 1/5, 1/8, 3/10} and delta in {1/10, 1/20,
+1/4}), and records each one's n_min, argmin theta, last two trace entries
+and full sweeps.
 
 Run from the repository root:
     python3 scripts/compare_indicator.py --other ../old-checkout/src
     python3 scripts/compare_indicator.py --other ../old-checkout/src --route min-coverage
     python3 scripts/compare_indicator.py --other ../old-checkout/src --route grid --cells 2000
+    python3 scripts/compare_indicator.py --other ../old-checkout/src --route search
 
 The log-pmf copies make most of the grid route's time, since every one of
 their rows takes the exact path: `--instances 120 --cells 40` is a quick run.
@@ -155,6 +165,64 @@ def dump_grid(src: Path, count: int, seed: int, cells: int) -> list:
     return out
 
 
+def search_queries() -> list:
+    """[(label, SampleSizeQuery)] of the search route."""
+    from covsize import UNBIASED, Absolute, Mixed, RangePreserving, Relative, SampleSizeQuery
+
+    F = Fraction
+
+    def query(family, criterion, a, b, delta=F(1, 20), clamp=False):
+        estimator = RangePreserving(a, b) if clamp else UNBIASED
+        return SampleSizeQuery(family=family, criterion=criterion, estimator=estimator,
+                               a=a, b=b, delta=delta)
+
+    queries = [
+        ("golden 101", query("bernoulli", Absolute(F(1, 10)), F(0), F(1))),
+        ("golden 901", query("bernoulli", Relative(F(1, 5)), F(1, 10), F(9, 10))),
+        ("golden 156", query("poisson", Absolute(F(1, 2)), F(1), F(10))),
+        ("poisson relative 65", query("poisson", Relative(F(1, 4)), F(1), F(5))),
+        *((f"rp mixed 96 a={a}", query("bernoulli", Mixed(F(1, 10), F(1, 4)), a, 1 - a,
+                                       clamp=True))
+          for a in (F(1, 20), F(1, 10))),
+        ("absolute 1/100", query("bernoulli", Absolute(F(1, 100)), F(0), F(1))),
+    ]
+    for eps in (F(1, 4), F(1, 5), F(1, 8), F(3, 10)):
+        for delta in (F(1, 10), F(1, 20), F(1, 4)):
+            queries += [
+                (f"bernoulli absolute {eps} delta={delta}",
+                 query("bernoulli", Absolute(eps), F(0), F(1), delta)),
+                (f"bernoulli relative {eps} delta={delta}",
+                 query("bernoulli", Relative(eps), F(1, 10), F(9, 10), delta)),
+                (f"poisson relative {eps} delta={delta}",
+                 query("poisson", Relative(eps), F(1, 2), F(2), delta)),
+                (f"rp mixed 1/10 {eps} delta={delta}",
+                 query("bernoulli", Mixed(F(1, 10), eps), F(1, 20), F(19, 20), delta, True)),
+            ]
+    return queries
+
+
+def dump_search(src: Path) -> list:
+    """[label, n_min, argmin theta, last two [n, value.hex(), theta], full
+    sweeps, CPU seconds] for every query of the search route."""
+    sys.path[:0] = [str(src), str(ROOT)]
+    import time
+
+    import covsize
+    from covsize import min_sample_size
+
+    if not Path(covsize.__file__).resolve().is_relative_to(src):
+        sys.exit(f"covsize was imported from {covsize.__file__}, not {src}")
+    out = []
+    for label, query in search_queries():
+        start = time.process_time()
+        result = min_sample_size(query)
+        cpu = time.process_time() - start
+        out.append([label, result.n_min, str(result.argmin_theta),
+                    [[n, value.hex(), str(theta)] for n, value, theta in result.trace[-2:]],
+                    list(result.full_sweeps), cpu])
+    return out
+
+
 def log_pmf_summary(diffs: list) -> str:
     """Differences on built-in families and on log-pmf copies; a copy's row
     is "now 1.0" when a value moved and every value that moved (a hex
@@ -192,7 +260,7 @@ def main() -> int:
                         help="random grid rows per instance")
     parser.add_argument("--cells", type=int, default=10_000,
                         help="grid cells per instance (--route grid)")
-    parser.add_argument("--route", choices=("indicator", "min-coverage", "grid"),
+    parser.add_argument("--route", choices=("indicator", "min-coverage", "grid", "search"),
                         default="indicator")
     parser.add_argument("--dump", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args()
@@ -202,6 +270,8 @@ def main() -> int:
                         args.candidates, args.grid_rows)
         elif args.route == "grid":
             rows = dump_grid(args.src.resolve(), args.instances, args.seed, args.cells)
+        elif args.route == "search":
+            rows = dump_search(args.src.resolve())
         else:
             rows = dump_min_coverage(args.src.resolve(), args.instances, args.seed)
         json.dump(rows, sys.stdout)
@@ -209,7 +279,13 @@ def main() -> int:
     if args.other is None:
         parser.error("--other is required")
     mine, theirs = run(args.src.resolve(), args), run(args.other.resolve(), args)
-    if args.route == "min-coverage":
+    if args.route == "search":
+        # the last field is the CPU time, which is reported, not compared
+        diffs = [(a, b) for a, b in zip(mine, theirs) if a[:-1] != b[:-1]]
+        print(f"{len(mine)} searches (n_min, argmin theta, last two trace entries, full "
+              f"sweeps): {len(diffs)} differ; CPU {sum(r[-1] for r in mine):.2f} s here, "
+              f"{sum(r[-1] for r in theirs):.2f} s in the other checkout")
+    elif args.route == "min-coverage":
         diffs = [(a, b) for a, b in zip(mine, theirs) if a != b]
         if len(mine) != len(theirs):
             diffs.append((f"{len(mine)} rows", f"{len(theirs)} rows"))

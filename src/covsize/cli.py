@@ -26,8 +26,10 @@ import sys
 from fractions import Fraction
 from typing import Optional
 
+import numpy as np
+
 from ._exact import exact, ratio_str
-from .candidates import candidate_set_for
+from .candidates import CandidateSet, candidate_set_for
 from .coverage import (
     Absolute,
     ErrorCriterion,
@@ -132,36 +134,46 @@ def _head(args: argparse.Namespace, crit: ErrorCriterion, est: EstimatorKind) ->
     return rec
 
 
-def _add_points(rec: Record, key: str, points: list, *, show: bool = True,
-                mark_candidates: bool = False) -> None:
-    """Make (theta, coverage or None, provenance tags) points the CSV table and,
-    when shown, the JSON list under `key` and indented text lines."""
+def _add_points(rec: Record, key: str, thetas: list[str], floats: list[float],
+                provenance: list[str], *, values: Optional[list[float]] = None,
+                candidate: Optional[list[bool]] = None, show: bool = True) -> None:
+    """Make the points (exact theta as a ratio string, its float, coverage,
+    whether it is a candidate, provenance; the middle two when given) the CSV
+    table and, when shown, the JSON list under `key` and indented text lines."""
+    columns = {"theta_exact": thetas, "theta_float": floats}
+    if values is not None:
+        columns["coverage"] = values
+    if candidate is not None:
+        columns["is_candidate"] = [int(x) for x in candidate]  # 1 or 0 in CSV
+    columns["provenance"] = provenance
+    rec.header = list(columns)
+    rec.rows = list(zip(*columns.values()))
+    if not show:
+        return
     objs = []
-    for theta, value, tags in points:
-        obj = {"theta": ratio_str(theta), "theta_float": float(theta)}
-        text = f"  {obj['theta']} ({obj['theta_float']!r})"
-        if value is not None:
-            obj["coverage"] = value
-            text += f" coverage={value!r}"
-        if mark_candidates:
-            obj["is_candidate"] = bool(tags)
-        obj["provenance"] = "+".join(tags)
-        if tags or not mark_candidates:
-            text += f" [{obj['provenance']}]"
+    for i, (theta, x, tags) in enumerate(zip(thetas, floats, provenance)):
+        obj = {"theta": theta, "theta_float": x}
+        text = f"  {theta} ({x!r})"
+        if values is not None:
+            obj["coverage"] = values[i]
+            text += f" coverage={values[i]!r}"
+        if candidate is not None:
+            obj["is_candidate"] = candidate[i]
+        obj["provenance"] = tags
+        if candidate is None or candidate[i]:
+            text += f" [{tags}]"
         objs.append(obj)
-        if show:
-            rec.lines.append(text)
-    # never empty: every candidate set and every grid holds a
-    rec.header = ["theta_exact", *list(objs[0])[1:]]
-    rec.rows = [list(obj.values()) for obj in objs]
-    if show:
-        rec.obj[key] = objs
+        rec.lines.append(text)
+    rec.obj[key] = objs
 
 
-def _cell(value) -> str:
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    return value if isinstance(value, str) else repr(value)
+def _candidate_columns(cset: CandidateSet) -> tuple[list[str], list[float], list[str]]:
+    """Each candidate's exact theta as a ratio string, its float and provenance."""
+    g = np.gcd(cset.numerators, cset.den)
+    thetas = [f"{x}/{d}"
+              for x, d in zip((cset.numerators // g).tolist(), (cset.den // g).tolist())]
+    joined = {tags: "+".join(tags) for tags in set(cset.tags)}
+    return thetas, cset.floats.tolist(), [joined[p.tags] for p in cset.points]
 
 
 def write(rec: Record, fmt: str, path: str) -> None:
@@ -172,7 +184,7 @@ def write(rec: Record, fmt: str, path: str) -> None:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(rec.header)
-        writer.writerows([_cell(value) for value in row] for row in rec.rows)
+        writer.writerows(rec.rows)
         content = buf.getvalue()
     else:
         content = "\n".join(rec.lines) + "\n"
@@ -230,8 +242,8 @@ def _cmd_min_coverage(args: argparse.Namespace, crit: ErrorCriterion,
     rec.lines.append(f"candidates: {len(cset)} (cardinality bound {cset.cardinality_bound})")
     # a row per candidate is read only by CSV and --evaluations
     if args.evaluations or args.format == "csv":
-        points = [(p.theta, v, p.tags) for p, (_, v) in zip(cset.points, report.evaluations)]
-        _add_points(rec, "evaluations", points, show=args.evaluations)
+        _add_points(rec, "evaluations", *_candidate_columns(cset),
+                    values=[value for _, value in report.evaluations], show=args.evaluations)
     rec.lines.append(f"min coverage: {report.min_coverage!r} at theta = {ratio_str(theta)} "
                      f"({float(theta)!r})")
 
@@ -249,9 +261,11 @@ def _cmd_coverage_curve(args: argparse.Namespace, crit: ErrorCriterion,
     if not args.no_candidates:
         for point in candidate_set_for(args.n, crit, est, a, b).points:
             marks[point.theta] = point.tags
-    points = [(t, coverage(args.family, args.n, crit, est, t), marks[t])
-              for t in sorted(marks)]
-    _add_points(rec, "points", points, mark_candidates=True)
+    thetas = sorted(marks)
+    _add_points(rec, "points", [ratio_str(t) for t in thetas], [float(t) for t in thetas],
+                ["+".join(marks[t]) for t in thetas],
+                values=[coverage(args.family, args.n, crit, est, t) for t in thetas],
+                candidate=[bool(marks[t]) for t in thetas])
 
 
 def _cmd_candidates(args: argparse.Namespace, crit: ErrorCriterion,
@@ -261,7 +275,7 @@ def _cmd_candidates(args: argparse.Namespace, crit: ErrorCriterion,
                    cardinality_bound=ratio_str(cset.cardinality_bound))
     rec.lines.append(f"rule: {cset.rule}")
     rec.lines.append(f"points: {len(cset)} (cardinality bound {cset.cardinality_bound})")
-    _add_points(rec, "points", [(p.theta, None, p.tags) for p in cset.points])
+    _add_points(rec, "points", *_candidate_columns(cset))
 
 
 def _cmd_verify(args: argparse.Namespace, crit: ErrorCriterion,
@@ -286,6 +300,7 @@ def _cmd_verify(args: argparse.Namespace, crit: ErrorCriterion,
     rec.obj.update(quantities)
     rec.header = ["quantity", "value"]
     rec.rows = [list(item) for item in quantities.items()]
+    rec.rows[-1][1] = int(ok)  # 1 or 0 in CSV
     rec.lines += [
         f"candidate minimum: {report.min_coverage!r} "
         f"at theta = {quantities['candidate_argmin']}",

@@ -129,62 +129,76 @@ def margins(criterion: ErrorCriterion) -> tuple[Optional[Fraction], ...]:
 
 
 def acceptance_windows(
-    n: int,
+    n: Union[int, np.ndarray],
     criterion: ErrorCriterion,
     estimator: EstimatorKind,
     runs: Sequence[tuple],
     run: Sequence[int],
     k: Sequence[int],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Acceptance windows at the thetas (base + step * k) / den, each point
-    given by the index `run` of its run (base, step, den, ks, ...) in `runs`
-    and its `k` in that run's nonempty range ks.
+    """Acceptance windows at the thetas (base + step * k / n) / den, each
+    point given by the index `run` of its run (base, step, den, ...) in
+    `runs`, its `k` and its sample size: `n` is one int for every point or an
+    int array with one per point.  A run is the lattice with offset
+    base / den and spacing step / (den * n); a single theta has step 0.
 
     Returns int64 arrays lo, hi and boolean masks open_lo, open_hi; an open
     side (a clamped side that cannot miss) runs through that end of the
-    support.  A run, with step >= 0, lies on one side of the crossover, so
-    n * (theta -+ margin) is affine in k along it: each window end is one
-    floor division of integers and each clamp flag one comparison.  A single
-    theta is a run of one.
+    support.  A run lies on one side of the crossover, so n * (theta -+
+    margin) is affine in n and k along it: each window end is one floor
+    division of integers and each clamp flag one comparison.  Only the
+    single thetas are checked against the criterion and the clamp.
     """
-    _check_n(n)
+    scalar = np.ndim(n) == 0
+    if scalar:
+        _check_n(n)
     ea, er, c = margins(criterion)
     clamp = estimator if isinstance(estimator, RangePreserving) else None
     if clamp is None and not isinstance(estimator, Unbiased):
         raise DomainError(f"unknown estimator {estimator!r}")
-    rows, top = [], 0  # top >= every |p|, |t| and |q * k|, so 2 * top >= |p + q * k|
-    for base, step, den, span, *_ in runs:
+    (an, ad), (bn, bd) = ((x.as_integer_ratio() for x in (clamp.lower, clamp.upper))
+                          if clamp is not None else ((0, 1), (0, 1)))
+    margin = tuple(m and m.as_integer_ratio() for m in (ea, er))  # by relative: 0, 1
+    run, k = np.asarray(run, np.intp), np.asarray(k)
+    # with a crossover, a point (n, k) of each run tells the run's side
+    reps = [(1, 0)] * len(runs)
+    if c is not None and len(run):
+        first = np.zeros(len(runs), np.intp)
+        first[run[::-1]] = np.arange(len(run) - 1, -1, -1)
+        reps = list(zip(np.broadcast_to(n, run.shape)[first].tolist(), k[first].tolist()))
+
+    def fold(m, p_lo, p_hi, r, a_lo, a_hi):
+        # margin e/d (times theta if relative): with r = w * d the window ends
+        # lo = floor(m * (theta - margin)) + 1 and hi = ceil(m * (theta + margin)) - 1
+        # are x // r for x = r * m * (theta - margin) + r and r * m * (theta + margin) - 1,
+        # x = m * p + r or - 1, plus q * k; the clamped estimate misses low only
+        # when theta - margin >= a (the clamp at a is itself a miss), and misses
+        # high only when theta + margin <= b; an inactive side cannot miss
+        return m * p_lo + r, m * p_hi - 1, r, -(-m * a_lo // ad) + r, m * a_hi // bd
+
+    rows, top = [], 0
+    for (base, step, den, *_), (m, j) in zip(runs, reps):
         g = math.gcd(base, step, den)
         u, v, w = base // g, step // g, den // g
-        first, last = u + v * span[0], u + v * span[-1]  # the run's thetas times w
-        if ea is None or (er is not None and first * c.denominator > c.numerator * w):
-            if first <= 0:
-                raise DomainError(f"relative coverage needs theta > 0, got {Fraction(first, w)}")
-            e, d, s0, s1 = er.numerator, er.denominator, u, v
-        else:
-            e, d, s0, s1 = ea.numerator, ea.denominator, w, 0
-        # margin e/d (times theta if relative): with r = w * d the window ends
-        # lo = floor(n * (theta - margin)) + 1 and hi = ceil(n * (theta + margin)) - 1
-        # are x // r for x = r * n * (theta - margin) + r and r * n * (theta + margin) - 1
-        r, t_lo, t_hi = w * d, 0, 0
-        if clamp is not None:
-            (an, ad), (bn, bd) = clamp.lower.as_integer_ratio(), clamp.upper.as_integer_ratio()
-            if first * ad < an * w or last * bd > bn * w:
-                x = Fraction(first if first * ad < an * w else last, w)
-                raise DomainError(f"theta={x} outside the range-preserving interval "
-                                  f"[{clamp.lower}, {clamp.upper}]")
-            # the clamped estimate misses low only when theta - margin >= a
-            # (so the clamp at a is itself a miss), and misses high only when
-            # theta + margin <= b; an inactive side cannot miss
-            t_lo, t_hi = -(-n * an * r // ad) + r, n * bn * r // bd
-        p_lo, p_hi = n * (d * u - e * s0) + r, n * (d * u + e * s0) - 1
-        q_lo, q_hi = n * (d * v - e * s1), n * (d * v + e * s1)
-        rows.append((p_lo, p_hi, r, t_lo, t_hi, q_lo, q_hi))
-        top |= (abs(p_lo) | abs(p_hi) | r | abs(t_lo) | abs(t_hi)
-                | max(abs(q_lo), abs(q_hi)) * max(-span.start, span.stop))
-    # int64 where nothing can wrap around, else Python ints (object dtype)
-    dtype = np.int64 if top < 2**62 else object
-    table = np.array(rows, dtype).reshape(-1, 7)[np.asarray(run, np.intp)].T
+        # theta = (m * u + v * j) / (m * w) at the point (m, j) of the run
+        relative = ea is None or (er is not None and
+                                  (m * u + v * j) * c.denominator > c.numerator * m * w)
+        if v == 0 and relative and u <= 0:
+            raise DomainError(f"relative coverage needs theta > 0, got {Fraction(u, w)}")
+        if v == 0 and clamp is not None and (u * ad < an * w or u * bd > bn * w):
+            raise DomainError(f"theta={Fraction(u, w)} outside the range-preserving "
+                              f"interval [{clamp.lower}, {clamp.upper}]")
+        (e, d), (s0, s1) = margin[relative], ((u, v) if relative else (w, 0))
+        p = (d * u - e * s0, d * u + e * s0, w * d, w * d * an, w * d * bn)
+        top = max(top, *map(abs, p), abs(d * v) + e * abs(s1))
+        rows.append((*(fold(n, *p) if scalar else p), d * v - e * s1, d * v + e * s1))
+    n_top = n if scalar else int(np.max(n, initial=1))
+    k_top = max(-int(k.min()), int(k.max())) if len(k) and any(r[1] for r in runs) else 0
+    top *= 4 * (n_top + k_top + max(ad, bd))
+    dtype = np.int64 if top < 2**62 else object  # else Python ints, which never wrap
+    table = np.array(rows, dtype).reshape(-1, 7)[run].T
+    if not scalar:
+        table[:5] = fold(np.asarray(n, dtype), *table[:5])
     x = table[0:2] + table[5:7] * np.asarray(k, dtype)
     lo, hi = np.asarray(x // table[2], np.int64)
     if clamp is None:

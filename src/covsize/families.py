@@ -65,9 +65,11 @@ class DistributionFamily:
     beyond which the upper tail mass is below 1e-15.
 
     `cdf_batch(n, thetas, ks)`, Pr{Y_n <= k} elementwise, is optional.
-    `prob_ranges` serves both kinds of family: with it, one vectorized call
-    per n; without it, a log-pmf sum per theta.  There is no batched
-    log-pmf: `log_pmf_batch=` is not accepted.
+    `prob_ranges` serves both kinds of family: with it, one vectorized call;
+    without it, a log-pmf sum per theta.  There is no batched log-pmf:
+    `log_pmf_batch=` is not accepted.  A search evaluates many n at once, so
+    `support_bound` and `cdf_batch` must also take an int array n with one n
+    per theta, as the built-in families' do.
     """
 
     name: str
@@ -230,19 +232,19 @@ def pmf(family: DistributionFamily | str, n: int, theta: Fraction, k: int) -> fl
 
 def prob_ranges(
     fam: DistributionFamily,
-    n: int,
+    n: int | np.ndarray,
     thetas: np.ndarray,
     lo: np.ndarray,
     hi: np.ndarray,
     open_top: np.ndarray,
 ) -> np.ndarray:
-    """Pr{lo <= Y_n <= hi | theta} per float theta.
+    """Pr{lo <= Y_n <= hi | theta} per float theta, n one int or one per row.
 
     Rows flagged in `open_top` have no upper limit; windows are clipped to
     the support, an empty one gives 0.0.  With `cdf_batch` all rows come
-    from one call.  Otherwise each row is a compensated sum of the pmf, an
-    open top of unbounded support cut at `tail_cutoff`: exactly 1.0 over the
-    whole support and never above it.  Callers validate n and theta.
+    from one call.  Otherwise each row is a compensated sum of the pmf at its
+    n, an open top of unbounded support cut at `tail_cutoff`: exactly 1.0
+    over the whole support and never above it.  Callers validate n and theta.
     """
     kmin, kmax = fam.support_bound(n)
     lo = np.maximum(lo, kmin)
@@ -250,14 +252,18 @@ def prob_ranges(
         hi = np.minimum(hi, kmax)
     if fam.cdf_batch is None:
         out = []
-        for theta, k, l, top in zip(thetas.tolist(), lo.tolist(), hi.tolist(), open_top.tolist()):
+        # each row with its own n
+        rows = (np.broadcast_to(x, thetas.shape).tolist() for x in (n, kmin, kmax))
+        for n, kmin, kmax, theta, k, l, top in zip(*rows, thetas.tolist(), lo.tolist(),
+                                                   hi.tolist(), open_top.tolist()):
             if top:
                 l = kmax if kmax is not None else max(fam.tail_cutoff(n, theta), k)
             terms = (math.exp(fam.log_pmf(n, theta, j)) for j in range(k, l + 1))
             out.append(1.0 if k == kmin and (top or l == kmax) else min(math.fsum(terms), 1.0))
         return np.array(out, dtype=np.float64)
     m = len(thetas)
-    cdf = fam.cdf_batch(n, np.concatenate((thetas, thetas)), np.concatenate((lo - 1, hi)))
+    both = np.concatenate((n, n)) if np.ndim(n) else n
+    cdf = fam.cdf_batch(both, np.concatenate((thetas, thetas)), np.concatenate((lo - 1, hi)))
     # a difference of two CDFs in [0, 1] is at most 1; only a negative can need clipping
     out = np.maximum(np.where(open_top, 1.0, cdf[m:]) - cdf[:m], 0.0)
     out[~open_top & (hi < lo)] = 0.0

@@ -11,7 +11,7 @@ from typing import Optional
 import numpy as np
 
 from ._exact import exact
-from .candidates import CandidateSet, candidate_set_for
+from .candidates import CandidateBlock, CandidateSet, candidate_block, candidate_set_for
 from .coverage import ErrorCriterion, EstimatorKind, acceptance_windows
 # not called here: perfbench's tracer still wraps this name, which it checks exists
 from .coverage import coverage  # noqa: F401
@@ -84,7 +84,12 @@ def min_coverage(
     fam.require_interval(a, b)
     # every candidate lies in [a, b], inside the family's parameter interval
     cset = candidate_set_for(n, criterion, estimator, a, b)
-    return _evaluate(fam, n, criterion, estimator, cset)
+    values = _values(fam, n, criterion, estimator, cset.runs, cset.run, cset.k,
+                     cset.floats).tolist()
+    argmin = values.index(min(values))
+    return CoverageReport(n=n, min_coverage=values[argmin],
+                          argmin_theta=Fraction(int(cset.numerators[argmin]), cset.den),
+                          values=tuple(values), candidate_set=cset)
 
 
 def witness_min_coverage(
@@ -96,37 +101,51 @@ def witness_min_coverage(
     b: Fraction,
     near: Fraction,
 ) -> CoverageReport:
-    """`min_coverage` over the candidates within WITNESS_RADIUS / n of `near`.
+    """`min_coverage` over the candidates within WITNESS_RADIUS / n of `near`:
+    `witness_minima` for this one n.
 
     The report's candidate set is `min_coverage`'s restricted to that window,
-    plus every endpoint and breakpoint, and is evaluated by the same code, so
-    each value equals `min_coverage`'s at that theta bit for bit and the
-    minimum is an upper bound on the whole set's.  The arguments are not
-    checked beyond what building the candidates checks.
+    plus every endpoint and breakpoint, so each value equals `min_coverage`'s
+    at that theta bit for bit and the minimum is an upper bound on the whole
+    set's.
     """
-    r = Fraction(WITNESS_RADIUS, _check_n(n))
-    cset = candidate_set_for(n, criterion, estimator, a, b, window=(near - r, near + r))
-    return _evaluate(resolve_family(family), n, criterion, estimator, cset)
+    block, values, best = witness_minima(family, n, 1, criterion, estimator, a, b, near)
+    values = values.tolist()
+    return CoverageReport(n=n, min_coverage=values[best[0]], argmin_theta=block.thetas(best)[0],
+                          values=tuple(values), candidate_set=block.candidate_set(0))
 
 
-def _evaluate(
-    fam: DistributionFamily,
-    n: int,
+def witness_minima(
+    family: DistributionFamily | str,
+    n0: int,
+    count: int,
     criterion: ErrorCriterion,
     estimator: EstimatorKind,
-    cset: CandidateSet,
-) -> CoverageReport:
-    """Coverage at every candidate; ties break toward the smallest theta."""
-    lo, hi, open_lo, open_hi = acceptance_windows(n, criterion, estimator, cset.runs,
-                                                  cset.run, cset.k)
+    a: Fraction,
+    b: Fraction,
+    near: Fraction,
+) -> tuple[CandidateBlock, np.ndarray, np.ndarray]:
+    """The witnesses of n = n0, ..., n0 + count - 1 in one evaluation.
+
+    Returns the `candidate_block` of the candidates within WITNESS_RADIUS / n
+    of `near`, the coverage at its every row, and each n's argmin row: the
+    smallest theta among float-equal minima, as in `min_coverage`.  The rows
+    go through the windows and probabilities of a full sweep, with one n per
+    row, so every value is bit-equal to the sweep's at that theta.  The
+    arguments are not checked beyond what building the candidates checks.
+    """
+    block = candidate_block(n0, count, criterion, estimator, a, b, near, WITNESS_RADIUS)
+    values = _values(resolve_family(family), block.n, criterion, estimator, block.spec.runs,
+                     block.run, block.k, block.floats)
+    minima = np.minimum.reduceat(values, block.starts[:-1])
+    lowest = np.flatnonzero(values == np.repeat(minima, np.diff(block.starts)))
+    return block, values, lowest[np.searchsorted(lowest, block.starts[:-1])]
+
+
+def _values(fam: DistributionFamily, n, criterion: ErrorCriterion, estimator: EstimatorKind,
+            runs, run, k, floats) -> np.ndarray:
+    """Coverage at the points (runs, run, k) of `acceptance_windows`, whose
+    floats are `floats`; n is one int or one per point."""
+    lo, hi, open_lo, open_hi = acceptance_windows(n, criterion, estimator, runs, run, k)
     lo = np.where(open_lo, fam.support_bound(n)[0], lo)
-    values = prob_ranges(fam, n, cset.floats, lo, hi, open_hi).tolist()
-    best = min(values)
-    argmin = values.index(best)
-    return CoverageReport(
-        n=n,
-        min_coverage=best,
-        argmin_theta=Fraction(int(cset.numerators[argmin]), cset.den),
-        values=tuple(values),
-        candidate_set=cset,
-    )
+    return prob_ranges(fam, n, floats, lo, hi, open_hi)

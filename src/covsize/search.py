@@ -4,7 +4,8 @@ The worst-case coverage is not monotone in n, so the search walks n upward
 one step at a time and certifies every n it rejects; the trace it returns is
 gapless from n_start to the answer.  A rejection needs only one theta whose
 coverage is at most 1 - delta, so most n are rejected by a few candidates
-near the previous argmin, and only an acceptance needs the whole set.
+near an earlier n's argmin, a block of n in one evaluation, and only an
+acceptance needs the whole set.
 """
 
 from __future__ import annotations
@@ -17,10 +18,13 @@ from ._exact import exact
 from .coverage import ErrorCriterion, EstimatorKind
 from .errors import DomainError
 from .families import _check_n
-from .minimize import min_coverage, witness_min_coverage
+from .minimize import WITNESS_RADIUS, min_coverage, witness_minima
 
 # nudge for float comparison against 1 - delta when requested
 GUARD_BAND = 1e-12
+# a witness block grows by this factor while all its n are rejected, up to
+# BLOCK_MAX n: each block costs about 0.2 ms more than its n's own work
+BLOCK_GROWTH, BLOCK_MAX = 8, 1024
 
 
 @dataclass(frozen=True)
@@ -56,9 +60,10 @@ class SampleSizeResult:
     n_min is None when no n up to n_max qualified.  The trace holds
     (n, coverage, theta) for every n examined, in order.  At n_min and
     n_min - 1 the entry is that n's full minimum and its argmin.  At any
-    other rejected n it is the witness that rejected it: the coverage at
-    theta, exact to the last bit, at most 1 - delta, and an upper bound on
-    that n's minimum.  With `full_trace` every entry is a full minimum.
+    other rejected n it is the witness that rejected it, found in a block of
+    n that shared one centre: the coverage at theta, exact to the last bit,
+    at most 1 - delta, and an upper bound on that n's minimum.  With
+    `full_trace` every entry is a full minimum.
     `full_sweeps` lists, in ascending order, the n whose whole candidate set
     was evaluated.
     """
@@ -84,16 +89,26 @@ def min_sample_size(
 ) -> SampleSizeResult:
     """Scan n = n_start, n_start+1, ... for worst-case coverage > 1 - delta.
 
-    Witness first: after n_start, each n is first tried on the few
-    candidates within WITNESS_RADIUS / n of the previous n's argmin (see
-    `witness_min_coverage`).  Their values are bit-equal to the full sweep's
-    at the same thetas, so a witness at or below the threshold rejects n
-    exactly as `min_coverage` would; otherwise the full candidate set
-    decides n.  When n is accepted and n - 1 was rejected by a witness, n - 1
-    is swept too, so both entries around the decision hold full minima.
-    `full_trace=True` sweeps every n in full.  `progress(n, value)` is called
-    once per n, with the value first put in the trace for that n: at n_min - 1
-    that can be the witness's, later replaced by the full minimum.
+    Witness first: after n_start, the n are tried in blocks.  A block's n
+    are tried together on the candidates within WITNESS_RADIUS / n of the
+    last trace entry's theta (see `witness_minima`), whose values are
+    bit-equal to the full sweep's at the same thetas, so a witness at or
+    below the threshold rejects n exactly as `min_coverage` would.  A block
+    ends at its first n that its witness does not reject.  Unless that n was
+    the block's first, whose centre was the entry of n - 1 already, it is
+    tried again on its own, centred there; if that does not reject it either,
+    the full candidate set decides it.  Blocks start at one n and grow by
+    BLOCK_GROWTH, up to BLOCK_MAX, while every n is rejected and the last
+    minimum lies inside its window: a minimum on the window's edge may have
+    a lower one just beyond it, which a block, centred on one theta, would
+    not follow.  A block that ends after its first n is followed by a block
+    of one n.
+    When n is accepted and n - 1 was rejected by a witness,
+    n - 1 is swept too, so both entries around the decision hold full
+    minima.  `full_trace=True` sweeps every n in full.  `progress(n, value)`
+    is called once per n, with the value first put in the trace for that
+    n: at n_min - 1 that can be the witness's, later replaced by the full
+    minimum.
 
     The comparison is strict; with guard_band the threshold is raised by
     GUARD_BAND to absorb summation noise on the pass side.
@@ -110,19 +125,29 @@ def min_sample_size(
         report = min_coverage(family, n, *args, threads=threads)
         return report.min_coverage, report.argmin_theta
 
-    for n in range(query.n_start, query.n_max + 1):
-        if full_trace or not trace:
-            value, theta = sweep(n)
-        else:
-            witness = witness_min_coverage(family, n, *args, near=trace[-1][2])
-            value, theta = witness.min_coverage, witness.argmin_theta
-            if value > threshold:
-                value, theta = sweep(n)
-        if value > threshold and trace and n - 1 not in swept:
-            trace[-1] = (n - 1, *sweep(n - 1))
+    def record(n: int, value: float, theta: Fraction) -> None:
         trace.append((n, value, theta))
         if progress is not None:
             progress(n, value)
+
+    n, size = query.n_start, 1
+    while n <= query.n_max:
+        if trace and not full_trace:
+            near, count = trace[-1][2], min(size, query.n_max + 1 - n)
+            block, values, best = witness_minima(family, n, count, *args, near=near)
+            minima = values[best].tolist()
+            rejected = next((i for i, v in enumerate(minima) if v > threshold), count)
+            for i, theta in enumerate(block.thetas(best[:rejected])):
+                record(n + i, minima[i], theta)
+            n += rejected
+            if rejected:  # the next block is centred on the new last entry
+                edge = abs(trace[-1][2] - near) * (n - 1) > WITNESS_RADIUS - 1
+                size = 1 if edge or rejected < count else min(BLOCK_GROWTH * size, BLOCK_MAX)
+                continue
+        value, theta = sweep(n)
+        if value > threshold and trace and n - 1 not in swept:
+            trace[-1] = (n - 1, *sweep(n - 1))
+        record(n, value, theta)
         if value > threshold:
             return SampleSizeResult(
                 query=query,
@@ -132,6 +157,7 @@ def min_sample_size(
                 trace=tuple(trace),
                 full_sweeps=tuple(sorted(swept)),
             )
+        n += 1
     return SampleSizeResult(
         query=query, n_min=None, coverage_at_n_min=None, argmin_theta=None,
         trace=tuple(trace), full_sweeps=tuple(swept),

@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,7 +29,9 @@ from covsize.candidates import (
     TAG_PLUS,
     TAG_REL_LOWER,
     TAG_REL_UPPER,
+    candidate_block,
 )
+from covsize.minimize import witness_minima
 
 from _reference import reference_candidates
 
@@ -377,7 +380,7 @@ def test_range_preserving_mixed_shape_equals_reference():
 
 
 # ---------------------------------------------------------------------------
-# the windowed build: the whole set cut to a window, singles kept
+# witness blocks: at each n the whole set cut to a window, singles kept
 
 def _pair(kind, args):
     """(n, criterion, estimator, a, b) of a `builder_calls()` draw."""
@@ -387,13 +390,18 @@ def _pair(kind, args):
     return n, make(*margins), estimator, a, b
 
 
-def assert_window_cuts_whole_set(spec, lo, hi):
-    whole = candidate_set_for(*spec)
-    part = candidate_set_for(*spec, window=(lo, hi))
+def cut(whole, lo, hi):
+    """The points of `whole` in [lo, hi], and every endpoint and breakpoint."""
     singles = {TAG_ENDPOINT, TAG_BREAKPOINT}
-    expected = tuple(p for p in whole.points
-                     if lo <= p.theta <= hi or singles.intersection(p.tags))
-    assert part.points == expected
+    return tuple(p for p in whole.points if lo <= p.theta <= hi or singles.intersection(p.tags))
+
+
+def assert_window_cuts_whole_set(spec, lo, hi):
+    # a one-n block centred on the window, its radius in units of 1/n
+    n = spec[0]
+    whole = candidate_set_for(*spec)
+    part = candidate_block(n, 1, *spec[1:], (lo + hi) / 2, (hi - lo) / 2 * n).candidate_set(0)
+    assert part.points == cut(whole, lo, hi)
     assert part.rule == whole.rule
     assert part.cardinality_bound == whole.cardinality_bound
     return part
@@ -427,6 +435,33 @@ def test_windowed_build_is_constant_size_at_large_n():
     r = F(3, 9622)
     part = assert_window_cuts_whole_set(spec, F(1, 2) - r, F(1, 2) + r)
     assert len(part) <= 2 + 2 * 7  # endpoints plus at most 7 points per lattice
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    call=builder_calls(),
+    count=st.integers(min_value=1, max_value=6),
+    near=st.fractions(min_value=F(-1, 4), max_value=F(5, 4), max_denominator=64),
+)
+def test_candidate_block_rows_are_each_whole_set_cut_to_its_window(call, count, near):
+    try:
+        n0, *pair = _pair(*call)
+        candidate_set_for(n0, *pair)
+    except DomainError:
+        return  # drawn configuration violates a precondition; nothing to check
+    block, values, best = witness_minima("bernoulli", n0, count, *pair, near)
+    for i, n in enumerate(range(n0, n0 + count)):
+        whole = min_coverage("bernoulli", n, *pair)
+        rows = range(block.starts[i], block.starts[i + 1])
+        part = block.candidate_set(i)
+        assert part.points == cut(whole.candidate_set, near - F(3, n), near + F(3, n))
+        assert block.thetas(np.array(rows)) == list(part.thetas)
+        assert block.floats[rows].tolist() == part.floats.tolist()
+        full = dict(whole.evaluations)
+        assert [full[t] for t in part.thetas] == values[rows].tolist()
+        assert best[i] in rows and values[best[i]] == min(values[rows])
+        assert block.thetas(best[i:i + 1])[0] == min(t for t in part.thetas
+                                                     if full[t] == values[best[i]])
 
 
 # ---------------------------------------------------------------------------

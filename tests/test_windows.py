@@ -7,6 +7,7 @@ must equal the window found from the definition by bisection on k in Fractions
 first access must equal the reference candidates in order.
 """
 
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -25,7 +26,9 @@ from covsize import (
     min_coverage,
 )
 
+from covsize.candidates import candidate_block
 from covsize.coverage import acceptance_windows
+from covsize.families import BERNOULLI, POISSON, prob_ranges
 
 from _reference import reference_candidates, reference_window
 from test_candidates import builder_calls
@@ -114,7 +117,79 @@ def test_windows_at_the_default_n_max(criterion, estimator, a, b, nears, dtype):
     n = N_MAX
     for near in nears:
         window = (near - F(3, n), near + F(3, n))
-        cset = candidate_set_for(n, criterion, estimator, a, b, window=window)
+        cset = candidate_block(n, 1, criterion, estimator, a, b, near, 3).candidate_set(0)
         assert cset.numerators.dtype == dtype
         assert any(window[0] <= t <= window[1] for t in cset.thetas)
         check_windows_and_floats(cset, n, criterion, estimator)
+
+
+# ---------------------------------------------------------------------------
+# one n per row: the windows and probabilities of per-n calls, bit for bit
+
+# Poisson without its batch functions: every probability is a log-pmf sum
+POISSON_LOG_PMF = dataclasses.replace(POISSON, cdf_batch=None)
+
+ROW_BLOCKS = [
+    # family, n0, count, criterion, estimator, a, b, near
+    (BERNOULLI, 2, 40, Absolute(F(1, 10)), UNBIASED, F(0), F(1), F(1, 2)),
+    (BERNOULLI, 3, 30, Mixed(F(1, 10), F(1, 4)), RangePreserving(F(1, 20), F(19, 20)),
+     F(1, 20), F(19, 20), F(1, 10)),
+    (POISSON, 2, 30, Relative(F(1, 4)), RangePreserving(F(1), F(5)), F(1), F(5), F(1)),
+    (POISSON_LOG_PMF, 2, 12, Relative(F(1, 4)), RangePreserving(F(1), F(5)), F(1), F(5), F(1)),
+    (POISSON_LOG_PMF, 140, 6, Absolute(F(1, 2)), UNBIASED, F(1), F(10), F(9, 2)),
+]
+
+
+def per_n_and_per_row(fam, ns, criterion, estimator, runs, run, k, floats):
+    """(windows, probabilities) of one call with an n per row, and of one call per n."""
+    windows = acceptance_windows(ns, criterion, estimator, runs, run, k)
+    lo = np.where(windows[2], 0, windows[0])
+    probs = prob_ranges(fam, ns, floats, lo, windows[1], windows[3])
+    each_windows, each_probs = [], []
+    for n in sorted(set(ns.tolist())):
+        rows = ns == n
+        w = acceptance_windows(n, criterion, estimator, runs, run[rows], k[rows])
+        each_windows.append(w)
+        lo_n = np.where(w[2], 0, w[0])
+        each_probs.append(prob_ranges(fam, n, floats[rows], lo_n, w[1], w[3]))
+    each_windows = [np.concatenate(parts) for parts in zip(*each_windows)]
+    return (windows, probs), (each_windows, np.concatenate(each_probs))
+
+
+@pytest.mark.parametrize("fam, n0, count, criterion, estimator, a, b, near", ROW_BLOCKS,
+                         ids=["bernoulli-absolute", "bernoulli-rp-mixed", "poisson-rp-relative",
+                              "log-pmf-rp-relative", "log-pmf-absolute"])
+def test_rows_with_one_n_each_equal_per_n_calls(fam, n0, count, criterion, estimator, a, b,
+                                                near):
+    block = candidate_block(n0, count, criterion, estimator, a, b, near, 3)
+    (windows, probs), (each_windows, each_probs) = per_n_and_per_row(
+        fam, block.n, criterion, estimator, block.spec.runs, block.run, block.k, block.floats)
+    for got, expected in zip(windows, each_windows):
+        assert got.tolist() == expected.tolist()
+    assert [x.hex() for x in probs.tolist()] == [x.hex() for x in each_probs.tolist()]
+    got = list(zip(*(w.tolist() for w in windows)))
+    thetas = block.thetas(np.arange(len(block.n)))
+    assert got == [reference_window(n, criterion, estimator, t)
+                   for n, t in zip(block.n.tolist(), thetas)]
+    if isinstance(estimator, RangePreserving):
+        assert windows[2].any() and windows[3].any()  # open sides
+    if fam is BERNOULLI:
+        assert (windows[1] < windows[0]).any()  # empty windows, at small n
+
+
+def test_rows_with_one_n_each_cross_into_python_ints():
+    # t = n * theta * den reaches 2**40 * n, so the window integers exceed
+    # 2**62 between n = 400000 and n = 500000: the per-n calls take int64 and
+    # then Python ints, the call with both n takes Python ints throughout
+    theta, criterion = F(2**40 - 1, 2**40), Absolute(F(1, 8))
+    runs = ((theta.numerator, 0, theta.denominator, range(1)),)
+    ns = np.array([400_000, 400_000, 500_000, 500_000])
+    run, k = np.zeros(4, np.intp), np.zeros(4, np.int64)
+    floats = np.full(4, float(theta))
+    (windows, probs), (each_windows, each_probs) = per_n_and_per_row(
+        BERNOULLI, ns, criterion, UNBIASED, runs, run, k, floats)
+    for got, expected in zip(windows, each_windows):
+        assert got.tolist() == expected.tolist()
+    assert probs.tolist() == each_probs.tolist()
+    assert list(zip(*(w.tolist() for w in windows)))[::2] == [
+        reference_window(n, criterion, UNBIASED, theta) for n in (400_000, 500_000)]
