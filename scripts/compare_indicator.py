@@ -24,8 +24,9 @@ with n_min 96 for both seeded a, the absolute 1/100 query, and 48 more:
 Bernoulli absolute on [0, 1], Bernoulli relative on [1/10, 9/10], Poisson
 relative on [1/2, 2] and Bernoulli range-preserving mixed (1/10, eps) on
 [1/20, 19/20], for eps in {1/4, 1/5, 1/8, 3/10} and delta in {1/10, 1/20,
-1/4}), and records each one's n_min, argmin theta, last two trace entries
-and full sweeps.
+1/4}), and records each one's n_min, argmin theta, last two trace entries,
+full sweeps and a SHA-256 of its whole trace (every n, value.hex() and
+theta), so that a witness that differs anywhere in the walk shows too.
 
 Run from the repository root:
     python3 scripts/compare_indicator.py --other ../old-checkout/src
@@ -203,8 +204,10 @@ def search_queries() -> list:
 
 def dump_search(src: Path) -> list:
     """[label, n_min, argmin theta, last two [n, value.hex(), theta], full
-    sweeps, CPU seconds] for every query of the search route."""
+    sweeps, SHA-256 of the whole trace, CPU seconds] for every query of the
+    search route."""
     sys.path[:0] = [str(src), str(ROOT)]
+    import hashlib
     import time
 
     import covsize
@@ -217,9 +220,10 @@ def dump_search(src: Path) -> list:
         start = time.process_time()
         result = min_sample_size(query)
         cpu = time.process_time() - start
+        trace = "".join(f"{n} {value.hex()} {theta}\n" for n, value, theta in result.trace)
         out.append([label, result.n_min, str(result.argmin_theta),
                     [[n, value.hex(), str(theta)] for n, value, theta in result.trace[-2:]],
-                    list(result.full_sweeps), cpu])
+                    list(result.full_sweeps), hashlib.sha256(trace.encode()).hexdigest(), cpu])
     return out
 
 
@@ -283,7 +287,8 @@ def main() -> int:
         # the last field is the CPU time, which is reported, not compared
         diffs = [(a, b) for a, b in zip(mine, theirs) if a[:-1] != b[:-1]]
         print(f"{len(mine)} searches (n_min, argmin theta, last two trace entries, full "
-              f"sweeps): {len(diffs)} differ; CPU {sum(r[-1] for r in mine):.2f} s here, "
+              f"sweeps, whole-trace hash): {len(diffs)} differ; "
+              f"CPU {sum(r[-1] for r in mine):.2f} s here, "
               f"{sum(r[-1] for r in theirs):.2f} s in the other checkout")
     elif args.route == "min-coverage":
         diffs = [(a, b) for a, b in zip(mine, theirs) if a != b]

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import chain, repeat
-from typing import Iterator, NamedTuple
+from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -50,7 +50,9 @@ from .coverage import (
     EstimatorKind,
     RangePreserving,
     Unbiased,
+    WindowTable,
     margins,
+    window_table,
 )
 from .errors import DomainError
 from .families import _check_n
@@ -78,7 +80,8 @@ class CandidateSet:
     arrays `numerators` (over `den`, ascending) and each one's `run` index
     and `k`; `floats`, `thetas` and `points` are made from them on first
     access.  A witness set holds only some of the points of the whole set at
-    n, with the whole set's runs, rule and bound.
+    n, with the whole set's runs, rule and bound.  `spec` is the query the
+    runs come from, in the same order (see `_Spec`).
     """
 
     rule: str
@@ -89,6 +92,7 @@ class CandidateSet:
     numerators: np.ndarray = field(repr=False, compare=False)
     run: np.ndarray = field(repr=False, compare=False)
     k: np.ndarray = field(repr=False, compare=False)
+    spec: _Spec = field(repr=False, compare=False)
 
     @cached_property
     def floats(self) -> np.ndarray:
@@ -125,24 +129,30 @@ class CandidateSet:
         return iter(self.points)
 
 
-def _floats(numerators: np.ndarray, den) -> np.ndarray:
-    """numerators / den correctly rounded; den is an int or one per point."""
+def _floats(numerators: np.ndarray, den, top: Optional[int] = None) -> np.ndarray:
+    """numerators / den correctly rounded; den is an int or one per point,
+    and `top`, when given, bounds every |numerator| and den."""
     x = numerators  # exact as float64 up to 2**53
-    if len(x) and max(-x.min(), x.max(), np.max(den)) > 2**53:
+    if top is None:
+        top = max(-x.min(), x.max(), np.max(den)) if len(x) else 0
+    if top > 2**53:
         x, den = x.astype(object), np.asarray(den, object)
     return np.asarray(x / den, dtype=float)
 
 
-class _Spec(NamedTuple):
-    """The candidates of a (criterion, estimator) pair on [a, b] for every n.
+@dataclass(frozen=True, eq=False)
+class _Spec:
+    """The candidates of a (criterion, estimator) pair on [a, b] for every n,
+    with the tables that a sweep or a witness block would otherwise rebuild.
 
     Its runs (see `CandidateSet`) do not depend on n and have their own
     denominators, which all divide `scale`; a lattice's range is left empty.
-    Each run's rows (p, c, q) in `edges` give floors f = (p * n + c) // q,
-    and its k at n runs from f0 + 1 to -f1 - 1 (k = 0 for an endpoint or
-    breakpoint).  The cardinality bound counts one per offered endpoint or
-    breakpoint, kept or not, plus max(hi - lo, 0) / spacing + 1 per lattice
-    on the open window (lo, hi), which is -f1 - f0 + 1 before the floors.
+    Each run's rows (p, c, q) in `edges` give its least and greatest k at n
+    as (p * n + c) // q (k = 0 for an endpoint or breakpoint).  The
+    cardinality bound counts one per offered endpoint or breakpoint, kept or
+    not, plus max(hi - lo, 0) / spacing + 1 per lattice on the open window
+    (lo, hi).  `windows` holds each run's window coefficients, its side of a
+    Mixed crossover fixed.
     """
 
     rule: str
@@ -150,6 +160,7 @@ class _Spec(NamedTuple):
     edges: tuple[tuple[tuple[int, int, int], tuple[int, int, int]], ...]
     scale: int
     offered: int
+    windows: WindowTable
 
     def frame(self, n: int) -> tuple[int, list, Fraction, int]:
         """(den, runs, cardinality bound, top) of the whole set at n: every
@@ -158,19 +169,57 @@ class _Spec(NamedTuple):
                        *(d * n // math.gcd(step, d * n) for _, step, d, *_ in self.runs if step))
         runs, top, bound = [], 0, (self.offered, 1)  # bound as numerator and denominator
         for (base, step, d, _, tag), ((p0, c0, q0), (p1, c1, q1)) in zip(self.runs, self.edges):
-            kmin, kmax = (p0 * n + c0) // q0 + 1, -((p1 * n + c1) // q1) - 1
+            kmin, kmax = (p0 * n + c0) // q0, (p1 * n + c1) // q1
             base, step = base * (den // d), step * (den // d)
             runs.append((base, step, den, range(kmin, max(kmin, kmax + 1)), tag))
             if kmin <= kmax:
                 top = max(top, abs(base), step // n * max(-kmin, kmax + 1))
             if step:
                 q = q0 * q1
-                bound = (bound[0] * q + bound[1] * (max(-p1 * q0 - p0 * q1, 0) * n + q),
+                bound = (bound[0] * q + bound[1] * (max(p1 * q0 - p0 * q1, 0) * n + q),
                          bound[1] * q)
         return den, runs, Fraction(*bound), top
 
 
-@lru_cache(maxsize=64)
+    @cached_property
+    def tables(self) -> tuple[np.ndarray, np.ndarray, int, int]:
+        """(kbounds, coef, top, kratio) of `_block`, made when first asked for
+        (a search asks on its first sweep): the rows of `edges` and of a
+        window (see `_block`); each run's base and step over `scale`, so that
+        n * scale * theta = n * base + step * k; a bound on their entries and
+        |scale * theta| on [a, b]; and a bound on |k| / n at every candidate.
+        From the bounds and its n each call picks int64 (the arrays as
+        cached) or Python ints."""
+        runs, scale = self.runs, self.scale
+        # kbounds[i, :, :, j]: the i-th of (1, tn * rd, td * rd, rn * td) times
+        # run j's rows (p, c, q) of its least and greatest k, of the whole set
+        # and then of the window near -+ radius / n for near tn / td and radius
+        # rn / rd: offset + k * s / n is there at k = (p * n -+ x) / q for
+        # p = (tn * den - base * td) * rd, x = rn * den * td and q = step * td * rd
+        kbounds = np.zeros((4, 3, 4, len(runs)), object)
+        for j, ((base, step, den, *_), (lo, hi)) in enumerate(zip(runs, self.edges)):
+            kbounds[0, :, :2, j] = list(zip(lo, hi))
+            if step:  # k from (p * n + q - 1 - x) // q to (p * n + x) // q
+                kbounds[1:3, 0, 2:, j] = [[den], [-base]]
+                kbounds[:, 1, 2, j] = -1, 0, step, -den
+                kbounds[3, 1, 3, j] = den
+                kbounds[2, 2, 2:, j] = step
+            else:
+                kbounds[0, 2, 2:, j] = 1
+        coef = np.array([(base * (scale // den), step * (scale // den))
+                         for base, step, den, *_ in runs], object).T
+        # a and b are runs: coef bounds |scale * theta| on [a, b]
+        top = max(map(abs, chain(kbounds.flat, coef.flat)))
+        # theta in [a, b] bounds |step * k / n| = |theta * den - base|
+        kratio = max(-(-(top * den + abs(base) * scale) // (step * scale)) if step else 0
+                     for base, step, den, *_ in runs)
+        kbounds, coef = (x.astype(np.int64 if top < 2**62 else object) for x in (kbounds, coef))
+        for x in (kbounds, coef):  # shared by every block of the query
+            x.flags.writeable = False
+        return kbounds.reshape(4, -1), coef, top, kratio
+
+
+@lru_cache(maxsize=1024)
 def _spec(criterion: ErrorCriterion, estimator: EstimatorKind, a: Fraction,
           b: Fraction) -> _Spec:
     """Validate a (criterion, estimator) pair on [a, b] and describe its
@@ -231,17 +280,25 @@ def _spec(criterion: ErrorCriterion, estimator: EstimatorKind, a: Fraction,
                      (1 / (1 - er), Fraction(0), lower_lo, b, TAG_REL_LOWER)]
     rule = f"{name}/{'range-preserving' if clamped else 'unbiased'}"
     runs = [(t.numerator, 0, t.denominator, range(1), tag) for t, tag, kept in offered if kept]
-    edges = [((0, -1, 1), (0, -1, 1))] * len(runs)
+    edges = [((0, 0, 1), (0, 0, 1))] * len(runs)
     for s, offset, lo, hi, tag in lattices:
         (sn, sd), (on, od), (ln, ld), (hn, hd) = (f.as_integer_ratio()
                                                   for f in (s, offset, lo, hi))
         den = math.lcm(sd, od)
         base, step = on * (den // od), sn * (den // sd)
         runs.append((base, step, den, range(0), tag))
-        # offset + k * s / n is t at k = (t * den - base) * n / step
-        edges.append(((ln * den - base * ld, 0, step * ld), (base * hd - hn * den, 0, step * hd)))
+        # offset + k * s / n is t at k = (t * den - base) * n / step: k runs
+        # strictly inside, from floor(that at lo) + 1 to ceil(that at hi) - 1
+        q0, q1 = step * ld, step * hd
+        edges.append(((ln * den - base * ld, q0, q0), (hn * den - base * hd, -1, q1)))
     scale = math.lcm(*(run[2] for run in runs))
-    return _Spec(rule, tuple(runs), tuple(edges), scale, len(offered))
+    # a single on the crossover takes the absolute side, as its margins agree there
+    relative = [er is not None and (ea is None or base * c.denominator > c.numerator * den)
+                if not step else tag in (TAG_REL_UPPER, TAG_REL_LOWER)
+                for base, step, den, _, tag in runs]
+    windows = window_table(criterion, estimator, runs, relative)
+    windows.coef.flags.writeable = False  # shared by every call of the query
+    return _Spec(rule, tuple(runs), tuple(edges), scale, len(offered), windows)
 
 
 def candidate_set_for(
@@ -265,7 +322,8 @@ def candidate_set_for(
     k = np.concatenate([np.arange(r[3].start, r[3].stop, dtype=dtype) for r in runs])
     base, step = np.array([(r[0], r[1] // n) for r in runs], dtype)[run].T
     numerators, first = np.unique(base + step * k, return_index=True)
-    return CandidateSet(spec.rule, bound, n, den, tuple(runs), numerators, run[first], k[first])
+    return CandidateSet(spec.rule, bound, n, den, tuple(runs), numerators, run[first], k[first],
+                        spec)
 
 
 @dataclass(frozen=True)
@@ -299,7 +357,7 @@ class CandidateBlock:
         rows, dtype = slice(*self.starts[i:i + 2]), np.int64 if top < 2**62 else object
         x = self.numerators[rows].astype(object) // (n * self.spec.scale // den)
         return CandidateSet(self.spec.rule, bound, n, den, tuple(runs), x.astype(dtype),
-                            self.run[rows], self.k[rows].astype(dtype))
+                            self.run[rows], self.k[rows].astype(dtype), self.spec)
 
 
 def candidate_block(
@@ -319,40 +377,43 @@ def candidate_block(
     per n.
     """
     _check_n(n0)
-    spec = _spec(criterion, estimator, a, b)
-    (rn, rd), (tn, td) = (exact(x, name=name).as_integer_ratio()
-                          for x, name in ((radius, "radius"), (near, "near")))
-    # run j's least k at n is max(f0 + 1, -f1) and its greatest min(-f2 - 1, f3)
-    # for the floors f = (p * n + c) // q: f0 and f2 from the whole set, and
-    # f1 and f3 from the window, where offset + k * s / n = near -+ radius / n
-    # at k = (p * n -+ x) / q
-    bounds = []
-    for (base, step, den, *_), (whole_lo, whole_hi) in zip(spec.runs, spec.edges):
-        p, x, q = (((tn * den - base * td) * rd, rn * den * td, step * td * rd) if step
-                   else (0, 0, 1))
-        bounds.append(whole_lo + (-p, x, q) + whole_hi + (p, x, q))
-    ns = np.arange(n0, n0 + count, dtype=np.int64)
-    top = max(map(abs, chain.from_iterable(bounds))) * (n0 + count + 1)
-    p, c, q = np.array(bounds, np.int64 if top < 2**62 else object).reshape(-1, 4, 3).T[..., None]
-    f = (ns * p + c) // q  # f[i, j]: the i-th floor of run j, one per n
-    kmin, kmax = np.maximum(f[0] + 1, -f[1]).ravel(), np.minimum(-f[2] - 1, f[3]).ravel()
-    counts = np.maximum(kmax - kmin + 1, 0).astype(np.int64)
-    first = np.repeat(np.cumsum(counts) - counts, counts)
-    cell = np.repeat(np.arange(len(bounds) * count), counts)  # run * count + n - n0
-    n, run = n0 + cell % count, cell // count
-    k = np.repeat(kmin, counts) + (np.arange(first.size) - first)
-    # theta times n * scale, exact, to sort by and for the thetas
-    scale = spec.scale
-    coef = [(base * (scale // den), step * (scale // den)) for base, step, den, *_ in spec.runs]
-    top = max(abs(x) for c in coef for x in c) * (n0 + count) * (1 + int(np.max(np.abs(k))))
+    return _block(_spec(criterion, estimator, a, b), n0, count,
+                  exact(near, name="near"), exact(radius, name="radius"))
+
+
+def _block(spec: _Spec, n0: int, count: int, near: Fraction,
+           radius: Fraction | int) -> CandidateBlock:
+    """`candidate_block` of `spec`; only the floors of the window are made here."""
+    (rn, rd), (tn, td) = radius.as_integer_ratio(), near.as_integer_ratio()
+    # run j's least k at n is the greater of two floors (p * n + c) // q, and
+    # its greatest the lesser of two: one each of the whole set and of the
+    # window (see `_Spec`)
+    scalars = (1, tn * rd, td * rd, rn * td)
+    kbounds, coef, top, _ = spec.tables
+    dtype = np.int64 if top * sum(map(abs, scalars)) * (n0 + count + 1) < 2**62 else object
+    p, c, q = np.dot(np.array(scalars, dtype), kbounds.astype(dtype, copy=False)).reshape(
+        3, 4, -1, 1)
+    ns = np.arange(n0, n0 + count + 1, dtype=np.int64)
+    kmin, kmax, wmin, wmax = (ns[:-1] * p + c) // q
+    kmin, kmax = np.maximum(kmin, wmin).T, np.minimum(kmax, wmax).T  # [n - n0, run]
+    # the rows in order of n, then run, then k
+    width = kmax - kmin + 1
+    i, run, j = (np.arange(width.max(initial=0)) < width[..., None]).nonzero()
+    n, k = ns[i], kmin[i, run] + j
+    # theta times n * scale, exact, to sort by and for the thetas; |k * step|
+    # is at most n * (|theta| * scale + |base|), below 2 * n * top
+    top = 2 * top * (n0 + count)
     dtype = np.int64 if top < 2**62 else object
-    base, step = np.array(coef, dtype)[run].T
-    numerators = n * base + step * k.astype(dtype)
-    order = np.lexsort((numerators, n))
-    n, run, k, numerators = n[order], run[order], k[order], numerators[order]
-    new = np.ones(len(n), bool)
-    new[1:] = (n[1:] != n[:-1]) | (numerators[1:] != numerators[:-1])
+    base, step = coef.astype(dtype, copy=False).take(run, axis=1)
+    numerators = n * base + step * k.astype(dtype, copy=False)
+    order = np.lexsort((numerators, n))  # n stays sorted
+    run, k, numerators = run[order], k[order], numerators[order]
+    new = np.empty(len(n), bool)
+    new[:1] = True
+    new[1:] = (numerators[1:] != numerators[:-1]) | (n[1:] != n[:-1])
     n, run, k, numerators = n[new], run[new], k[new], numerators[new]
-    floats = _floats(numerators, (n if (n0 + count) * scale < 2**62 else n.astype(object)) * scale)
-    starts = np.append(np.searchsorted(n, ns), len(n))
-    return CandidateBlock(spec, n0, n, run, k.astype(np.int64), numerators, floats, starts)
+    scale = spec.scale
+    floats = _floats(numerators, (n if (n0 + count) * scale < 2**62 else n.astype(object)) * scale,
+                     max(top, (n0 + count) * scale))
+    starts = n.searchsorted(ns)
+    return CandidateBlock(spec, n0, n, run, np.asarray(k, np.int64), numerators, floats, starts)

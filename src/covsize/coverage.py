@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -128,6 +128,78 @@ def margins(criterion: ErrorCriterion) -> tuple[Optional[Fraction], ...]:
     raise DomainError(f"unknown criterion {criterion!r}")
 
 
+class WindowTable(NamedTuple):
+    """The integer window coefficients of some runs, each on one side of the
+    crossover: column j of `coef` (int64 if `top`, a bound on its entries,
+    is below 2**62) holds run j's (p_lo, p_hi, r, a_lo, a_hi, q_lo, q_hi).
+    At its point (n, k), x_lo = n * p_lo + r + q_lo * k and
+    x_hi = n * p_hi - 1 + q_hi * k give lo = x_lo // r and hi = x_hi // r,
+    and a clamped estimate misses low only when x_lo >= r - n * a_lo // ad
+    and high only when x_hi < n * a_hi // bd.  A call takes int64 unless
+    top * 4 * (n + |k| + max(ad, bd)) may reach 2**62."""
+
+    coef: np.ndarray
+    top: int
+    ad: int
+    bd: int
+    clamped: bool
+
+
+def window_table(criterion: ErrorCriterion, estimator: EstimatorKind, runs: Sequence[tuple],
+                 relative: Sequence[bool]) -> WindowTable:
+    """The `WindowTable` of `runs` (see `acceptance_windows`), run j on the
+    relative side of the crossover when relative[j].  Only the single thetas
+    are checked against the criterion and the clamp."""
+    ea, er, _ = margins(criterion)
+    clamp = estimator if isinstance(estimator, RangePreserving) else None
+    if clamp is None and not isinstance(estimator, Unbiased):
+        raise DomainError(f"unknown estimator {estimator!r}")
+    (an, ad), (bn, bd) = ((x.as_integer_ratio() for x in (clamp.lower, clamp.upper))
+                          if clamp is not None else ((0, 1), (0, 1)))
+    margin = tuple(m and m.as_integer_ratio() for m in (ea, er))  # by relative: 0, 1
+    coef, top = [], 0
+    for (base, step, den, *_), rel in zip(runs, relative):
+        g = math.gcd(base, step, den)
+        u, v, w = base // g, step // g, den // g
+        if v == 0 and rel and u <= 0:
+            raise DomainError(f"relative coverage needs theta > 0, got {Fraction(u, w)}")
+        if v == 0 and clamp is not None and (u * ad < an * w or u * bd > bn * w):
+            raise DomainError(f"theta={Fraction(u, w)} outside the range-preserving "
+                              f"interval [{clamp.lower}, {clamp.upper}]")
+        # margin e/d (times theta if relative): with r = w * d the window ends
+        # lo = floor(n * (theta - margin)) + 1 and hi = ceil(n * (theta + margin)) - 1
+        # are x // r for x = r * n * (theta - margin) + r and r * n * (theta + margin) - 1;
+        # the clamped estimate misses low only when theta - margin >= a (the
+        # clamp at a is itself a miss), and misses high only when
+        # theta + margin <= b; an inactive side cannot miss
+        (e, d), (s0, s1) = margin[rel], ((u, v) if rel else (w, 0))
+        p = (d * u - e * s0, d * u + e * s0, w * d, -w * d * an, w * d * bn)
+        top = max(top, *map(abs, p), abs(d * v) + e * abs(s1))
+        coef.append((*p, d * v - e * s1, d * v + e * s1))
+    coef = np.array(coef, np.int64 if top < 2**62 else object).reshape(-1, 7).T
+    return WindowTable(coef, top, ad, bd, clamp is not None)
+
+
+def windows_at(table: WindowTable, n: Union[int, np.ndarray], run: np.ndarray, k: np.ndarray,
+               nk: Optional[int] = None) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The windows (lo, hi, open_lo, open_hi) of `acceptance_windows` at the
+    points (run, k) of the table's runs, n one int or one per point; `nk`,
+    when given, bounds n + |k| at every point."""
+    k = np.asarray(k)
+    if nk is None:
+        nk = int(np.max(n, initial=1)) + int(np.abs(k).max(initial=0))
+    # else Python ints, which never wrap
+    dtype = np.int64 if table.top * 4 * (nk + max(table.ad, table.bd)) < 2**62 else object
+    n, k = np.asarray(n, dtype), np.asarray(k, dtype)
+    p_lo, p_hi, r, a_lo, a_hi, q_lo, q_hi = table.coef.astype(dtype, copy=False).take(run, axis=1)
+    x_lo, x_hi = n * p_lo + r + q_lo * k, n * p_hi - 1 + q_hi * k
+    lo, hi = np.asarray(x_lo // r, np.int64), np.asarray(x_hi // r, np.int64)
+    if not table.clamped:
+        return lo, hi, lo != lo, lo != lo
+    return (lo, hi, np.asarray(x_lo < r - n * a_lo // table.ad, bool),
+            np.asarray(x_hi >= n * a_hi // table.bd, bool))
+
+
 def acceptance_windows(
     n: Union[int, np.ndarray],
     criterion: ErrorCriterion,
@@ -144,66 +216,28 @@ def acceptance_windows(
 
     Returns int64 arrays lo, hi and boolean masks open_lo, open_hi; an open
     side (a clamped side that cannot miss) runs through that end of the
-    support.  A run lies on one side of the crossover, so n * (theta -+
-    margin) is affine in n and k along it: each window end is one floor
-    division of integers and each clamp flag one comparison.  Only the
-    single thetas are checked against the criterion and the clamp.
+    support.  A run lies on one side of the crossover, taken here from one
+    of its points, so n * (theta -+ margin) is affine in n and k along it:
+    each window end is one floor division of integers and each clamp flag
+    one comparison (see `WindowTable`).  A candidate set's runs have their
+    table cached with their query (`candidates._Spec`); this builds one per
+    call.
     """
-    scalar = np.ndim(n) == 0
-    if scalar:
+    if np.ndim(n) == 0:
         _check_n(n)
     ea, er, c = margins(criterion)
-    clamp = estimator if isinstance(estimator, RangePreserving) else None
-    if clamp is None and not isinstance(estimator, Unbiased):
-        raise DomainError(f"unknown estimator {estimator!r}")
-    (an, ad), (bn, bd) = ((x.as_integer_ratio() for x in (clamp.lower, clamp.upper))
-                          if clamp is not None else ((0, 1), (0, 1)))
-    margin = tuple(m and m.as_integer_ratio() for m in (ea, er))  # by relative: 0, 1
     run, k = np.asarray(run, np.intp), np.asarray(k)
-    # with a crossover, a point (n, k) of each run tells the run's side
-    reps = [(1, 0)] * len(runs)
-    if c is not None and len(run):
-        first = np.zeros(len(runs), np.intp)
-        first[run[::-1]] = np.arange(len(run) - 1, -1, -1)
-        reps = list(zip(np.broadcast_to(n, run.shape)[first].tolist(), k[first].tolist()))
-
-    def fold(m, p_lo, p_hi, r, a_lo, a_hi):
-        # margin e/d (times theta if relative): with r = w * d the window ends
-        # lo = floor(m * (theta - margin)) + 1 and hi = ceil(m * (theta + margin)) - 1
-        # are x // r for x = r * m * (theta - margin) + r and r * m * (theta + margin) - 1,
-        # x = m * p + r or - 1, plus q * k; the clamped estimate misses low only
-        # when theta - margin >= a (the clamp at a is itself a miss), and misses
-        # high only when theta + margin <= b; an inactive side cannot miss
-        return m * p_lo + r, m * p_hi - 1, r, -(-m * a_lo // ad) + r, m * a_hi // bd
-
-    rows, top = [], 0
-    for (base, step, den, *_), (m, j) in zip(runs, reps):
-        g = math.gcd(base, step, den)
-        u, v, w = base // g, step // g, den // g
-        # theta = (m * u + v * j) / (m * w) at the point (m, j) of the run
-        relative = ea is None or (er is not None and
-                                  (m * u + v * j) * c.denominator > c.numerator * m * w)
-        if v == 0 and relative and u <= 0:
-            raise DomainError(f"relative coverage needs theta > 0, got {Fraction(u, w)}")
-        if v == 0 and clamp is not None and (u * ad < an * w or u * bd > bn * w):
-            raise DomainError(f"theta={Fraction(u, w)} outside the range-preserving "
-                              f"interval [{clamp.lower}, {clamp.upper}]")
-        (e, d), (s0, s1) = margin[relative], ((u, v) if relative else (w, 0))
-        p = (d * u - e * s0, d * u + e * s0, w * d, w * d * an, w * d * bn)
-        top = max(top, *map(abs, p), abs(d * v) + e * abs(s1))
-        rows.append((*(fold(n, *p) if scalar else p), d * v - e * s1, d * v + e * s1))
-    n_top = n if scalar else int(np.max(n, initial=1))
-    k_top = max(-int(k.min()), int(k.max())) if len(k) and any(r[1] for r in runs) else 0
-    top *= 4 * (n_top + k_top + max(ad, bd))
-    dtype = np.int64 if top < 2**62 else object  # else Python ints, which never wrap
-    table = np.array(rows, dtype).reshape(-1, 7)[run].T
-    if not scalar:
-        table[:5] = fold(np.asarray(n, dtype), *table[:5])
-    x = table[0:2] + table[5:7] * np.asarray(k, dtype)
-    lo, hi = np.asarray(x // table[2], np.int64)
-    if clamp is None:
-        return lo, hi, lo != lo, lo != lo
-    return lo, hi, np.asarray(x[0] < table[3], bool), np.asarray(x[1] >= table[4], bool)
+    relative = [ea is None] * len(runs)
+    if c is not None:
+        # with a crossover, a point (n, k) of each run tells the run's side
+        reps = [(1, 0)] * len(runs)
+        if len(run):
+            first = np.zeros(len(runs), np.intp)
+            first[run[::-1]] = np.arange(len(run) - 1, -1, -1)
+            reps = zip(np.broadcast_to(n, run.shape)[first].tolist(), k[first].tolist())
+        relative = [(m * base + step * j) * c.denominator > c.numerator * m * den
+                    for (base, step, den, *_), (m, j) in zip(runs, reps)]
+    return windows_at(window_table(criterion, estimator, runs, relative), n, run, k)
 
 
 def acceptance_window(

@@ -11,8 +11,8 @@ from typing import Optional
 import numpy as np
 
 from ._exact import exact
-from .candidates import CandidateBlock, CandidateSet, candidate_block, candidate_set_for
-from .coverage import ErrorCriterion, EstimatorKind, acceptance_windows
+from .candidates import CandidateBlock, CandidateSet, _block, _spec, _Spec, candidate_set_for
+from .coverage import ErrorCriterion, EstimatorKind, windows_at
 # not called here: perfbench's tracer still wraps this name, which it checks exists
 from .coverage import coverage  # noqa: F401
 from .errors import DomainError
@@ -84,8 +84,8 @@ def min_coverage(
     fam.require_interval(a, b)
     # every candidate lies in [a, b], inside the family's parameter interval
     cset = candidate_set_for(n, criterion, estimator, a, b)
-    values = _values(fam, n, criterion, estimator, cset.runs, cset.run, cset.k,
-                     cset.floats).tolist()
+    k_top = max(max(-r[3].start, r[3].stop) for r in cset.runs)
+    values = _values(fam, n, cset.spec, cset.run, cset.k, cset.floats, n + k_top).tolist()
     argmin = values.index(min(values))
     return CoverageReport(n=n, min_coverage=values[argmin],
                           argmin_theta=Fraction(int(cset.numerators[argmin]), cset.den),
@@ -134,18 +134,26 @@ def witness_minima(
     row, so every value is bit-equal to the sweep's at that theta.  The
     arguments are not checked beyond what building the candidates checks.
     """
-    block = candidate_block(n0, count, criterion, estimator, a, b, near, WITNESS_RADIUS)
-    values = _values(resolve_family(family), block.n, criterion, estimator, block.spec.runs,
-                     block.run, block.k, block.floats)
-    minima = np.minimum.reduceat(values, block.starts[:-1])
-    lowest = np.flatnonzero(values == np.repeat(minima, np.diff(block.starts)))
-    return block, values, lowest[np.searchsorted(lowest, block.starts[:-1])]
+    _check_n(n0)
+    return _witness_minima(resolve_family(family), _spec(criterion, estimator, a, b), n0, count,
+                           exact(near, name="near"))
 
 
-def _values(fam: DistributionFamily, n, criterion: ErrorCriterion, estimator: EstimatorKind,
-            runs, run, k, floats) -> np.ndarray:
-    """Coverage at the points (runs, run, k) of `acceptance_windows`, whose
-    floats are `floats`; n is one int or one per point."""
-    lo, hi, open_lo, open_hi = acceptance_windows(n, criterion, estimator, runs, run, k)
+def _witness_minima(fam: DistributionFamily, spec: _Spec, n0: int, count: int,
+                    near: Fraction) -> tuple[CandidateBlock, np.ndarray, np.ndarray]:
+    """`witness_minima` of a resolved family and query."""
+    block = _block(spec, n0, count, near, WITNESS_RADIUS)
+    values = _values(fam, block.n, spec, block.run, block.k, block.floats,
+                     (n0 + count) * (1 + spec.tables[3]))
+    starts = block.starts
+    minima = np.minimum.reduceat(values, starts[:-1])
+    lowest = (values == minima.repeat(starts[1:] - starts[:-1])).nonzero()[0]
+    return block, values, lowest[lowest.searchsorted(starts[:-1])]
+
+
+def _values(fam: DistributionFamily, n, spec: _Spec, run, k, floats, nk: int) -> np.ndarray:
+    """Coverage at the candidates (run, k) of `spec`, whose floats are
+    `floats`; n is one int or one per point, and nk bounds n + |k|."""
+    lo, hi, open_lo, open_hi = windows_at(spec.windows, n, run, k, nk)
     lo = np.where(open_lo, fam.support_bound(n)[0], lo)
     return prob_ranges(fam, n, floats, lo, hi, open_hi)

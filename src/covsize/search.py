@@ -17,13 +17,13 @@ from typing import Callable, Optional
 from ._exact import exact
 from .coverage import ErrorCriterion, EstimatorKind
 from .errors import DomainError
-from .families import _check_n
-from .minimize import WITNESS_RADIUS, min_coverage, witness_minima
+from .families import _check_n, resolve_family
+from .minimize import WITNESS_RADIUS, _witness_minima, min_coverage
 
 # nudge for float comparison against 1 - delta when requested
 GUARD_BAND = 1e-12
 # a witness block grows by this factor while all its n are rejected, up to
-# BLOCK_MAX n: each block costs about 0.2 ms more than its n's own work
+# BLOCK_MAX n: each block costs about 0.1 ms more than its n's own work
 BLOCK_GROWTH, BLOCK_MAX = 8, 1024
 
 
@@ -116,13 +116,18 @@ def min_sample_size(
     threshold = float(1 - query.delta)
     if query.guard_band:
         threshold += GUARD_BAND
-    family, args = query.family, (query.criterion, query.estimator, query.a, query.b)
+    args = (query.criterion, query.estimator, query.a, query.b)
+    family, spec = resolve_family(query.family), None
     trace: list[tuple[int, float, Fraction]] = []
     swept: list[int] = []
 
     def sweep(n: int) -> tuple[float, Fraction]:
+        nonlocal spec
         swept.append(n)
         report = min_coverage(family, n, *args, threads=threads)
+        if spec is None:  # the query is valid: make its block tables on this step
+            spec = report.candidate_set.spec
+            spec.tables
         return report.min_coverage, report.argmin_theta
 
     def record(n: int, value: float, theta: Fraction) -> None:
@@ -134,14 +139,17 @@ def min_sample_size(
     while n <= query.n_max:
         if trace and not full_trace:
             near, count = trace[-1][2], min(size, query.n_max + 1 - n)
-            block, values, best = witness_minima(family, n, count, *args, near=near)
+            block, values, best = _witness_minima(family, spec, n, count, near)
             minima = values[best].tolist()
             rejected = next((i for i, v in enumerate(minima) if v > threshold), count)
             for i, theta in enumerate(block.thetas(best[:rejected])):
                 record(n + i, minima[i], theta)
             n += rejected
             if rejected:  # the next block is centred on the new last entry
-                edge = abs(trace[-1][2] - near) * (n - 1) > WITNESS_RADIUS - 1
+                # |theta - near| * m > WITNESS_RADIUS - 1 for theta = x / (m * scale)
+                x, m = int(block.numerators[best[rejected - 1]]), n - 1
+                tn, td = near.as_integer_ratio()
+                edge = abs(x * td - tn * m * spec.scale) > (WITNESS_RADIUS - 1) * spec.scale * td
                 size = 1 if edge or rejected < count else min(BLOCK_GROWTH * size, BLOCK_MAX)
                 continue
         value, theta = sweep(n)

@@ -27,7 +27,8 @@ from covsize import (
 )
 
 from covsize.candidates import candidate_block
-from covsize.coverage import acceptance_windows
+from covsize.coverage import acceptance_windows, windows_at
+from covsize.minimize import witness_minima
 from covsize.families import BERNOULLI, POISSON, prob_ranges
 
 from _reference import reference_candidates, reference_window
@@ -193,3 +194,62 @@ def test_rows_with_one_n_each_cross_into_python_ints():
     assert probs.tolist() == each_probs.tolist()
     assert list(zip(*(w.tolist() for w in windows)))[::2] == [
         reference_window(n, criterion, UNBIASED, theta) for n in (400_000, 500_000)]
+
+
+# ---------------------------------------------------------------------------
+# witness blocks read their windows from tables cached once per query
+
+# (family, criterion, the (estimator, a, b) of queries sharing it); the
+# Mixed crossover 2/5 lies inside every interval, each with its own runs
+SHARED_CRITERIA = [
+    ("bernoulli", Mixed(F(1, 10), F(1, 4)),
+     [(RangePreserving(F(1, 20), F(19, 20)), F(1, 20), F(19, 20)),
+      (UNBIASED, F(1, 20), F(19, 20)),
+      (UNBIASED, F(0), F(3, 4)),
+      (RangePreserving(F(1, 10), F(3, 5)), F(1, 10), F(3, 5))]),
+    ("poisson", Relative(F(1, 4)),
+     [(UNBIASED, F(1), F(5)),
+      (RangePreserving(F(1), F(5)), F(1), F(5)),
+      (UNBIASED, F(1, 2), F(2))]),
+]
+
+
+@pytest.mark.parametrize("family, criterion, queries", SHARED_CRITERIA,
+                         ids=["bernoulli-mixed", "poisson-relative"])
+def test_interleaved_queries_keep_their_own_tables(family, criterion, queries):
+    # blocks of the queries in turn, each centred on either side of the
+    # crossover: a table cached under the wrong key would give some row the
+    # window of another interval, clamp or side
+    for n0, count in ((3, 4), (17, 3), (40, 2)):
+        for estimator, a, b in queries:
+            for near in (a + (b - a) / 5, b - (b - a) / 5):
+                block, values, _ = witness_minima(family, n0, count, criterion, estimator, a,
+                                                  b, near)
+                windows = windows_at(block.spec.windows, block.n, block.run, block.k)
+                thetas = block.thetas(np.arange(len(block.n)))
+                rows = list(zip(block.n.tolist(), thetas))
+                assert list(zip(*(w.tolist() for w in windows))) == [
+                    reference_window(n, criterion, estimator, t) for n, t in rows]
+                assert values.tolist() == [coverage(family, n, criterion, estimator, t)
+                                           for n, t in rows]
+
+
+def test_witness_blocks_cross_into_python_ints_within_one_query():
+    # theta denominators of 2**40: a block's numerators and windows fit int64
+    # at n = 20 but not at n = 3,000,000, and the query's tables are cached
+    # by the first call, so each call must choose its integers itself
+    a, b = F(1, 2), F(2**39 + 2**22 + 1, 2**40)
+    query = (Absolute(F(1, 8)), UNBIASED, a, b)
+    for n0 in (20, 3_000_000, 28):
+        block, values, best = witness_minima("bernoulli", n0, 3, *query, (a + b) / 2)
+        assert block.numerators.dtype == (object if n0 > 2**21 else np.int64)
+        windows = windows_at(block.spec.windows, block.n, block.run, block.k)
+        for i, n in enumerate(range(n0, n0 + 3)):
+            rows = np.arange(block.starts[i], block.starts[i + 1])
+            thetas = block.thetas(rows)
+            assert list(zip(*(w[rows].tolist() for w in windows))) == [
+                reference_window(n, *query[:2], t) for t in thetas]
+            full = dict(min_coverage("bernoulli", n, *query).evaluations)
+            assert [full[t].hex() for t in thetas] == [x.hex() for x in values[rows].tolist()]
+        if n0 > 2**21:
+            assert len(block.n) > 3 * 2  # lattice points beside the endpoints
