@@ -265,19 +265,19 @@ def _spec(criterion: ErrorCriterion, estimator: EstimatorKind, a: Fraction,
         # b - eps and the lower one (plus lattice) from a + eps
         minus_hi, plus_lo = c, a
         if clamped:
-            offered += [(t, TAG_BREAKPOINT, a <= t <= c) for t in (a + ea, b - ea)]
-            minus_hi, plus_lo = min(b - ea, c), a + ea
-        lattices += [(Fraction(1), -ea, a, minus_hi, TAG_MINUS),
-                     (Fraction(1), ea, plus_lo, c, TAG_PLUS)]
+            plus_lo, b_low = a + ea, b - ea
+            offered += [(t, TAG_BREAKPOINT, a <= t <= c) for t in (plus_lo, b_low)]
+            minus_hi = min(b_low, c)
+        lattices += [(1, -ea, a, minus_hi, TAG_MINUS), (1, ea, plus_lo, c, TAG_PLUS)]
     if er is not None:
         upper_hi, lower_lo = b, c
+        up, down = 1 / (1 + er), 1 / (1 - er)
         if clamped:
-            a_low = a / (1 - er)  # below it the clamp at a cannot miss low
-            b_up = b / (1 + er)   # above it the clamp at b cannot miss high
+            a_low = a * down  # below it the clamp at a cannot miss low
+            b_up = b * up     # above it the clamp at b cannot miss high
             offered += [(t, TAG_BREAKPOINT, c <= t <= b) for t in (a_low, b_up)]
             upper_hi, lower_lo = b_up, max(a_low, c)
-        lattices += [(1 / (1 + er), Fraction(0), c, upper_hi, TAG_REL_UPPER),
-                     (1 / (1 - er), Fraction(0), lower_lo, b, TAG_REL_LOWER)]
+        lattices += [(up, 0, c, upper_hi, TAG_REL_UPPER), (down, 0, lower_lo, b, TAG_REL_LOWER)]
     rule = f"{name}/{'range-preserving' if clamped else 'unbiased'}"
     runs = [(t.numerator, 0, t.denominator, range(1), tag) for t, tag, kept in offered if kept]
     edges = [((0, 0, 1), (0, 0, 1))] * len(runs)
@@ -293,7 +293,8 @@ def _spec(criterion: ErrorCriterion, estimator: EstimatorKind, a: Fraction,
         edges.append(((ln * den - base * ld, q0, q0), (hn * den - base * hd, -1, q1)))
     scale = math.lcm(*(run[2] for run in runs))
     # a single on the crossover takes the absolute side, as its margins agree there
-    relative = [er is not None and (ea is None or base * c.denominator > c.numerator * den)
+    cn, cd = c.as_integer_ratio()
+    relative = [er is not None and (ea is None or base * cd > cn * den)
                 if not step else tag in (TAG_REL_UPPER, TAG_REL_LOWER)
                 for base, step, den, _, tag in runs]
     windows = window_table(criterion, estimator, runs, relative)

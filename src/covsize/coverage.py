@@ -157,7 +157,7 @@ def window_table(criterion: ErrorCriterion, estimator: EstimatorKind, runs: Sequ
     (an, ad), (bn, bd) = ((x.as_integer_ratio() for x in (clamp.lower, clamp.upper))
                           if clamp is not None else ((0, 1), (0, 1)))
     margin = tuple(m and m.as_integer_ratio() for m in (ea, er))  # by relative: 0, 1
-    coef, top = [], 0
+    coef = []  # flat, one run after another
     for (base, step, den, *_), rel in zip(runs, relative):
         g = math.gcd(base, step, den)
         u, v, w = base // g, step // g, den // g
@@ -173,9 +173,9 @@ def window_table(criterion: ErrorCriterion, estimator: EstimatorKind, runs: Sequ
         # clamp at a is itself a miss), and misses high only when
         # theta + margin <= b; an inactive side cannot miss
         (e, d), (s0, s1) = margin[rel], ((u, v) if rel else (w, 0))
-        p = (d * u - e * s0, d * u + e * s0, w * d, -w * d * an, w * d * bn)
-        top = max(top, *map(abs, p), abs(d * v) + e * abs(s1))
-        coef.append((*p, d * v - e * s1, d * v + e * s1))
+        coef += (d * u - e * s0, d * u + e * s0, w * d, -w * d * an, w * d * bn,
+                 d * v - e * s1, d * v + e * s1)
+    top = max(map(abs, coef), default=0)
     coef = np.array(coef, np.int64 if top < 2**62 else object).reshape(-1, 7).T
     return WindowTable(coef, top, ad, bd, clamp is not None)
 

@@ -66,7 +66,10 @@ class DistributionFamily:
 
     `cdf_batch(n, thetas, ks)`, Pr{Y_n <= k} elementwise, is optional.
     `prob_ranges` serves both kinds of family: with it, one vectorized call;
-    without it, a log-pmf sum per theta.  There is no batched log-pmf:
+    without it, a log-pmf sum per theta.  It is never asked for k < k_min
+    (read as 0) nor for k >= k_max of a bounded support (read as 1), so it
+    need not handle them: the built-in ones give NaN below the support and
+    above its top.  There is no batched log-pmf:
     `log_pmf_batch=` is not accepted.  A search evaluates many n at once, so
     `support_bound` and `cdf_batch` must also take an int array n with one n
     per theta, as the built-in families' do.
@@ -131,9 +134,7 @@ def _bernoulli_log_pmf(n: int, theta: float, k: int) -> float:
 
 
 def _bernoulli_cdf_batch(n: int, theta: np.ndarray, k: np.ndarray) -> np.ndarray:
-    kk = np.minimum(k, n).astype(np.float64)
-    out = _sps.bdtr(np.maximum(kk, 0.0), n, theta)
-    return np.where(kk < 0, 0.0, out)
+    return _sps.bdtr(k, n, theta)
 
 
 BERNOULLI = DistributionFamily(
@@ -156,9 +157,7 @@ def _poisson_log_pmf(n: int, theta: float, k: int) -> float:
 
 
 def _poisson_cdf_batch(n: int, theta: np.ndarray, k: np.ndarray) -> np.ndarray:
-    lam = n * theta
-    out = _sps.pdtr(np.maximum(k, 0).astype(np.float64), lam)
-    return np.where(k < 0, 0.0, out)
+    return _sps.pdtr(k, n * theta)
 
 
 def _poisson_tail_cutoff(n: int, theta: float) -> int:
@@ -230,6 +229,10 @@ def pmf(family: DistributionFamily | str, n: int, theta: Fraction, k: int) -> fl
     return math.exp(fam.log_pmf(n, float(theta), k))
 
 
+# the upper k of an open window: beyond the top of any support
+_PAST_TOP = np.iinfo(np.int64).max
+
+
 def prob_ranges(
     fam: DistributionFamily,
     n: int | np.ndarray,
@@ -242,15 +245,16 @@ def prob_ranges(
 
     Rows flagged in `open_top` have no upper limit; windows are clipped to
     the support, an empty one gives 0.0.  With `cdf_batch` all rows come
-    from one call.  Otherwise each row is a compensated sum of the pmf at its
-    n, an open top of unbounded support cut at `tail_cutoff`: exactly 1.0
-    over the whole support and never above it.  Callers validate n and theta.
+    from one call, asked only for the CDF values inside the support that a
+    row reads.  Otherwise each row is a compensated sum of the pmf at its n,
+    an open top of unbounded support cut at `tail_cutoff`: exactly 1.0 over
+    the whole support and never above it.  Callers validate n and theta.
     """
     kmin, kmax = fam.support_bound(n)
-    lo = np.maximum(lo, kmin)
-    if kmax is not None:
-        hi = np.minimum(hi, kmax)
     if fam.cdf_batch is None:
+        lo = np.maximum(lo, kmin)
+        if kmax is not None:
+            hi = np.minimum(hi, kmax)
         out = []
         # each row with its own n
         rows = (np.broadcast_to(x, thetas.shape).tolist() for x in (n, kmin, kmax))
@@ -261,13 +265,18 @@ def prob_ranges(
             terms = (math.exp(fam.log_pmf(n, theta, j)) for j in range(k, l + 1))
             out.append(1.0 if k == kmin and (top or l == kmax) else min(math.fsum(terms), 1.0))
         return np.array(out, dtype=np.float64)
-    m = len(thetas)
-    both = np.concatenate((n, n)) if np.ndim(n) else n
-    cdf = fam.cdf_batch(both, np.concatenate((thetas, thetas)), np.concatenate((lo - 1, hi)))
+    # F(k) is 0 below the support and 1 from its top on, and cdf_batch is
+    # asked for no other k: an open top reads F past any top, an empty
+    # window F(lo - 1) twice
+    below = lo - 1
+    ks = np.array((below, np.where(open_top, _PAST_TOP, np.maximum(hi, below))))
+    known = ks >= kmin
+    cdf = known.astype(np.float64)
+    ask = known & (ks < (_PAST_TOP if kmax is None else kmax))
+    both = np.array((n, n))[ask] if np.ndim(n) else n
+    cdf[ask] = fam.cdf_batch(both, np.array((thetas, thetas))[ask], ks[ask])
     # a difference of two CDFs in [0, 1] is at most 1; only a negative can need clipping
-    out = np.maximum(np.where(open_top, 1.0, cdf[m:]) - cdf[:m], 0.0)
-    out[~open_top & (hi < lo)] = 0.0
-    return out
+    return np.maximum(cdf[1] - cdf[0], 0.0)
 
 
 def prob_range(
@@ -282,7 +291,7 @@ def prob_range(
     Returns 0.0 when the window is empty.  The window is clipped to the
     support.  This is one row of `prob_ranges`, bit-equal to it for both
     kinds of family; with `cdf_batch` it makes the same float operations on
-    the same two CDF values directly, which costs less than a batch of one.
+    the same CDF values directly, which costs less than a batch of one.
     """
     fam = resolve_family(family)
     n = _check_n(n)
@@ -296,12 +305,14 @@ def prob_range(
         row = np.array([k]), np.array([k if top else l]), np.array([top])
         return float(prob_ranges(fam, n, np.array([tf]), *row)[0])
     kmin, kmax = fam.support_bound(n)
-    lo = max(k, kmin)
-    hi = lo if l is None else l if kmax is None else min(l, kmax)
-    if l is not None and hi < lo:
+    if l is not None and (l if kmax is None else min(l, kmax)) < max(k, kmin):
         return 0.0
-    lower, upper = fam.cdf_batch(n, np.array([tf, tf]), np.array([lo - 1, hi])).tolist()
-    return max((1.0 if l is None else upper) - lower, 0.0)
+    # F at k - 1 and l, asked for as in `prob_ranges`
+    ks, top = (k - 1, _PAST_TOP if l is None else l), _PAST_TOP if kmax is None else kmax
+    ask = [x for x in ks if kmin <= x < top]
+    cdf = iter(fam.cdf_batch(n, np.full(len(ask), tf), np.array(ask)).tolist() if ask else ())
+    lower, upper = (next(cdf) if kmin <= x < top else float(x >= kmin) for x in ks)
+    return max(upper - lower, 0.0)
 
 
 # ---------------------------------------------------------------------------

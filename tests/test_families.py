@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import random
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special as _sps
 
 from covsize import (
     BERNOULLI,
@@ -221,6 +223,53 @@ def test_prob_range_is_bit_equal_to_a_prob_ranges_row(fam):
     )
     scalar = [prob_range(fam, n, k, l, t) for t, k, l in rows]
     assert scalar == batch.tolist()
+
+
+def two_cdf(fam, n, theta, lo, hi, top):
+    """A prob_ranges row as F(min(hi, kmax)) - F(max(lo, kmin) - 1), read from
+    the library CDF at every k up to kmax, F(k < 0) = 0, an open top as 1."""
+    cdf = ((lambda k: _sps.bdtr(min(k, n), n, theta)) if fam.name == "bernoulli"
+           else (lambda k: _sps.pdtr(k, n * theta)))
+    lo, hi = max(lo, 0), min(hi, n) if fam.name == "bernoulli" else hi
+    if not top and hi < lo:
+        return 0.0
+    return max((1.0 if top else float(cdf(hi))) - (float(cdf(lo - 1)) if lo else 0.0), 0.0)
+
+
+@pytest.mark.parametrize("fam", [BERNOULLI, POISSON])
+def test_prob_ranges_asks_cdf_batch_only_for_values_it_reads(fam):
+    # rows with lo <= kmin, hi >= kmax, an open top or an empty window, one n
+    # per row: F(k < kmin) is 0 and F(k >= kmax) is 1 without asking, and an
+    # open top's upper value is never asked for
+    asked = []
+
+    def recording(n, thetas, ks):
+        asked.append((np.broadcast_to(n, ks.shape).copy(), ks.copy()))
+        return fam.cdf_batch(n, thetas, ks)
+
+    rng = random.Random(20261019)
+    rows = []
+    for _ in range(600):
+        n = rng.randint(1, 40)
+        lo = rng.randint(-3, n + 3)
+        rows.append((n, rng.uniform(0.01, 0.99) * (1 if fam.name == "bernoulli" else 4),
+                     lo, rng.randint(lo - 3, n + 3), rng.random() < 0.25))
+    n, thetas, lo, hi, top = map(np.array, zip(*rows))
+    got = prob_ranges(dataclasses.replace(fam, cdf_batch=recording), n, thetas, lo, hi, top)
+    assert got.tolist() == [two_cdf(fam, *row) for row in rows]
+    ns, ks = map(np.concatenate, zip(*asked))
+    bounded = fam.name == "bernoulli"
+    assert (ks >= 0).all() and (not bounded or (ks < ns).all())
+    kmax = n if bounded else np.inf
+    # at most one value per CDF read: F(lo - 1) inside the support, F(hi) of a closed row
+    assert len(ks) <= ((lo >= 1) & (lo - 1 < kmax)).sum() + (~top & (hi < kmax)).sum()
+    kinds = [lo <= 0, ~top & (hi >= n), top, ~top & (hi < lo)]
+    assert all(kind.sum() >= 50 for kind in kinds)
+    # an empty window is 0.0 even where the CDF's floats are not monotone
+    empty = kinds[-1]
+    falling = dataclasses.replace(fam, cdf_batch=lambda n, thetas, ks: 1.0 - ks / 100.0)
+    assert not prob_ranges(falling, n[empty], thetas[empty], lo[empty], hi[empty],
+                           top[empty]).any()
 
 
 def test_large_n_bernoulli_coverage_matches_exact_rational():

@@ -82,6 +82,19 @@ def test_indicator_agrees_with_window_formula(n, num, eps_num, kind, rp):
     assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
+def accepted_outcomes(family, n, crit, est, theta):
+    """The outcomes k <= top whose estimate meets the margin, one at a time;
+    top is n for Bernoulli and many standard deviations above n*theta for
+    Poisson."""
+    m = margin_at(crit, theta)
+    if family == "bernoulli":
+        top = n
+    else:
+        lam = n * theta
+        top = math.ceil(lam + 40 * math.sqrt(lam) + 60)
+    return [k for k in range(top + 1) if abs(estimate_of(k, n, est) - theta) < m], top
+
+
 def brute_force(family, n, crit, est, theta):
     """Accepted outcomes and their coverage, classifying k one at a time.
 
@@ -89,13 +102,7 @@ def brute_force(family, n, crit, est, theta):
     standard deviations above n*theta, so a window that is still open there
     runs through the top of the support.
     """
-    m = margin_at(crit, theta)
-    if family == "bernoulli":
-        top = n
-    else:
-        lam = n * theta
-        top = math.ceil(lam + 40 * math.sqrt(lam) + 60)
-    accepted = [k for k in range(top + 1) if abs(estimate_of(k, n, est) - theta) < m]
+    accepted, top = accepted_outcomes(family, n, crit, est, theta)
     if family == "bernoulli":
         value = float(bernoulli_coverage(n, crit, est, theta))
     else:
@@ -432,6 +439,12 @@ def batch_cases():
     return cases
 
 
+def over_one_denominator(thetas):
+    """The thetas as integer numerators over their least common denominator."""
+    den = math.lcm(*(t.denominator for t in thetas))
+    return np.array([t.numerator * (den // t.denominator) for t in thetas]), den
+
+
 def test_batched_exact_rows_equal_per_row_indicator_coverage(monkeypatch):
     calls = {"prob_range": 0, "prob_ranges": 0}
     for name in calls:
@@ -452,10 +465,10 @@ def test_batched_exact_rows_equal_per_row_indicator_coverage(monkeypatch):
         assert grid_min_coverage(fam, n, crit, est, a, b, grid) == (expected, theta), (
             fam.name, n, crit, est, a, b, cells)
         vectorized = fam.cdf_batch is not None and cells == 60
-        # at most one batch each for the vectorized rows, the flagged (or,
-        # without them, all) rows and the candidates
+        # one batch for the vectorized rows, and one for the flagged (or,
+        # without them, all) rows and the candidates together
         assert calls["prob_range"] == 0
-        assert calls["prob_ranges"] <= 2 + vectorized
+        assert calls["prob_ranges"] == 1 + vectorized
         if vectorized:
             # vectorized rows whose thresholds hit an integer, which
             # _near_int flags for the exact path
@@ -463,11 +476,11 @@ def test_batched_exact_rows_equal_per_row_indicator_coverage(monkeypatch):
                 (n * (t - margin_at(crit, t))).denominator == 1
                 or (n * (t + margin_at(crit, t))).denominator == 1 for t in rows)
         # the batch is value for value the scalar path
-        assert oracle._exact_values(fam, n, crit, est, exact).tolist() == per_row
-        for t in exact:
-            window = oracle._window(fam, n, crit, est, t)
-            shapes["empty" if window is None else "open" if window[1] is None
-                   else "closed"] += 1
+        t, den = over_one_denominator(exact)
+        assert oracle._exact_values(fam, n, crit, est, t, den).tolist() == per_row
+        _, _, open_top, full = oracle._windows(fam, n, crit, est, t, den)
+        for top, nonempty in zip(open_top.tolist(), full.tolist()):
+            shapes["empty" if not nonempty else "open" if top else "closed"] += 1
     assert min(shapes.values()) > 0, shapes
 
 
@@ -510,3 +523,60 @@ def test_integer_keyed_window_matches_the_brute_force_event(seed, family, pair, 
         theta = a + F(pick % (den + 1), den) * (b - a)
     # a fresh MonkeyPatch per example: prob_range is restored after each one
     assert_matches_brute_force(pytest.MonkeyPatch(), family, n, crit, est, theta)
+
+
+def batch_edge_cases():
+    """(label, family, n, criterion, estimator, thetas) for the batched
+    windows: grids whose integer products pass 2**62, every clamp edge of
+    clamped instances, mixed crossovers, and Poisson's open support."""
+    # over one denominator near 2**46 the numerators fit in int64 but their
+    # products with n and the margin's denominator do not; a = (2**40 + 15) /
+    # (2**41 + 3) and a step over another ~2**40 denominator need one near 2**85
+    den = 2**46 + 3
+    a, step = F(2**40 + 15, 2**41 + 3), F(2**38 + 7, 2**40 + 9)
+    grids = [[F(den // 3 + j * (den // 97), den) for j in range(11)],
+             [a + j * step / 50 for j in range(11)]]
+    cases = [("past 2**62", "bernoulli", 4001, crit, est, grid) for grid in grids
+             for crit, est in ((Absolute(F(1, 97)), UNBIASED),
+                               (Mixed(F(1, 97), F(1, 7)), RangePreserving(F(1, 20), F(19, 20))))]
+    rng = random.Random(20261019)
+    for family in ("bernoulli", "poisson"):
+        for pair in PAIRS:
+            edges = []
+            while pair[1] == "range-preserving" and not edges:
+                n, crit, est, a, b = random_instance(rng, pair, family)
+                edges = clamp_edges(crit, est, a, b)
+            if edges:
+                cases.append(("clamp edges", family, n, crit, est, edges))
+    # crossovers c = eps_abs / eps_rel inside [a, b], and beside them
+    for family, n, crit, est in (
+            ("bernoulli", 14, Mixed(F(1, 10), F(1, 4)), UNBIASED),
+            ("bernoulli", 9, Mixed(F(1, 10), F(1, 4)), RangePreserving(F(1, 10), F(9, 10))),
+            ("poisson", 3, Mixed(F(3, 4), F(1, 4)), UNBIASED),
+            ("poisson", 4, Mixed(F(3, 4), F(1, 4)), RangePreserving(F(1), F(6)))):
+        c = crit.eps_abs / crit.eps_rel
+        cases.append(("crossover", family, n, crit, est,
+                      [c, c - F(1, 10**9), c + F(1, 10**9), c - F(1, n), c + F(1, n)]))
+    # Poisson has no top: unclamped windows close, clamped ones may stay open
+    for crit in (Absolute(F(1, 2)), Relative(F(1, 4)), Mixed(F(3, 4), F(1, 4))):
+        for est in (UNBIASED, RangePreserving(F(1, 2), F(8))):
+            cases.append(("open support", "poisson", 6, crit, est,
+                          [F(1, 2) + F(j, 8) for j in range(61)]))
+    return cases
+
+
+@pytest.mark.parametrize("label,family,n,crit,est,thetas", batch_edge_cases())
+def test_batched_windows_equal_indicator_and_brute_force(label, family, n, crit, est, thetas):
+    fam = BERNOULLI if family == "bernoulli" else POISSON
+    t, den = over_one_denominator(thetas)
+    if label == "past 2**62":
+        assert int(max(t)) * n * 97 > 2**62
+    lo, hi, open_top, full = oracle._windows(fam, n, crit, est, t, den)
+    values = oracle._exact_values(fam, n, crit, est, t, den).tolist()
+    assert values == [indicator_coverage(fam, n, crit, est, theta) for theta in thetas]
+    for j, theta in enumerate(thetas):
+        accepted, top = accepted_outcomes(family, n, crit, est, theta)
+        window = list(range(lo[j], (top if open_top[j] else hi[j]) + 1)) if full[j] else []
+        assert window == accepted, (label, theta)
+    if label == "open support":
+        assert open_top[full].any() == isinstance(est, RangePreserving)
