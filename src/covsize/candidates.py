@@ -36,6 +36,7 @@ candidates near the worst theta of an earlier n in one evaluation.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -63,6 +64,8 @@ TAG_PLUS = "plus-lattice"
 TAG_MINUS = "minus-lattice"
 TAG_REL_UPPER = "rel-upper"
 TAG_REL_LOWER = "rel-lower"
+
+_last: tuple = (None, lambda: None)  # key and weak reference of the last set built
 
 
 class CandidatePoint(NamedTuple):
@@ -97,7 +100,9 @@ class CandidateSet:
     @cached_property
     def floats(self) -> np.ndarray:
         """float(theta) of every point, one correctly rounded division each."""
-        return _floats(self.numerators, self.den)
+        floats = _floats(self.numerators, self.den)
+        floats.flags.writeable = False
+        return floats
 
     @cached_property
     def thetas(self) -> tuple[Fraction, ...]:
@@ -219,7 +224,9 @@ class _Spec:
         return kbounds.reshape(4, -1), coef, top, kratio
 
 
-@lru_cache(maxsize=1024)
+# typed: a float or a bool equals and hashes like the number it stands for,
+# and must reach `exact` rather than that number's entry
+@lru_cache(maxsize=1024, typed=True)
 def _spec(criterion: ErrorCriterion, estimator: EstimatorKind, a: Fraction,
           b: Fraction) -> _Spec:
     """Validate a (criterion, estimator) pair on [a, b] and describe its
@@ -313,18 +320,28 @@ def candidate_set_for(
 
     Relative needs a > 0, and so does range-preserving Absolute; Mixed needs
     a >= 0 and its crossover strictly inside (a, b).  A range-preserving
-    clamp must equal [a, b].
+    clamp must equal [a, b].  The set last built, held here only weakly and
+    read-only, is returned again for the same query while anything holds it.
     """
+    global _last
     _check_n(n)
-    spec = _spec(criterion, estimator, a, b)
+    key = (n, criterion, estimator, exact(a, name="a"), exact(b, name="b"))
+    last_key, last = _last
+    if last_key == key and (cset := last()) is not None:
+        return cset
+    spec = _spec(*key[1:])
     den, runs, bound, top = spec.frame(n)
     dtype = np.int64 if top < 2**62 else object  # else Python ints, which never wrap
     run = np.repeat(np.arange(len(runs)), [len(r[3]) for r in runs])
     k = np.concatenate([np.arange(r[3].start, r[3].stop, dtype=dtype) for r in runs])
     base, step = np.array([(r[0], r[1] // n) for r in runs], dtype)[run].T
     numerators, first = np.unique(base + step * k, return_index=True)
-    return CandidateSet(spec.rule, bound, n, den, tuple(runs), numerators, run[first], k[first],
-                        spec)
+    arrays = numerators, run[first], k[first]
+    for x in arrays:
+        x.flags.writeable = False
+    cset = CandidateSet(spec.rule, bound, n, den, tuple(runs), *arrays, spec)
+    _last = key, weakref.ref(cset)
+    return cset
 
 
 @dataclass(frozen=True)

@@ -231,6 +231,7 @@ def pmf(family: DistributionFamily | str, n: int, theta: Fraction, k: int) -> fl
 
 # the upper k of an open window: beyond the top of any support
 _PAST_TOP = np.iinfo(np.int64).max
+_TWO_ONES = np.ones((2, 1), np.int64)  # lo - _TWO_ONES: lo - 1 in both of two rows
 
 
 def prob_ranges(
@@ -246,7 +247,8 @@ def prob_ranges(
     Rows flagged in `open_top` have no upper limit; windows are clipped to
     the support, an empty one gives 0.0.  With `cdf_batch` all rows come
     from one call, asked only for the CDF values inside the support that a
-    row reads.  Otherwise each row is a compensated sum of the pmf at its n,
+    row reads, its ks written in place into one (2, N) array of lo - 1 and
+    hi.  Otherwise each row is a compensated sum of the pmf at its n,
     an open top of unbounded support cut at `tail_cutoff`: exactly 1.0 over
     the whole support and never above it.  Callers validate n and theta.
     """
@@ -268,8 +270,10 @@ def prob_ranges(
     # F(k) is 0 below the support and 1 from its top on, and cdf_batch is
     # asked for no other k: an open top reads F past any top, an empty
     # window F(lo - 1) twice
-    below = lo - 1
-    ks = np.array((below, np.where(open_top, _PAST_TOP, np.maximum(hi, below))))
+    ks = lo - _TWO_ONES
+    upper = ks[1]
+    np.maximum(upper, hi, out=upper)
+    np.copyto(upper, _PAST_TOP, where=open_top)
     known = ks >= kmin
     cdf = known.astype(np.float64)
     ask = known & (ks < (_PAST_TOP if kmax is None else kmax))

@@ -13,13 +13,13 @@ ints otherwise; `indicator_coverage` is its one-theta case.
 candidate points, and reports the smallest coverage seen.  Agreement between
 this scan and the candidate-set minimum is what certifies the reduction.
 
-The grid scan has a vectorized fast path built on library CDFs; any grid row
-whose window thresholds land near an integer, or near a clamp switchover, is
-re-evaluated through the exact path, as are all candidate points and every
-row of a family without `cdf_batch`.  The exact rows of a grid, flagged rows
-and candidates together, find their windows in one bisection and take their
-probabilities from one `prob_ranges` call, for either kind of family, each
-row bit-equal to the scalar `prob_range` that `indicator_coverage` calls.
+The grid scan has a vectorized fast path built on library CDFs: one floor
+per window threshold, and a row is flagged when a threshold lands near an
+integer (tested only where the floor's fraction is nearly 0 or 1) or near a
+clamp switchover.  Flagged rows, the candidate points (the set `min_coverage`
+built, while held) and every row of a family without `cdf_batch` find their
+windows in one bisection and take their probabilities from one `prob_ranges`
+call, each row bit-equal to the scalar `prob_range` of `indicator_coverage`.
 """
 
 from __future__ import annotations
@@ -194,21 +194,27 @@ def _exact_values(
 # ---------------------------------------------------------------------------
 # vectorized grid rows
 
-def _near_int(x: np.ndarray, flags: np.ndarray) -> None:
-    """Flag where x is within _FLAG_RTOL * max(1, |x|) of an integer."""
-    gap, tol = np.rint(x), np.abs(x)
-    np.subtract(x, gap, out=gap)
-    np.abs(gap, out=gap)
-    np.maximum(tol, 1.0, out=tol)
-    tol *= _FLAG_RTOL
-    flags |= gap <= tol
+def _floor_near_int(x: np.ndarray, flags: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """floor(x) as int64 and the rows where x is an integer; flags where x is
+    within _FLAG_RTOL * max(1, |x|) of an integer, tested only where x is
+    within `bound` of one: it bounds every row's tolerance (x is ascending),
+    its slack the rounding of the fraction of a small negative x."""
+    frac = np.floor(x)
+    floor = frac.astype(np.int64)
+    np.subtract(x, frac, out=frac)  # the fraction, 0 just where x is an integer
+    bound = _FLAG_RTOL * max(1.0, -x[0], x[-1]) + 2**-50
+    near = ((frac <= bound) | (frac >= 1.0 - bound)).nonzero()[0]
+    xs = x[near]
+    flags[near[np.abs(xs - np.rint(xs)) <= np.maximum(np.abs(xs), 1.0) * _FLAG_RTOL]] = True
+    return floor, near[frac[near] == 0.0]
 
 
 def _near(x: np.ndarray, y: float, flags: np.ndarray) -> None:
-    """Flag where x is within _FLAG_RTOL * max(1, |y|) of y."""
-    gap = x - y
-    np.abs(gap, out=gap)
-    flags |= gap <= _FLAG_RTOL * max(1.0, abs(y))
+    """Flag where x, ascending, is within _FLAG_RTOL * max(1, |y|) of y;
+    only the rows within twice that are compared."""
+    tol = _FLAG_RTOL * max(1.0, abs(y))
+    i, j = x.searchsorted((y - 2 * tol, y + 2 * tol))
+    flags[i:j] |= np.abs(x[i:j] - y) <= tol
 
 
 def _vector_rows(
@@ -220,7 +226,8 @@ def _vector_rows(
     af: float,
     bf: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Float coverage per grid row plus a mask of rows needing exact redo."""
+    """Float coverage per grid row plus a mask of rows needing exact redo;
+    the rows' thetas `tf` are ascending, and so is every threshold."""
     kmin, _ = fam.support_bound(n)
     rp = isinstance(estimator, RangePreserving)
     flags = np.zeros(tf.shape, dtype=bool)
@@ -232,17 +239,14 @@ def _vector_rows(
         else:
             lo_edge = tf - eps_f
             hi_edge = tf + eps_f
-        t_lo = n * lo_edge
-        t_hi = n * hi_edge
-        _near_int(t_lo, flags)
-        _near_int(t_hi, flags)
-        lo = np.floor(t_lo, out=t_lo).astype(np.int64)
+        lo, _ = _floor_near_int(n * lo_edge, flags)
         lo += 1
-        hi = np.ceil(t_hi, out=t_hi).astype(np.int64)
-        hi -= 1
+        # ceil(x) - 1 is floor(x), or x - 1 where x is an integer
+        hi, whole = _floor_near_int(n * hi_edge, flags)
+        hi[whole] -= 1
         open_top = np.zeros(tf.shape, dtype=bool)
         if rp:
-            lo[lo_edge < af] = kmin
+            lo[:lo_edge.searchsorted(af)] = kmin
             open_top = hi_edge > bf
             _near(lo_edge, af, flags)
             _near(hi_edge, bf, flags)

@@ -32,6 +32,7 @@ from covsize import (
     min_coverage,
     min_sample_size,
 )
+from covsize.coverage import acceptance_windows
 
 F = Fraction
 
@@ -162,13 +163,19 @@ def test_criterion_3_window_constant_between_candidates(capsys):
         n, crit, est, a, b = random_instance(rng, pair, family)
         cset = candidate_set_for(n, crit, est, a, b)
         checked_instances += 1
-        for left, right in zip(cset.thetas, cset.thetas[1:]):
-            gapw = right - left
-            windows = set()
-            for j in range(1, 51):
-                theta = left + F(j, 51) * gapw
-                windows.add(acceptance_window(n, crit, est, theta))
-                checked_points += 1
+        gaps = list(zip(cset.thetas, cset.thetas[1:]))
+        probes = [left + F(j, 51) * (right - left) for left, right in gaps for j in range(1, 51)]
+        # every probe its own single run, all in one call
+        runs = [(t.numerator, 0, t.denominator, range(1)) for t in probes]
+        lo, hi, open_lo, open_hi = (x.tolist() for x in acceptance_windows(
+            n, crit, est, runs, range(len(runs)), [0] * len(runs)))
+        found = [(None if ol else l, None if oh else h)
+                 for l, h, ol, oh in zip(lo, hi, open_lo, open_hi)]
+        spot = checked_instances * 37 % len(probes)
+        assert found[spot] == acceptance_window(n, crit, est, probes[spot])
+        checked_points += len(probes)
+        for i, (left, right) in enumerate(gaps):
+            windows = set(found[50 * i:50 * i + 50])
             if len(windows) != 1:
                 violations.append(
                     (family, pair, n, str(left), str(right), sorted(windows))

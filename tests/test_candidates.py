@@ -1,5 +1,6 @@
 """Candidate sets: fixed enumerations, invariants, and bound regressions."""
 
+import gc
 import math
 from fractions import Fraction
 
@@ -21,6 +22,7 @@ from covsize import (
     indicator_coverage,
     min_coverage,
 )
+from covsize import candidates
 from covsize.candidates import (
     CandidatePoint,
     TAG_BREAKPOINT,
@@ -533,3 +535,81 @@ def test_invalid_interval_rejected():
         candidate_set_for(5, Absolute(F(1, 4)), UNBIASED, F(3, 4), F(1, 4))
     with pytest.raises(DomainError):
         candidate_set_for(5, Absolute(F(1, 4)), UNBIASED, F(1, 2), F(1, 2))
+
+
+# ---------------------------------------------------------------------------
+# the set last built is reused while something holds it
+
+@pytest.fixture
+def builds(monkeypatch):
+    """How many candidate sets have been built: `_Spec.frame` runs once per build."""
+    count = [0]
+    frame = candidates._Spec.frame
+
+    def counting(spec, n):
+        count[0] += 1
+        return frame(spec, n)
+
+    monkeypatch.setattr(candidates._Spec, "frame", counting)
+    gc.collect()  # no set of an earlier test is still held
+    return count
+
+
+def fresh(n, *query):
+    """The numerators of a set built afresh, with no set held by anyone."""
+    gc.collect()
+    return candidate_set_for(n, *query).numerators.tolist()
+
+
+def test_min_coverage_then_grid_builds_the_candidate_set_once(builds):
+    query = (Absolute(F(3, 29)), UNBIASED, F(1, 29), F(27, 29))
+    report = min_coverage("bernoulli", 31, *query)
+    grid_min_coverage("bernoulli", 31, *query, GridSpec.divide(*query[2:], cells=100))
+    assert builds[0] == 1
+    assert candidate_set_for(31, *query) is report.candidate_set
+    assert builds[0] == 1
+    cset = report.candidate_set
+    for name in ("numerators", "run", "k", "floats"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(cset, name)[0] = 0
+    # nothing here outlives its report
+    del report, cset
+    gc.collect()
+    assert min_coverage("bernoulli", 31, *query).candidate_set is not None
+    assert builds[0] == 2
+
+
+def test_interleaved_queries_never_get_each_others_set(builds):
+    one = (Absolute(F(2, 27)), UNBIASED, F(0), F(1))
+    two = (Mixed(F(1, 27), F(1, 3)), RangePreserving(F(1, 27), F(26, 27)), F(1, 27), F(26, 27))
+    expected = {(n, i): fresh(n, *q) for n in (17, 18) for i, q in enumerate((one, two))}
+    held = []
+    calls = [(17, 0), (17, 1), (17, 0), (18, 0), (18, 0), (17, 0), (18, 1), (17, 1), (18, 1)]
+    for n, i in calls:
+        cset = candidate_set_for(n, *(one, two)[i])
+        assert (cset.n, cset.rule) == (n, ("absolute/unbiased", "mixed/range-preserving")[i])
+        assert cset.numerators.tolist() == expected[n, i]
+        held.append(cset)
+    # only a repeat of the last query reuses its set
+    assert builds[0] == 4 + 8
+    assert held[4] is held[3] and len({id(x) for x in held}) == 8
+
+
+@pytest.mark.parametrize("a,b,warm", [(0.5, 1, (F(1, 2), 1)), (0, True, (0, 1)),
+                                      (True, F(3, 2), (1, F(3, 2)))])
+def test_float_or_bool_endpoint_rejected_cold_and_warm(a, b, warm):
+    # a float or a bool equals and hashes like the exact number: a warm
+    # cache must not let it through
+    crit = Absolute(F(1, 10))
+    candidates._spec.cache_clear()
+    gc.collect()
+    for _ in ("cold", "warm"):
+        with pytest.raises(DomainError, match="float|bool"):
+            candidate_set_for(10, crit, UNBIASED, a, b)
+        with pytest.raises(DomainError, match="float|bool"):
+            candidate_block(10, 2, crit, UNBIASED, a, b, F(1, 2), 3)
+        with pytest.raises(DomainError, match="float|bool"):
+            witness_minima("bernoulli", 10, 2, crit, UNBIASED, a, b, F(1, 2))
+        held = candidate_set_for(10, crit, UNBIASED, *warm)
+        candidate_block(10, 2, crit, UNBIASED, *warm, F(1, 2), 3)
+    assert held.rule == "absolute/unbiased"  # held: the warm call finds it

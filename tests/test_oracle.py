@@ -25,7 +25,7 @@ from covsize import (
     min_coverage,
 )
 from covsize import oracle
-from covsize.families import BERNOULLI, POISSON
+from covsize.families import BERNOULLI, POISSON, prob_ranges
 from tests._reference import bernoulli_coverage, estimate_of, margin_at, poisson_pmf_dec
 from tests.test_acceptance import PAIRS, random_instance
 
@@ -471,7 +471,7 @@ def test_batched_exact_rows_equal_per_row_indicator_coverage(monkeypatch):
         assert calls["prob_ranges"] == 1 + vectorized
         if vectorized:
             # vectorized rows whose thresholds hit an integer, which
-            # _near_int flags for the exact path
+            # _vector_rows flags for the exact path
             shapes["on an edge"] += sum(
                 (n * (t - margin_at(crit, t))).denominator == 1
                 or (n * (t + margin_at(crit, t))).denominator == 1 for t in rows)
@@ -580,3 +580,136 @@ def test_batched_windows_equal_indicator_and_brute_force(label, family, n, crit,
         assert window == accepted, (label, theta)
     if label == "open support":
         assert open_top[full].any() == isinstance(est, RangePreserving)
+
+
+# ---------------------------------------------------------------------------
+# _vector_rows against the float windows and flags it replaced: every
+# threshold x through rint and the near-integer test, ceil(x) - 1 for the
+# upper end
+
+def reference_near_int(x, flags):
+    gap, tol = np.rint(x), np.abs(x)
+    np.subtract(x, gap, out=gap)
+    np.abs(gap, out=gap)
+    np.maximum(tol, 1.0, out=tol)
+    tol *= oracle._FLAG_RTOL
+    flags |= gap <= tol
+
+
+def reference_near(x, y, flags):
+    gap = x - y
+    np.abs(gap, out=gap)
+    flags |= gap <= oracle._FLAG_RTOL * max(1.0, abs(y))
+
+
+def reference_vector_windows(fam, n, crit, est, tf, af, bf):
+    """(lo, hi, open_top, flags) of the grid rows tf, as the float scan
+    computed them with a near-integer test on every row."""
+    kmin, _ = fam.support_bound(n)
+    rp = isinstance(est, RangePreserving)
+    flags = np.zeros(tf.shape, dtype=bool)
+
+    def one_window(eps_f, relative):
+        if relative:
+            lo_edge, hi_edge = tf * (1.0 - eps_f), tf * (1.0 + eps_f)
+        else:
+            lo_edge, hi_edge = tf - eps_f, tf + eps_f
+        t_lo, t_hi = n * lo_edge, n * hi_edge
+        reference_near_int(t_lo, flags)
+        reference_near_int(t_hi, flags)
+        lo = np.floor(t_lo).astype(np.int64) + 1
+        hi = np.ceil(t_hi).astype(np.int64) - 1
+        open_top = np.zeros(tf.shape, dtype=bool)
+        if rp:
+            lo[lo_edge < af] = kmin
+            open_top = hi_edge > bf
+            reference_near(lo_edge, af, flags)
+            reference_near(hi_edge, bf, flags)
+        return lo, hi, open_top
+
+    if isinstance(crit, Mixed):
+        lo, hi, open_top = one_window(float(crit.eps_abs), False)
+        lo_r, hi_r, open_r = one_window(float(crit.eps_rel), True)
+        lo, hi, open_top = np.minimum(lo, lo_r), np.maximum(hi, hi_r), open_top | open_r
+    else:
+        lo, hi, open_top = one_window(float(crit.eps), isinstance(crit, Relative))
+    space = fam.param_space
+    if space.include_lower:
+        reference_near(tf, float(space.lower), flags)
+    if space.upper is not None and space.include_upper:
+        reference_near(tf, float(space.upper), flags)
+    return lo, hi, open_top, flags
+
+
+def vector_row_cases():
+    """(label, family, n, criterion, estimator, a, b, tf)"""
+    def grid(a, b, cells):
+        return float(a) + float((b - a) / cells) * np.arange(cells + 1, dtype=np.float64)
+
+    cases = [
+        # n divides the cells: n * (theta -+ eps) is an integer on every
+        # tenth row, and negative below eps
+        ("lattice-aligned", BERNOULLI, 10, Absolute(F(1, 10)), UNBIASED, F(0), F(1),
+         grid(F(0), F(1), 1000)),
+        ("lattice-aligned", BERNOULLI, 40, Mixed(F(1, 20), F(1, 4)), UNBIASED, F(0), F(1),
+         grid(F(0), F(1), 10_000)),
+        ("lattice-aligned", POISSON, 8, Relative(F(1, 4)), UNBIASED, F(1, 2), F(5, 2),
+         grid(F(1, 2), F(5, 2), 1600)),
+        # a = 0: every threshold below eps is negative; the ends are the
+        # parameter bounds 0 and 1
+        ("a = 0", BERNOULLI, 37, Absolute(F(3, 20)), UNBIASED, F(0), F(1),
+         grid(F(0), F(1), 10_000)),
+        ("a = 0", BERNOULLI, 7, Mixed(F(1, 8), F(1, 2)), UNBIASED, F(0), F(1),
+         grid(F(0), F(1), 999)),
+        ("poisson", POISSON, 23, Absolute(F(5, 8)), UNBIASED, F(1, 2), F(20),
+         grid(F(1, 2), F(20), 10_000)),
+        ("poisson", POISSON, 6, Mixed(F(3, 4), F(1, 4)), RangePreserving(F(1, 2), F(8)),
+         F(1, 2), F(8), grid(F(1, 2), F(8), 10_000)),
+        # a tiny exact step around theta = 1/2, where 10 * (theta -+ 1/10) is
+        # an integer: the prefilter keeps many rows and some just fail the test
+        ("tiny step", BERNOULLI, 10, Absolute(F(1, 10)), UNBIASED, F(0), F(1),
+         float(F(1, 2)) + float(F(1, 10**11)) * np.arange(-2000, 2001, dtype=np.float64)),
+        ("tiny step", POISSON, 4, Relative(F(1, 4)), UNBIASED, F(1, 2), F(5),
+         float(F(2)) + float(F(1, 10**11)) * np.arange(-2000, 2001, dtype=np.float64)),
+    ]
+    # every clamp edge of range-preserving instances, and its neighbours
+    rng = random.Random(20261020)
+    for family in (BERNOULLI, POISSON):
+        for pair in PAIRS[3:]:
+            n, crit, est, a, b = random_instance(rng, pair, family.name)
+            # rows on both sides of each edge and of each clamp, within and
+            # beyond the flag's tolerance 1e-9 * max(1, |edge|)
+            edges = np.array([float(t) for t in clamp_edges(crit, est, a, b) + [a, b]])
+            tf = np.sort(np.concatenate([edges + d * 3e-10 * np.maximum(1.0, edges)
+                                         for d in range(-5, 6)] + [grid(a, b, 10_000)]))
+            cases.append(("clamp edges", family, n, crit, est, a, b, np.clip(tf, float(a), float(b))))
+    # criterion-1 instances on their 10^4-cell grids
+    for family in (BERNOULLI, POISSON):
+        for pair in PAIRS:
+            n, crit, est, a, b = random_instance(rng, pair, family.name)
+            cases.append(("criterion 1", family, n, crit, est, a, b, grid(a, b, 10_000)))
+    return cases
+
+
+@pytest.mark.parametrize("label,fam,n,crit,est,a,b,tf", vector_row_cases())
+def test_vector_rows_equal_the_float_windows_and_flags_row_by_row(monkeypatch, label, fam, n,
+                                                                  crit, est, a, b, tf):
+    windows = []
+
+    def recording(fam, n, tf, lo, hi, open_top):
+        windows.append((lo, hi, open_top))
+        return prob_ranges(fam, n, tf, lo, hi, open_top)
+
+    monkeypatch.setattr(oracle, "prob_ranges", recording)
+    values, flags = oracle._vector_rows(fam, n, crit, est, tf, float(a), float(b))
+    lo, hi, open_top, expected_flags = reference_vector_windows(fam, n, crit, est, tf,
+                                                                float(a), float(b))
+    assert flags.tolist() == expected_flags.tolist()
+    [(got_lo, got_hi, got_top)] = windows
+    assert got_lo.tolist() == lo.tolist() and got_hi.tolist() == hi.tolist()
+    assert got_top.tolist() == open_top.tolist()
+    assert values.tolist() == prob_ranges(fam, n, tf, lo, hi, open_top).tolist()
+    if label == "tiny step":
+        # many rows kept by the prefilter, and both outcomes of the exact test
+        # among them
+        assert 0 < flags.sum() < len(tf) - 1000
