@@ -10,7 +10,10 @@ of [a, b].  With `--route min-coverage` it runs `min_coverage` on every
 instance and on the production shapes (n = 9622 absolute 1/100, n = 892..901
 relative 1/5, n = 96 range-preserving mixed, and the witness sets of the
 last two), and records the rule, the cardinality bound, every candidate's
-theta, tags and value, and the argmin.  With `--route grid` it runs
+theta, tags and value, and the argmin, after asserting that the minimum and
+argmin are the minimum and first index of the report's own `values` (a
+family without `cdf_batch` finds them by branch and bound, and sums all of
+`values` only when they are read).  With `--route grid` it runs
 `grid_min_coverage` on every instance over a grid of `--cells` cells, once
 without and once with the candidate points, and records each value and
 theta.  These two routes also run every instance on a copy of its family
@@ -20,13 +23,14 @@ now exactly 1.0.  Each checkout is run in its own interpreter; the values
 must be equal as floats (`==`), not merely close.  With `--route search` it
 runs `min_sample_size` on a fixed query set (the goldens 101 / 901 / 156,
 the Poisson relative query with n_min 65, the range-preserving mixed query
-with n_min 96 for both seeded a, the absolute 1/100 query, and 48 more:
-Bernoulli absolute on [0, 1], Bernoulli relative on [1/10, 9/10], Poisson
-relative on [1/2, 2] and Bernoulli range-preserving mixed (1/10, eps) on
-[1/20, 19/20], for eps in {1/4, 1/5, 1/8, 3/10} and delta in {1/10, 1/20,
-1/4}), and records each one's n_min, argmin theta, last two trace entries,
-full sweeps and a SHA-256 of its whole trace (every n, value.hex() and
-theta), so that a witness that differs anywhere in the walk shows too.
+with n_min 96 for both seeded a, the absolute 1/100 query, log-pmf copies
+of golden 101, the Poisson relative query and the first mixed one, and 48
+more: Bernoulli absolute on [0, 1], Bernoulli relative on [1/10, 9/10],
+Poisson relative on [1/2, 2] and Bernoulli range-preserving mixed (1/10,
+eps) on [1/20, 19/20], for eps in {1/4, 1/5, 1/8, 3/10} and delta in {1/10,
+1/20, 1/4}), and records each one's n_min, argmin theta, last two trace
+entries, full sweeps and a SHA-256 of its whole trace (every n, value.hex()
+and theta), so that a witness that differs anywhere in the walk shows too.
 
 Run from the repository root:
     python3 scripts/compare_indicator.py --other ../old-checkout/src
@@ -111,7 +115,7 @@ def dump_min_coverage(src: Path, count: int, seed: int) -> list:
     sys.path[:0] = [str(src), str(ROOT)]
     import covsize
     from covsize import min_coverage
-    from covsize.minimize import witness_min_coverage
+    from covsize.minimize import witness_minima
 
     if not Path(covsize.__file__).resolve().is_relative_to(src):
         sys.exit(f"covsize was imported from {covsize.__file__}, not {src}")
@@ -129,18 +133,24 @@ def dump_min_coverage(src: Path, count: int, seed: int) -> list:
     out = []
     for label, family, n, crit, est, a, b in calls:
         report = min_coverage(family, n, crit, est, a, b)
-        reports = [(label, report)]
+        # the minimum and argmin, whichever way they were found, are those
+        # of the report's own full-sum values
+        values = list(report.values)
+        first = values.index(min(values))
+        assert report.min_coverage == values[first], label
+        assert report.argmin_theta == report.candidate_set.thetas[first], label
+        reports = [(label, report.candidate_set, values, report.min_coverage,
+                    report.argmin_theta)]
         if label.startswith("production"):
-            near = report.argmin_theta
-            reports.append((label + " witness", witness_min_coverage(
-                family, n + 1, crit, est, a, b, near=near)))
-        for name, rep in reports:
-            cset = rep.candidate_set
-            for point, (theta, value) in zip(cset.points, rep.evaluations):
-                assert point.theta == theta
-                out.append([name, cset.rule, str(cset.cardinality_bound), str(theta),
-                            ",".join(point.tags), value.hex()])
-            out.append([name, "argmin", rep.min_coverage.hex(), str(rep.argmin_theta)])
+            block, witness, best = witness_minima(family, n + 1, 1, crit, est, a, b,
+                                                  report.argmin_theta)
+            reports.append((label + " witness", block.candidate_set(0), witness.tolist(),
+                            float(witness[best[0]]), block.thetas(best)[0]))
+        for name, cset, values, value, theta in reports:
+            for point, value_at in zip(cset.points, values):
+                out.append([name, cset.rule, str(cset.cardinality_bound), str(point.theta),
+                            ",".join(point.tags), value_at.hex()])
+            out.append([name, "argmin", value.hex(), str(theta)])
     return out
 
 
@@ -192,6 +202,11 @@ def search_queries() -> list:
           for a in (F(1, 20), F(1, 10))),
         ("absolute 1/100", query("bernoulli", Absolute(F(1, 100)), F(0), F(1))),
     ]
+    # log-pmf copies of the cheaper named queries: their full sweeps go
+    # through the log-pmf minimum, their witnesses through full sums
+    for label, q in queries[0:1] + queries[3:5]:
+        copy = with_log_pmf_copy(q.family)[1][1]
+        queries.append((label + LOG_PMF, dataclasses.replace(q, family=copy)))
     for eps in (F(1, 4), F(1, 5), F(1, 8), F(3, 10)):
         for delta in (F(1, 10), F(1, 20), F(1, 4)):
             queries += [

@@ -10,8 +10,9 @@ range probability comes from `prob_ranges`, which serves both kinds: with a
 `cdf_batch` (the built-in families use the library CDFs `bdtr` / `pdtr`) a
 row is a difference of two CDF values, evaluated for many thetas in one
 call; without one it is a compensated sum of the pmf term by term, at most
-1.0.  The minimization theory elsewhere in the package relies on
-theta -> Pr{k <= Y_n <= l | theta} having at most one interior peak on the
+1.0, and `prob_min` finds the least of many by branch and bound.  The
+minimization theory elsewhere in the package relies on theta ->
+Pr{k <= Y_n <= l | theta} having at most one interior peak on the
 parameter interval.  That holds for the built-in families; `peak_count` is
 provided as an empirical diagnostic for custom ones.
 """
@@ -60,16 +61,19 @@ class DistributionFamily:
 
     `support_bound(n)` returns (k_min, k_max) for Y_n, with k_max None when
     the support is unbounded above.  `log_pmf(n, theta, k)` takes theta as a
-    float and must be finite or -inf.  Families with unbounded support must
-    provide `tail_cutoff(n, theta)`, also with a float theta: an integer
-    beyond which the upper tail mass is below 1e-15.
+    float and must be finite or -inf: a NaN raises DomainError where it is
+    summed.  Families with unbounded support must provide `tail_cutoff(n,
+    theta)`, also with a float theta: an integer beyond which the upper tail
+    mass is below 1e-15.
 
     `cdf_batch(n, thetas, ks)`, Pr{Y_n <= k} elementwise, is optional.
     `prob_ranges` serves both kinds of family: with it, one vectorized call;
-    without it, a log-pmf sum per theta.  It is never asked for k < k_min
-    (read as 0) nor for k >= k_max of a bounded support (read as 1), so it
-    need not handle them: the built-in ones give NaN below the support and
-    above its top.  There is no batched log-pmf:
+    without it, a log-pmf sum per theta, whose least value over a candidate
+    set `prob_min` finds by branch and bound from n * theta, the mean (more
+    work, never another answer, when the mass lies elsewhere).  It is never
+    asked for k < k_min (read as 0) nor for k >= k_max of a bounded support
+    (read as 1), so it need not handle them: the built-in ones give NaN below
+    the support and above its top.  There is no batched log-pmf:
     `log_pmf_batch=` is not accepted.  A search evaluates many n at once, so
     `support_bound` and `cdf_batch` must also take an int array n with one n
     per theta, as the built-in families' do.
@@ -250,23 +254,20 @@ def prob_ranges(
     row reads, its ks written in place into one (2, N) array of lo - 1 and
     hi.  Otherwise each row is a compensated sum of the pmf at its n,
     an open top of unbounded support cut at `tail_cutoff`: exactly 1.0 over
-    the whole support and never above it.  Callers validate n and theta.
+    the whole support and never above it.  A NaN CDF value or summed pmf
+    term raises DomainError.  Callers validate n and theta.
     """
-    kmin, kmax = fam.support_bound(n)
     if fam.cdf_batch is None:
-        lo = np.maximum(lo, kmin)
-        if kmax is not None:
-            hi = np.minimum(hi, kmax)
-        out = []
-        # each row with its own n
-        rows = (np.broadcast_to(x, thetas.shape).tolist() for x in (n, kmin, kmax))
-        for n, kmin, kmax, theta, k, l, top in zip(*rows, thetas.tolist(), lo.tolist(),
-                                                   hi.tolist(), open_top.tolist()):
-            if top:
-                l = kmax if kmax is not None else max(fam.tail_cutoff(n, theta), k)
-            terms = (math.exp(fam.log_pmf(n, theta, j)) for j in range(k, l + 1))
-            out.append(1.0 if k == kmin and (top or l == kmax) else min(math.fsum(terms), 1.0))
-        return np.array(out, dtype=np.float64)
+        rows = list(_log_pmf_rows(fam, n, thetas, lo, hi, open_top))
+        out = np.array([1.0 if whole else min(math.fsum(
+            math.exp(fam.log_pmf(n, theta, j)) for j in range(k, l + 1)), 1.0)
+            for n, theta, k, l, whole in rows], dtype=np.float64)
+        if np.isnan(out).any():
+            n, theta, k, l, _ = rows[np.isnan(out).argmax()]
+            raise _nan_error(fam, n, theta, next(
+                j for j in range(k, l + 1) if math.isnan(fam.log_pmf(n, theta, j))))
+        return out
+    kmin, kmax = fam.support_bound(n)
     # F(k) is 0 below the support and 1 from its top on, and cdf_batch is
     # asked for no other k: an open top reads F past any top, an empty
     # window F(lo - 1) twice
@@ -280,7 +281,87 @@ def prob_ranges(
     both = np.array((n, n))[ask] if np.ndim(n) else n
     cdf[ask] = fam.cdf_batch(both, np.array((thetas, thetas))[ask], ks[ask])
     # a difference of two CDFs in [0, 1] is at most 1; only a negative can need clipping
-    return np.maximum(cdf[1] - cdf[0], 0.0)
+    out = np.maximum(cdf[1] - cdf[0], 0.0)
+    if np.isnan(out).any():
+        i = np.isnan(out).argmax()
+        raise _nan_error(fam, np.broadcast_to(n, out.shape)[i], thetas[i],
+                         ks[np.isnan(cdf[:, i]), i][0])
+    return out
+
+
+def prob_min(fam: DistributionFamily, n: int | np.ndarray, thetas: np.ndarray, lo: np.ndarray,
+             hi: np.ndarray, open_top: np.ndarray) -> tuple[float, int]:
+    """`min` of `prob_ranges(...)` and the first row that attains it, bit for
+    bit, for a family without `cdf_batch`: a branch and bound over the rows.
+
+    A row sums its pmf outward from the mean of Y_n, c = clamp(floor(n theta),
+    k, l), always the larger neighbour next.  Once the fsum of its terms so
+    far exceeds the least whole row (asked once a naive sum exceeds it by an
+    ulp per term of the row), so does its value, the terms being >= 0 and
+    rounding monotone, and it is dropped.  A whole row's fsum is correctly
+    rounded in any order: `prob_ranges`' value.  Rows are visited in ascending
+    (distance from c to the nearer end + 1/2) * pmf(c), about that distance in
+    standard deviations, which changes the work, never the answer.
+    """
+    log_pmf, exp, fsum = fam.log_pmf, math.exp, math.fsum
+
+    def pmf(n: int, theta: float, j: int) -> float:
+        p = exp(log_pmf(n, theta, j))
+        if p != p:
+            raise _nan_error(fam, n, theta, j)
+        return p
+
+    best, best_row, queue = math.inf, -1, []
+    for i, (n, theta, k, l, whole) in enumerate(_log_pmf_rows(fam, n, thetas, lo, hi, open_top)):
+        if whole or l < k:  # exactly 1.0 or 0.0; on equal values the first row wins
+            best, best_row = min((best, best_row), (float(whole), i))
+        else:
+            c = min(max(int(n * theta), k), l)
+            p = pmf(n, theta, c)
+            queue.append(((min(c - k, l - c) + 0.5) * p, i, n, theta, k, l, c, p))
+    for _, i, n, theta, k, l, c, p in sorted(queue):
+        terms, s, left, right = [p], p, c, c
+        # the next term below and above, -1.0 past the window's end
+        pl = pmf(n, theta, c - 1) if c > k else -1.0
+        pr = pmf(n, theta, c + 1) if c < l else -1.0
+        limit = best * (1.0 + (l - k + 1) * 2.0 ** -52)
+        while not (s > limit and min(fsum(terms), 1.0) > best):
+            if pl < 0.0 and pr < 0.0:  # summed to both ends
+                best, best_row = min((best, best_row), (min(fsum(terms), 1.0), i))
+                break
+            if pl >= pr:
+                terms.append(pl)
+                s += pl
+                left -= 1
+                pl = pmf(n, theta, left - 1) if left > k else -1.0
+            else:
+                terms.append(pr)
+                s += pr
+                right += 1
+                pr = pmf(n, theta, right + 1) if right < l else -1.0
+    return best, best_row
+
+
+def _log_pmf_rows(fam: DistributionFamily, n, thetas, lo, hi, open_top):
+    """(n, theta, k, l, whole) per row, as Python scalars, for a family
+    without `cdf_batch`: the window [k, l] clipped to the support, an open
+    top cut at its top or `tail_cutoff`; `whole` if that is all of it."""
+    kmin, kmax = fam.support_bound(n)
+    lo = np.maximum(lo, kmin)
+    if kmax is not None:
+        hi = np.minimum(hi, kmax)
+    # each row with its own n
+    rows = (np.broadcast_to(x, thetas.shape).tolist() for x in (n, kmin, kmax))
+    for n, kmin, kmax, theta, k, l, top in zip(*rows, thetas.tolist(), lo.tolist(),
+                                               hi.tolist(), open_top.tolist()):
+        if top:
+            l = kmax if kmax is not None else max(fam.tail_cutoff(n, theta), k)
+        yield n, theta, k, l, k == kmin and (top or l == kmax)
+
+
+def _nan_error(fam: DistributionFamily, n: int, theta: float, k: int) -> DomainError:
+    return DomainError(f"family '{fam.name}' gave a NaN probability at n={n}, "
+                       f"theta={float(theta)!r}, k={k}")
 
 
 def prob_range(

@@ -16,7 +16,8 @@ from .coverage import ErrorCriterion, EstimatorKind, windows_at
 # not called here: perfbench's tracer still wraps this name, which it checks exists
 from .coverage import coverage  # noqa: F401
 from .errors import DomainError
-from .families import DistributionFamily, _check_int, _check_n, prob_ranges, resolve_family
+from .families import (DistributionFamily, _check_int, _check_n, prob_min, prob_ranges,
+                       resolve_family)
 
 THREADS_ENV = "COVSIZE_THREADS"
 # a witness looks this many lattice spacings (1/n) either side of its centre
@@ -43,13 +44,20 @@ def resolve_threads(threads: Optional[int]) -> int:
 @dataclass(frozen=True)
 class CoverageReport:
     """Minimum coverage over [a, b] at a fixed n: `values` holds the coverage at
-    each candidate, in order, and `evaluations` pairs them with the thetas."""
+    each candidate, in order, and `evaluations` pairs them with the thetas.
+    For a family without `cdf_batch`, `values` are summed on first read: the
+    minimum came from `prob_min`, equal to theirs bit for bit."""
 
     n: int
     min_coverage: float
     argmin_theta: Fraction
-    values: tuple[float, ...]
     candidate_set: CandidateSet
+    family: DistributionFamily
+
+    @cached_property
+    def values(self) -> tuple[float, ...]:
+        rows = _rows(self.family, self.n, self.candidate_set.spec, self.candidate_set)
+        return tuple(prob_ranges(self.family, *rows).tolist())
 
     @cached_property
     def evaluations(self) -> tuple[tuple[Fraction, float], ...]:
@@ -68,13 +76,14 @@ def min_coverage(
 ) -> CoverageReport:
     """Minimize coverage over theta in [a, b] by evaluating the candidate set.
 
-    Windows come from one integer pass and probabilities from one
-    `prob_ranges` call at the candidates' floats, vectorized with `cdf_batch`
-    and a log-pmf sum per candidate without.  Ties break toward the smallest
-    theta among float-equal values, so exact ties such as the mirror points
-    theta and 1 - theta of a symmetric query can swap when the floats' last
-    bits do.  Evaluations are in ascending theta order; `threads` is only
-    validated.
+    Windows come from one integer pass.  With `cdf_batch` the probabilities
+    come from one vectorized `prob_ranges` call at the candidates' floats;
+    without it `prob_min` finds the minimum by branch and bound over log-pmf
+    sums, equal bit for bit to the minimum of those full sums.  Ties break
+    toward the smallest theta among float-equal values, so exact ties such
+    as the mirror points theta and 1 - theta of a symmetric query can swap
+    when the floats' last bits do.  Evaluations are in ascending theta order;
+    `threads` is only validated.
     """
     fam = resolve_family(family)
     _check_n(n)
@@ -84,35 +93,19 @@ def min_coverage(
     fam.require_interval(a, b)
     # every candidate lies in [a, b], inside the family's parameter interval
     cset = candidate_set_for(n, criterion, estimator, a, b)
-    k_top = max(max(-r[3].start, r[3].stop) for r in cset.runs)
-    values = _values(fam, n, cset.spec, cset.run, cset.k, cset.floats, n + k_top).tolist()
-    argmin = values.index(min(values))
-    return CoverageReport(n=n, min_coverage=values[argmin],
-                          argmin_theta=Fraction(int(cset.numerators[argmin]), cset.den),
-                          values=tuple(values), candidate_set=cset)
-
-
-def witness_min_coverage(
-    family: DistributionFamily | str,
-    n: int,
-    criterion: ErrorCriterion,
-    estimator: EstimatorKind,
-    a: Fraction,
-    b: Fraction,
-    near: Fraction,
-) -> CoverageReport:
-    """`min_coverage` over the candidates within WITNESS_RADIUS / n of `near`:
-    `witness_minima` for this one n.
-
-    The report's candidate set is `min_coverage`'s restricted to that window,
-    plus every endpoint and breakpoint, so each value equals `min_coverage`'s
-    at that theta bit for bit and the minimum is an upper bound on the whole
-    set's.
-    """
-    block, values, best = witness_minima(family, n, 1, criterion, estimator, a, b, near)
-    values = values.tolist()
-    return CoverageReport(n=n, min_coverage=values[best[0]], argmin_theta=block.thetas(best)[0],
-                          values=tuple(values), candidate_set=block.candidate_set(0))
+    rows = _rows(fam, n, cset.spec, cset)
+    if fam.cdf_batch is None:
+        value, argmin = prob_min(fam, *rows)
+    else:
+        values = prob_ranges(fam, *rows).tolist()
+        argmin = values.index(min(values))
+        value = values[argmin]
+    report = CoverageReport(n=n, min_coverage=value,
+                            argmin_theta=Fraction(int(cset.numerators[argmin]), cset.den),
+                            candidate_set=cset, family=fam)
+    if fam.cdf_batch is not None:
+        vars(report)["values"] = tuple(values)  # the cached property's slot
+    return report
 
 
 def witness_minima(
@@ -143,17 +136,17 @@ def _witness_minima(fam: DistributionFamily, spec: _Spec, n0: int, count: int,
                     near: Fraction) -> tuple[CandidateBlock, np.ndarray, np.ndarray]:
     """`witness_minima` of a resolved family and query."""
     block = _block(spec, n0, count, near, WITNESS_RADIUS)
-    values = _values(fam, block.n, spec, block.run, block.k, block.floats,
-                     (n0 + count) * (1 + spec.tables[3]))
+    rows = _rows(fam, block.n, spec, block, (n0 + count) * (1 + spec.tables[3]))
+    values = prob_ranges(fam, *rows)
     starts = block.starts
     minima = np.minimum.reduceat(values, starts[:-1])
     lowest = (values == minima.repeat(starts[1:] - starts[:-1])).nonzero()[0]
     return block, values, lowest[lowest.searchsorted(starts[:-1])]
 
 
-def _values(fam: DistributionFamily, n, spec: _Spec, run, k, floats, nk: int) -> np.ndarray:
-    """Coverage at the candidates (run, k) of `spec`, whose floats are
-    `floats`; n is one int or one per point, and nk bounds n + |k|."""
-    lo, hi, open_lo, open_hi = windows_at(spec.windows, n, run, k, nk)
-    lo = np.where(open_lo, fam.support_bound(n)[0], lo)
-    return prob_ranges(fam, n, floats, lo, hi, open_hi)
+def _rows(fam: DistributionFamily, n, spec: _Spec, points, nk: Optional[int] = None) -> tuple:
+    """`prob_ranges`' arguments after the family at the points (run, k,
+    floats) of a candidate set or block of `spec`; n is one int or one per
+    point, and nk, when given, bounds n + |k|."""
+    lo, hi, open_lo, open_hi = windows_at(spec.windows, n, points.run, points.k, nk)
+    return n, points.floats, np.where(open_lo, fam.support_bound(n)[0], lo), hi, open_hi

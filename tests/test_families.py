@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import special as _sps
 
@@ -22,17 +22,19 @@ from covsize import (
     ParamSpace,
     RangePreserving,
     Relative,
+    SampleSizeQuery,
     available_families,
     coverage,
     get_family,
     indicator_coverage,
     min_coverage,
+    min_sample_size,
     peak_count,
     pmf,
     prob_range,
     register_family,
 )
-from covsize.families import _REGISTRY, prob_ranges
+from covsize.families import _REGISTRY, prob_min, prob_ranges
 
 from _reference import bernoulli_coverage, binom_pmf, binom_range, poisson_pmf_dec
 
@@ -194,6 +196,74 @@ def test_log_pmf_sum_is_one_over_the_whole_support_and_never_above():
     report = min_coverage(PLAIN_BERNOULLI, 400, Relative(Fraction(1, 5)), UNBIASED,
                           Fraction(1, 10), Fraction(9, 10))
     assert max(report.values) <= 1.0
+
+
+def _bimodal_log_pmf(n, theta, k):
+    # theta * binomial(n, 1/50) + (1 - theta) * binomial(n, 49/50): the mass
+    # sits near 0 and n, far from n * theta
+    p = (theta * math.exp(BERNOULLI.log_pmf(n, 0.02, k))
+         + (1 - theta) * math.exp(BERNOULLI.log_pmf(n, 0.98, k)))
+    return math.log(p) if p > 0 else -math.inf
+
+
+BIMODAL = DistributionFamily(name="bimodal", param_space=BERNOULLI.param_space,
+                             support_bound=BERNOULLI.support_bound, log_pmf=_bimodal_log_pmf)
+
+
+@st.composite
+def log_pmf_rows(draw):
+    """(family, n, thetas, lo, hi, open_top) with empty windows, whole-support
+    rows, open tops and duplicated rows, n one int or one per row."""
+    fam = draw(st.sampled_from([PLAIN_BERNOULLI, PLAIN_POISSON, BIMODAL]))
+    top_theta = 4 if fam is PLAIN_POISSON else 1
+    rows = draw(st.lists(st.tuples(
+        st.integers(1, 60),
+        st.integers(0 if top_theta == 1 else 1, 40 * top_theta).map(lambda x: x / 40),
+        st.integers(-3, 70), st.integers(-4, 70), st.booleans()), min_size=1, max_size=12))
+    rows += draw(st.lists(st.sampled_from(rows), max_size=6))  # ties
+    rows = draw(st.permutations(rows))
+    n, thetas, lo, hi, top = (np.array(x) for x in zip(*rows))
+    return fam, n if draw(st.booleans()) else int(n[0]), thetas, lo, hi, top
+
+
+@settings(max_examples=300, deadline=None)
+@given(log_pmf_rows())
+# the rows sum to the same float, the later rows, nearer their window's lower
+# end, are visited first, and a naive sum of each overshoots its fsum
+@example((PLAIN_POISSON, 20, np.full(3, 3.575), np.array([1, 2, 3]), np.zeros(3, int),
+          np.ones(3, bool)))
+def test_prob_min_is_the_first_minimum_of_the_full_sums(args):
+    values = prob_ranges(*args).tolist()
+    assert prob_min(*args) == (min(values), values.index(min(values)))
+
+
+NAN_AT_HALF = dataclasses.replace(
+    PLAIN_BERNOULLI, name="nan-at-half",
+    log_pmf=lambda n, theta, k: math.nan if k == n // 2 else BERNOULLI.log_pmf(n, theta, k))
+
+
+def test_a_nan_probability_raises_domain_error_naming_where():
+    half = np.array([0.5])
+    rows = np.array([3]), np.array([9]), np.array([False])
+    with pytest.raises(DomainError, match=r"'nan-at-half' gave a NaN probability at "
+                                          r"n=12, theta=0\.5, k=6"):
+        prob_ranges(NAN_AT_HALF, 12, half, *rows)
+    with pytest.raises(DomainError, match=r"at n=12, theta=0\.5, k=6"):
+        prob_min(NAN_AT_HALF, 12, half, *rows)
+    nan_cdf = dataclasses.replace(
+        BERNOULLI, name="nan-cdf",
+        cdf_batch=lambda n, theta, k: np.where(k == 9, np.nan, _sps.bdtr(k, n, theta)))
+    with pytest.raises(DomainError, match=r"'nan-cdf' gave a NaN probability at "
+                                          r"n=12, theta=0\.5, k=9"):
+        prob_ranges(nan_cdf, 12, half, *rows)
+    # through the public entry points: a minimum and a search
+    with pytest.raises(DomainError, match=r"'nan-at-half' gave a NaN probability at n=20, "
+                                          r"theta=0\.5, k=10"):
+        min_coverage(NAN_AT_HALF, 20, Absolute(Fraction(1, 10)), UNBIASED, 0, 1)
+    query = SampleSizeQuery(NAN_AT_HALF, Absolute(Fraction(1, 10)), UNBIASED, Fraction(0),
+                            Fraction(1), Fraction(1, 20))
+    with pytest.raises(DomainError, match="'nan-at-half' gave a NaN probability"):
+        min_sample_size(query)
 
 
 def test_log_pmf_batch_is_not_accepted():

@@ -1,14 +1,17 @@
 """Worst-case coverage minimization: fixed values, invariants, determinism."""
 
+import dataclasses
 import os
 from fractions import Fraction
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from covsize import (
+    BERNOULLI,
     POISSON,
     Absolute,
     DistributionFamily,
@@ -22,7 +25,9 @@ from covsize import (
     grid_min_coverage,
     min_coverage,
 )
-from covsize.minimize import resolve_threads, witness_min_coverage
+from covsize.coverage import acceptance_windows
+from covsize.families import prob_ranges
+from covsize.minimize import CoverageReport, resolve_threads, witness_minima
 
 from _reference import bernoulli_coverage
 
@@ -175,6 +180,23 @@ POISSON_LOG_PMF = DistributionFamily(
 )
 
 
+def witness_min_coverage(family, n, criterion, estimator, a, b, near) -> CoverageReport:
+    """`min_coverage` over the candidates within WITNESS_RADIUS / n of `near`:
+    `witness_minima` for this one n.
+
+    The report's candidate set is `min_coverage`'s restricted to that window,
+    plus every endpoint and breakpoint, so each value equals `min_coverage`'s
+    at that theta bit for bit and the minimum is an upper bound on the whole
+    set's.
+    """
+    block, values, best = witness_minima(family, n, 1, criterion, estimator, a, b, near)
+    report = CoverageReport(n=n, min_coverage=float(values[best[0]]),
+                            argmin_theta=block.thetas(best)[0],
+                            candidate_set=block.candidate_set(0), family=family)
+    vars(report)["values"] = tuple(values.tolist())
+    return report
+
+
 @pytest.mark.parametrize("family, n, criterion, estimator, a, b", [
     ("bernoulli", 101, Absolute(F(1, 10)), UNBIASED, F(0), F(1)),
     ("bernoulli", 96, Mixed(F(1, 10), F(1, 4)), RangePreserving(F(1, 20), F(19, 20)),
@@ -197,6 +219,49 @@ def test_witness_values_equal_the_full_sweep_bit_for_bit(family, n, criterion, e
         if near == full.argmin_theta:
             assert witness.min_coverage == full.min_coverage
             assert witness.argmin_theta == full.argmin_theta
+
+
+def test_a_log_pmf_minimum_is_the_first_minimum_of_its_full_sums():
+    """golden 101 on a Bernoulli clone without `cdf_batch`: `values`, read
+    later, are an eager `prob_ranges` call's, and the minimum is theirs.
+
+    The query is symmetric on [0, 1]: the clone's float sums break the exact
+    mirror tie of the built-in family's argmin the other way (511/1010
+    against 499/1010, as full sums did before the minimum was pruned).
+    """
+    clone = dataclasses.replace(BERNOULLI, cdf_batch=None)
+    args = (101, Absolute(F(1, 10)), UNBIASED, F(0), F(1))
+    report = min_coverage(clone, *args)
+    assert "values" not in vars(report)
+    cset = report.candidate_set
+    lo, hi, open_lo, open_hi = acceptance_windows(101, *args[1:3], cset.runs, cset.run, cset.k)
+    eager = prob_ranges(clone, 101, cset.floats, np.where(open_lo, 0, lo), hi, open_hi).tolist()
+    assert report.values == tuple(eager)
+    assert report.min_coverage == min(eager)
+    assert report.argmin_theta == cset.thetas[eager.index(min(eager))]
+    builtin = min_coverage("bernoulli", *args)
+    assert {report.argmin_theta, 1 - report.argmin_theta} == {builtin.argmin_theta,
+                                                              1 - builtin.argmin_theta}
+    assert report.min_coverage == pytest.approx(builtin.min_coverage, abs=1e-13)
+
+
+def test_a_log_pmf_minimum_sums_at_most_two_fifths_of_the_terms():
+    # the full sums of this call take 203,411 log_pmf calls
+    calls = 0
+
+    def log_pmf(n, theta, k):
+        nonlocal calls
+        calls += 1
+        return BERNOULLI.log_pmf(n, theta, k)
+
+    clone = dataclasses.replace(BERNOULLI, cdf_batch=None, log_pmf=log_pmf)
+    report = min_coverage(clone, 900, Relative(F(1, 5)), UNBIASED, F(1, 10), F(9, 10))
+    pruned = calls
+    values = list(report.values)
+    assert calls - pruned == 203_411
+    assert pruned <= 0.4 * 203_411
+    assert report.min_coverage == min(values)
+    assert report.argmin_theta == report.candidate_set.thetas[values.index(min(values))]
 
 
 def test_interval_must_sit_inside_family_support():
