@@ -73,10 +73,12 @@ class DistributionFamily:
     work, never another answer, when the mass lies elsewhere).  It is never
     asked for k < k_min (read as 0) nor for k >= k_max of a bounded support
     (read as 1), so it need not handle them: the built-in ones give NaN below
-    the support and above its top.  There is no batched log-pmf:
-    `log_pmf_batch=` is not accepted.  A search evaluates many n at once, so
-    `support_bound` and `cdf_batch` must also take an int array n with one n
-    per theta, as the built-in families' do.
+    the support and above its top.  A family promises that Pr{Y_n <= k |
+    theta} does not increase in theta for fixed n and k: a theorem for the
+    binomial and the Poisson, on which the grid oracle relies to skip rows.
+    There is no batched log-pmf: `log_pmf_batch=` is not accepted.  A search
+    evaluates many n at once, so `support_bound` and `cdf_batch` must also
+    take an int array n with one n per theta, as the built-in families' do.
     """
 
     name: str

@@ -14,12 +14,25 @@ candidate points, and reports the smallest coverage seen.  Agreement between
 this scan and the candidate-set minimum is what certifies the reduction.
 
 The grid scan has a vectorized fast path built on library CDFs: one floor
-per window threshold, and a row is flagged when a threshold lands near an
-integer (tested only where the floor's fraction is nearly 0 or 1) or near a
-clamp switchover.  Flagged rows, the candidate points (the set `min_coverage`
-built, while held) and every row of a family without `cdf_batch` find their
-windows in one bisection and take their probabilities from one `prob_ranges`
-call, each row bit-equal to the scalar `prob_range` of `indicator_coverage`.
+per window threshold gives every row's float window, and a row is flagged
+when a threshold lands near an integer (tested only where the floor's
+fraction is nearly 0 or 1) or near a clamp switchover.  Flagged rows, the
+candidate points (the set `min_coverage` built, while held) and every row of
+a family without `cdf_batch` find their windows in one bisection and take
+their probabilities from one `prob_ranges` call, each row bit-equal to the
+scalar `prob_range` of `indicator_coverage`; the least of these exact values
+seeds the scan's best.
+
+The other rows are not all read.  They fall into maximal runs of rows with
+one window [k, l], whose two end rows are evaluated.  The family promises
+that F(l; theta) = Pr{Y_n <= l | theta} does not increase in theta, so on a
+run from theta_s to theta_e every row's coverage is at least F(l; theta_e) -
+F(k - 1; theta_s) (an interval bound, Moore 1966).  Level by level, each
+live run's bound comes from one `prob_ranges` call; a run whose bound
+exceeds the best value by more than `_PRUNE_MARGIN` is dropped, one with at
+most `_LEAF_ROWS` interior rows is evaluated whole, and any other is split
+at its middle row, which is evaluated.  A dropped row is strictly above the
+result, so the scan's (value, theta) is that of evaluating every row.
 """
 
 from __future__ import annotations
@@ -48,6 +61,12 @@ from .families import DistributionFamily, _check_n, prob_range, prob_ranges, res
 _FLAG_RTOL = 1e-9
 # grids at least this long go through the vectorized CDF path when available
 _VECTOR_MIN_ROWS = 16
+# a run is dropped when its bound exceeds the best value by this much: twice
+# the 5e-10 cross-check tolerance, and far above 4x the float CDFs' error
+# (at most 5e-11 up to n = 10**6)
+_PRUNE_MARGIN = 1e-9
+# runs with at most this many interior rows are evaluated whole
+_LEAF_ROWS = 16
 
 
 @dataclass(frozen=True)
@@ -225,9 +244,10 @@ def _vector_rows(
     tf: np.ndarray,
     af: float,
     bf: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Float coverage per grid row plus a mask of rows needing exact redo;
-    the rows' thetas `tf` are ascending, and so is every threshold."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Float windows (lo, hi, open_top) per grid row plus a mask of rows
+    needing exact redo; the rows' thetas `tf` are ascending, and so is every
+    threshold."""
     kmin, _ = fam.support_bound(n)
     rp = isinstance(estimator, RangePreserving)
     flags = np.zeros(tf.shape, dtype=bool)
@@ -273,7 +293,59 @@ def _vector_rows(
     if space.upper is not None and space.include_upper:
         _near(tf, float(space.upper), flags)
 
-    return prob_ranges(fam, n, tf, lo, hi, open_top), flags
+    return lo, hi, open_top, flags
+
+
+def _scan_runs(
+    fam: DistributionFamily,
+    n: int,
+    tf: np.ndarray,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    open_top: np.ndarray,
+    free: np.ndarray,
+    values: np.ndarray,
+    best: float,
+) -> None:
+    """Write into `values` the float coverage of every row in `free` that
+    can hold the least value, by branch and bound over the runs of free rows
+    with one window; the others keep their +inf.  `best` is the least value
+    already known: the exact rows' and the candidates'."""
+    def evaluate(rows: np.ndarray) -> float:
+        got = prob_ranges(fam, n, tf[rows], lo[rows], hi[rows], open_top[rows])
+        values[rows] = got
+        return min(best, float(got.min(initial=np.inf)))
+
+    # maximal runs: a free row opens one unless the row before is free with
+    # its window, and closes one unless the row after opens none
+    joins = free[1:] & free[:-1] & (lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1])
+    joins &= open_top[1:] == open_top[:-1]
+    s = (free & np.append(True, ~joins)).nonzero()[0]
+    e = (free & np.append(~joins, True)).nonzero()[0]
+    best = evaluate(np.union1d(s, e))
+    kmin, _ = fam.support_bound(n)
+    while True:
+        # the runs with interior rows left, their ends evaluated
+        inner = e - s > 1
+        s, e = s[inner], e[inner]
+        if not len(s):
+            return
+        # F(l; theta_e) and F(k - 1; theta_s) as the windows [kmin, l] and [kmin, k - 1]
+        m = len(s)
+        ends = prob_ranges(fam, n, tf[np.concatenate((e, s))], np.full(2 * m, kmin),
+                           np.concatenate((hi[s], lo[s] - 1)),
+                           np.concatenate((open_top[s], np.zeros(m, dtype=bool))))
+        live = ends[:m] - ends[m:] <= best + _PRUNE_MARGIN
+        s, e = s[live], e[live]
+        leaf = e - s <= _LEAF_ROWS + 1
+        ls, le = s[leaf], e[leaf]
+        # every interior row of the leaves, then the middle row of the others
+        sizes = le - ls - 1
+        inside = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes - ls - 1, sizes)
+        s, e = s[~leaf], e[~leaf]
+        mid = (s + e) // 2
+        best = evaluate(np.concatenate((inside, mid)))
+        s, e = np.concatenate((s, mid)), np.concatenate((mid, e))
 
 
 def grid_min_coverage(
@@ -287,11 +359,12 @@ def grid_min_coverage(
 ) -> tuple[float, Fraction]:
     """Smallest coverage over the grid (and candidates, if included) on [a, b].
 
-    Returns (value, theta); ties resolve to the smallest theta.  With
-    `cdf_batch`, grids of at least `_VECTOR_MIN_ROWS` rows are scanned in
-    float arithmetic first; candidate points, boundary-suspicious grid rows
-    and every row of a family without `cdf_batch` are evaluated through the
-    exact indicator path, all in one `prob_ranges` batch.
+    Returns (value, theta); ties resolve to the smallest theta.  Candidate
+    points, boundary-suspicious grid rows and every row of a family without
+    `cdf_batch` (or of a grid under `_VECTOR_MIN_ROWS` rows) are evaluated
+    through the exact indicator path, all in one `prob_ranges` batch.  The
+    other rows take float windows and are read only where the branch and
+    bound over their runs says the minimum can be.
     """
     fam = resolve_family(family)
     _check_n(n)
@@ -313,12 +386,12 @@ def grid_min_coverage(
         )
 
     rows = int(math.floor((b - a) / grid.step)) + 1
-    if fam.cdf_batch is not None and rows >= _VECTOR_MIN_ROWS:
+    vector = fam.cdf_batch is not None and rows >= _VECTOR_MIN_ROWS
+    if vector:
         tf = float(a) + float(grid.step) * np.arange(rows, dtype=np.float64)
-        values, flagged = _vector_rows(fam, n, criterion, estimator, tf, float(a), float(b))
+        *window, flagged = _vector_rows(fam, n, criterion, estimator, tf, float(a), float(b))
         exact_rows = np.nonzero(flagged)[0]
     else:
-        values = np.empty(rows, dtype=np.float64)
         exact_rows = np.arange(rows)
     # the exact grid rows (a + j * step) and the candidates, in one batch
     # over one denominator; the candidates come sorted by theta
@@ -330,8 +403,14 @@ def grid_min_coverage(
     top = max(abs(an) + rows * sn, int(np.abs(cn).max(initial=0)) * cm)
     dtype = np.int64 if top < 2**62 else object  # else Python ints, which never wrap
     t = np.concatenate((an + exact_rows.astype(dtype) * sn, cn.astype(dtype) * cm))
-    exact_values = _exact_values(fam, n, criterion, estimator, t, den) if len(t) else t
+    exact_values = (_exact_values(fam, n, criterion, estimator, t, den) if len(t)
+                    else np.zeros(0, np.float64))
+    # rows left unevaluated hold +inf, strictly above the least value
+    values = np.full(rows, np.inf)
     values[exact_rows] = exact_values[:len(exact_rows)]
+    if vector:
+        _scan_runs(fam, n, tf, *window, ~flagged, values,
+                   float(exact_values.min(initial=np.inf)))
     # argmin takes the first, smallest theta of the tied rows
     j = int(np.argmin(values))
     best, theta = float(values[j]), a + j * grid.step

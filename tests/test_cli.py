@@ -10,6 +10,7 @@ import shutil
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -498,6 +499,27 @@ def test_installed_script_runs_end_to_end():
         text=True,
     )
     assert proc.returncode == 0
+    assert json.loads(proc.stdout)["count"] == 4
+
+
+@pytest.mark.slow
+def test_console_script_target_runs_end_to_end():
+    """The `covsize` entry point of pyproject.toml, run as the installed
+    script would run it, from a plain checkout."""
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(__file__).resolve().parent.parent
+    with open(root / "pyproject.toml", "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["covsize"]
+    module, func = target.split(":")
+    code = f"import sys; from {module} import {func}; sys.argv[0] = 'covsize'; sys.exit({func}())"
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "candidates", "--n", "2", "--abs-eps", "1/4",
+         "--a", "0", "--b", "1", "--format", "json"],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(root / "src")),
+    )
+    assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["count"] == 4
 
 

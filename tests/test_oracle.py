@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special as _sps
 
 from covsize import (
     Absolute,
@@ -25,7 +26,7 @@ from covsize import (
     min_coverage,
 )
 from covsize import oracle
-from covsize.families import BERNOULLI, POISSON, prob_ranges
+from covsize.families import BERNOULLI, POISSON, DistributionFamily, prob_ranges
 from tests._reference import bernoulli_coverage, estimate_of, margin_at, poisson_pmf_dec
 from tests.test_acceptance import PAIRS, random_instance
 
@@ -387,26 +388,29 @@ def test_grid_certifies_the_decisions_at_golden_scale(family, crit, a, b, n_min)
 
 
 def per_row_scan(fam, n, crit, est, a, b, grid):
-    """grid_min_coverage as a row-by-row scan: the vectorized rows where the
-    grid takes them, then every flagged row and every candidate through its
-    own indicator_coverage call.  Also returns the exactly evaluated grid
-    rows, the candidates, and the indicator_coverage values of both."""
+    """grid_min_coverage as a full row-by-row scan: every vectorized row's
+    float window through prob_ranges where the grid takes them, then every
+    flagged row and every candidate through its own indicator_coverage call.
+    Also returns the exactly evaluated grid rows, the candidates, and the
+    indicator_coverage values of both."""
     rows = math.floor((b - a) / grid.step) + 1
-    thetas = [a + j * grid.step for j in range(rows)]
     if fam.cdf_batch is not None and rows >= oracle._VECTOR_MIN_ROWS:
         tf = float(a) + float(grid.step) * np.arange(rows, dtype=np.float64)
-        values, flagged = oracle._vector_rows(fam, n, crit, est, tf, float(a), float(b))
-        values, flagged = values.tolist(), flagged.tolist()
+        lo, hi, open_top, flagged = oracle._vector_rows(fam, n, crit, est, tf, float(a), float(b))
+        values = prob_ranges(fam, n, tf, lo, hi, open_top).tolist()
+        flagged = flagged.tolist()
     else:
         values, flagged = [None] * rows, [True] * rows
-    exact = [t for t, f in zip(thetas, flagged) if f]
+    exact = [a + j * grid.step for j, f in enumerate(flagged) if f]
     cands = candidate_set_for(n, crit, est, a, b).thetas if grid.include_candidates else ()
     per_row = [indicator_coverage(fam, n, crit, est, t) for t in (*exact, *cands)]
     flagged_values = iter(per_row)
     values = [next(flagged_values) if f else v for v, f in zip(values, flagged)]
-    points = list(zip(values, thetas)) + list(zip(per_row[len(exact):], cands))
-    best = min(v for v, _ in points)
-    return best, min(t for v, t in points if v == best), exact, cands, per_row
+    best = min(values + per_row[len(exact):])
+    # the first grid row and every candidate at the least value
+    tied = [a + values.index(best) * grid.step] if best in values else []
+    tied += [t for v, t in zip(per_row[len(exact):], cands) if v == best]
+    return best, min(tied), exact, cands, per_row
 
 
 PLAIN_BERNOULLI = dataclasses.replace(BERNOULLI, cdf_batch=None)
@@ -446,13 +450,14 @@ def over_one_denominator(thetas):
 
 
 def test_batched_exact_rows_equal_per_row_indicator_coverage(monkeypatch):
-    calls = {"prob_range": 0, "prob_ranges": 0}
+    # the number of thetas in each call
+    calls = {"prob_range": [], "prob_ranges": []}
     for name in calls:
         real = getattr(oracle, name)
 
-        def counting(*args, _real=real, _name=name):
-            calls[_name] += 1
-            return _real(*args)
+        def counting(fam, n, thetas, *args, _real=real, _name=name):
+            calls[_name].append(np.size(thetas))
+            return _real(fam, n, thetas, *args)
 
         monkeypatch.setattr(oracle, name, counting)
     shapes = {"empty": 0, "open": 0, "closed": 0, "on an edge": 0}
@@ -461,14 +466,18 @@ def test_batched_exact_rows_equal_per_row_indicator_coverage(monkeypatch):
         expected, theta, rows, cands, per_row = per_row_scan(fam, n, crit, est, a, b, grid)
         exact = rows + list(cands)
         for name in calls:
-            calls[name] = 0
+            calls[name].clear()
         assert grid_min_coverage(fam, n, crit, est, a, b, grid) == (expected, theta), (
             fam.name, n, crit, est, a, b, cells)
         vectorized = fam.cdf_batch is not None and cells == 60
-        # one batch for the vectorized rows, and one for the flagged (or,
-        # without them, all) rows and the candidates together
-        assert calls["prob_range"] == 0
-        assert calls["prob_ranges"] == 1 + vectorized
+        # one batch first for the flagged (or, without them, all) rows and
+        # the candidates together; then, for the vectorized rows, the
+        # batches of their branch and bound, starting with the ends of runs
+        t, den = over_one_denominator(exact)
+        _, _, open_top, full = oracle._windows(fam, n, crit, est, t, den)
+        assert calls["prob_range"] == []
+        assert calls["prob_ranges"][0] == full.sum()
+        assert (len(calls["prob_ranges"]) > 1) is vectorized
         if vectorized:
             # vectorized rows whose thresholds hit an integer, which
             # _vector_rows flags for the exact path
@@ -476,12 +485,122 @@ def test_batched_exact_rows_equal_per_row_indicator_coverage(monkeypatch):
                 (n * (t - margin_at(crit, t))).denominator == 1
                 or (n * (t + margin_at(crit, t))).denominator == 1 for t in rows)
         # the batch is value for value the scalar path
-        t, den = over_one_denominator(exact)
         assert oracle._exact_values(fam, n, crit, est, t, den).tolist() == per_row
-        _, _, open_top, full = oracle._windows(fam, n, crit, est, t, den)
         for top, nonempty in zip(open_top.tolist(), full.tolist()):
             shapes["empty" if not nonempty else "open" if top else "closed"] += 1
     assert min(shapes.values()) > 0, shapes
+
+
+def _mixture_cdf(n, theta, k):
+    return 0.5 * _sps.bdtr(k, n, theta) + 0.5 * _sps.bdtr(k, n, np.minimum(theta + 0.2, 1.0))
+
+
+def _staircase_cdf(n, theta, k):
+    return _sps.bdtr(k, n, np.ceil(theta * 8.0) / 8.0)
+
+
+def _log_pmf_of(cdf):
+    """log Pr{Y_n = k} as a difference of two values of a CDF on 0..n."""
+    def log_pmf(n, theta, k):
+        def at(j):
+            return cdf(n, np.array([theta]), np.array([j]))[0] if j >= 0 else 0.0
+        p = at(k) - at(k - 1)
+        return math.log(p) if p > 0.0 else -math.inf
+    return log_pmf
+
+
+def _cdf_only(name, cdf):
+    return DistributionFamily(name=name, param_space=BERNOULLI.param_space,
+                              support_bound=BERNOULLI.support_bound,
+                              log_pmf=_log_pmf_of(cdf), cdf_batch=cdf)
+
+
+# two families given by their CDFs alone, both stochastically increasing, as
+# the grid oracle needs.  F(k; theta) = (bdtr(k, n, theta) + bdtr(k, n,
+# min(theta + 1/5, 1))) / 2 has two peaks, so a run of rows with one window
+# can have its least coverage inside; the binomial at ceil(8 theta) / 8 is
+# flat between steps, so rows tie with the least value, and its first row
+# sits inside a run where a step does
+TWO_PEAKED = _cdf_only("two-peaked", _mixture_cdf)
+STAIRCASE = _cdf_only("staircase", _staircase_cdf)
+
+
+# two-peaked instances whose least grid row lies inside its run, found by a
+# scan of random ones: (n, criterion, estimator, a, b)
+TWO_PEAKED_INSIDE = [
+    (9, Absolute(F(1, 8)), UNBIASED, F(31, 40), F(7, 8)),
+    (8, Mixed(F(21, 128), F(7, 40)), RangePreserving(F(3, 8), F(39, 40)), F(3, 8), F(39, 40)),
+]
+
+
+def pruning_cases():
+    """(family, n, criterion, estimator, a, b, cells, include_candidates):
+    criterion-1-style instances of both families and all six pairs on grids
+    of 16, 60 and 10^4 cells, with and without the candidates, and the two
+    CDF-only families at n = 2..12 without them."""
+    rng = random.Random(20261019)
+    cases = []
+    for fam in (BERNOULLI, POISSON):
+        for pair in PAIRS:
+            for cells in (16, 60, 10_000):
+                for include in (True, False):
+                    n, crit, est, a, b = random_instance(rng, pair, fam.name)
+                    cases.append((fam, n, crit, est, a, b, cells, include))
+    for fam in (TWO_PEAKED, STAIRCASE):
+        instances = [(n, *random_instance(rng, pair, "bernoulli")[1:])
+                     for n in range(2, 13) for pair in PAIRS]
+        if fam is TWO_PEAKED:
+            instances += TWO_PEAKED_INSIDE
+        for instance in instances:
+            for cells in (60, 1000, 10_000):
+                cases.append((fam, *instance, cells, False))
+    return cases
+
+
+def test_pruned_grid_scan_equals_the_full_scan_bit_for_bit():
+    inside = {TWO_PEAKED.name: 0, STAIRCASE.name: 0}
+    for fam, n, crit, est, a, b, cells, include in pruning_cases():
+        grid = GridSpec.divide(a, b, cells=cells, include_candidates=include)
+        expected = per_row_scan(fam, n, crit, est, a, b, grid)[:2]
+        assert grid_min_coverage(fam, n, crit, est, a, b, grid) == expected, (
+            fam.name, n, crit, est, a, b, cells, include)
+        if fam.name in inside:
+            # the first least row lies strictly inside its run of one window
+            tf = float(a) + float(grid.step) * np.arange(cells + 1, dtype=np.float64)
+            *window, flags = oracle._vector_rows(fam, n, crit, est, tf, float(a), float(b))
+            j = round((expected[1] - a) / grid.step)
+            inside[fam.name] += 0 < j < cells and not flags[j - 1:j + 2].any() and all(
+                w[j - 1] == w[j] == w[j + 1] for w in window)
+    # minima that only a valid bound, dropping only what is strictly above
+    # the least value, keeps
+    assert min(inside.values()) > 0, inside
+
+
+def test_pruned_grid_scan_asks_for_a_fraction_of_the_cdf_values():
+    asked = [0]
+
+    def counting(cdf):
+        def cdf_batch(n, thetas, ks):
+            asked[0] += np.size(ks)
+            return cdf(n, thetas, ks)
+        return cdf_batch
+
+    fams = {fam.name: dataclasses.replace(fam, cdf_batch=counting(fam.cdf_batch))
+            for fam in (BERNOULLI, POISSON)}
+    rng = random.Random(20260801)  # criterion 1's instances
+    full = pruned = 0
+    for family, count in (("bernoulli", 4), ("poisson", 2)):
+        for pair in PAIRS:
+            for _ in range(count):
+                n, crit, est, a, b = random_instance(rng, pair, family)
+                grid = GridSpec.divide(a, b, cells=10_000, include_candidates=True)
+                asked[0] = 0
+                expected = per_row_scan(fams[family], n, crit, est, a, b, grid)[:2]
+                full += asked[0]
+                asked[0] = 0
+                assert grid_min_coverage(fams[family], n, crit, est, a, b, grid) == expected
+                pruned += asked[0]
+    assert pruned <= 0.4 * full, (pruned, full)
 
 
 def clamp_edges(crit, est, a, b):
@@ -692,23 +811,15 @@ def vector_row_cases():
 
 
 @pytest.mark.parametrize("label,fam,n,crit,est,a,b,tf", vector_row_cases())
-def test_vector_rows_equal_the_float_windows_and_flags_row_by_row(monkeypatch, label, fam, n,
-                                                                  crit, est, a, b, tf):
-    windows = []
-
-    def recording(fam, n, tf, lo, hi, open_top):
-        windows.append((lo, hi, open_top))
-        return prob_ranges(fam, n, tf, lo, hi, open_top)
-
-    monkeypatch.setattr(oracle, "prob_ranges", recording)
-    values, flags = oracle._vector_rows(fam, n, crit, est, tf, float(a), float(b))
+def test_vector_rows_equal_the_float_windows_and_flags_row_by_row(label, fam, n, crit, est,
+                                                                  a, b, tf):
+    got_lo, got_hi, got_top, flags = oracle._vector_rows(fam, n, crit, est, tf,
+                                                         float(a), float(b))
     lo, hi, open_top, expected_flags = reference_vector_windows(fam, n, crit, est, tf,
                                                                 float(a), float(b))
     assert flags.tolist() == expected_flags.tolist()
-    [(got_lo, got_hi, got_top)] = windows
     assert got_lo.tolist() == lo.tolist() and got_hi.tolist() == hi.tolist()
     assert got_top.tolist() == open_top.tolist()
-    assert values.tolist() == prob_ranges(fam, n, tf, lo, hi, open_top).tolist()
     if label == "tiny step":
         # many rows kept by the prefilter, and both outcomes of the exact test
         # among them
