@@ -251,13 +251,12 @@ def prob_ranges(
     """Pr{lo <= Y_n <= hi | theta} per float theta, n one int or one per row.
 
     Rows flagged in `open_top` have no upper limit; windows are clipped to
-    the support, an empty one gives 0.0.  With `cdf_batch` all rows come
-    from one call, asked only for the CDF values inside the support that a
-    row reads, its ks written in place into one (2, N) array of lo - 1 and
-    hi.  Otherwise each row is a compensated sum of the pmf at its n,
-    an open top of unbounded support cut at `tail_cutoff`: exactly 1.0 over
-    the whole support and never above it.  A NaN CDF value or summed pmf
-    term raises DomainError.  Callers validate n and theta.
+    the support, an empty one gives 0.0.  With `cdf_batch` a row is
+    F(hi) - F(lo - 1) from `_cdf_ends`, clipped at 0.  Otherwise each row is
+    a compensated sum of the pmf at its n, an open top of unbounded support
+    cut at `tail_cutoff`: exactly 1.0 over the whole support and never above
+    it.  A NaN CDF value or summed pmf term raises DomainError.  Callers
+    validate n and theta.
     """
     if fam.cdf_batch is None:
         rows = list(_log_pmf_rows(fam, n, thetas, lo, hi, open_top))
@@ -269,26 +268,55 @@ def prob_ranges(
             raise _nan_error(fam, n, theta, next(
                 j for j in range(k, l + 1) if math.isnan(fam.log_pmf(n, theta, j))))
         return out
+    c = _cdf_ends(fam, n, thetas, lo, hi, open_top)
+    # a difference of two CDFs in [0, 1] is at most 1; only a negative can need clipping
+    return np.maximum(c[1] - c[0], 0.0)
+
+
+def _cdf_keys(
+    fam: DistributionFamily,
+    n: int | np.ndarray,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    open_top: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ks (2, N) at which a row of `prob_ranges` reads F: lo - 1, and hi
+    or, for an open top, a k past any top; an empty window reads F(lo - 1)
+    twice.  Also the masks of the ks at or above the support's least k and
+    of those `cdf_batch` is asked for: F is 0 below the support, 1 from its
+    top on, and asked for nowhere else."""
     kmin, kmax = fam.support_bound(n)
-    # F(k) is 0 below the support and 1 from its top on, and cdf_batch is
-    # asked for no other k: an open top reads F past any top, an empty
-    # window F(lo - 1) twice
     ks = lo - _TWO_ONES
     upper = ks[1]
     np.maximum(upper, hi, out=upper)
     np.copyto(upper, _PAST_TOP, where=open_top)
     known = ks >= kmin
+    return ks, known, known & (ks < (_PAST_TOP if kmax is None else kmax))
+
+
+def _cdf_ends(
+    fam: DistributionFamily,
+    n: int | np.ndarray,
+    thetas: np.ndarray,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    open_top: np.ndarray,
+) -> np.ndarray:
+    """F(lo - 1) and F(hi) per row, (2, N), as `prob_ranges` reads them from
+    `cdf_batch`, in one call made only when some value is asked.  A NaN
+    raises DomainError."""
+    ks, known, ask = _cdf_keys(fam, n, lo, hi, open_top)
     cdf = known.astype(np.float64)
-    ask = known & (ks < (_PAST_TOP if kmax is None else kmax))
-    both = np.array((n, n))[ask] if np.ndim(n) else n
-    cdf[ask] = fam.cdf_batch(both, np.array((thetas, thetas))[ask], ks[ask])
-    # a difference of two CDFs in [0, 1] is at most 1; only a negative can need clipping
-    out = np.maximum(cdf[1] - cdf[0], 0.0)
-    if np.isnan(out).any():
-        i = np.isnan(out).argmax()
-        raise _nan_error(fam, np.broadcast_to(n, out.shape)[i], thetas[i],
-                         ks[np.isnan(cdf[:, i]), i][0])
-    return out
+    asked = ks[ask]
+    if len(asked):
+        both = np.array((n, n))[ask] if np.ndim(n) else n
+        got = fam.cdf_batch(both, np.array((thetas, thetas))[ask], asked)
+        cdf[ask] = got
+        if np.isnan(got).any():
+            i = np.isnan(cdf).any(axis=0).argmax()
+            raise _nan_error(fam, np.broadcast_to(n, thetas.shape)[i], thetas[i],
+                             ks[np.isnan(cdf[:, i]), i][0])
+    return cdf
 
 
 def prob_min(fam: DistributionFamily, n: int | np.ndarray, thetas: np.ndarray, lo: np.ndarray,

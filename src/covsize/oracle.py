@@ -24,15 +24,20 @@ scalar `prob_range` of `indicator_coverage`; the least of these exact values
 seeds the scan's best.
 
 The other rows are not all read.  They fall into maximal runs of rows with
-one window [k, l], whose two end rows are evaluated.  The family promises
-that F(l; theta) = Pr{Y_n <= l | theta} does not increase in theta, so on a
-run from theta_s to theta_e every row's coverage is at least F(l; theta_e) -
-F(k - 1; theta_s) (an interval bound, Moore 1966).  Level by level, each
-live run's bound comes from one `prob_ranges` call; a run whose bound
-exceeds the best value by more than `_PRUNE_MARGIN` is dropped, one with at
-most `_LEAF_ROWS` interior rows is evaluated whole, and any other is split
-at its middle row, which is evaluated.  A dropped row is strictly above the
-result, so the scan's (value, theta) is that of evaluating every row.
+one window [k, l], whose two end rows are evaluated, and every evaluated row
+keeps the two CDF values it read, F(k - 1; theta) and F(l; theta).  The
+family promises that F(l; theta) = Pr{Y_n <= l | theta} does not increase in
+theta, so on a run from theta_s to theta_e every row's coverage is at least
+F(l; theta_e) - F(k - 1; theta_s) (an interval bound, Moore 1966), from
+values already in hand.  A run whose window reads no CDF value (the whole
+support, or a window outside it) or one value twice (an empty window) holds
+its start row's value on every row, bit for bit, and is dropped.  Level by
+level, a run whose bound exceeds the best value by more than `_PRUNE_MARGIN`
+is dropped, one with at most `_LEAF_ROWS` interior rows is evaluated whole,
+and any other is split at its middle row, which is evaluated and bounds both
+halves: at most one `cdf_batch` call per level.  A dropped row is strictly
+above the result or equal to an evaluated row of smaller theta, so the
+scan's (value, theta) is that of evaluating every row.
 """
 
 from __future__ import annotations
@@ -54,7 +59,8 @@ from .coverage import (
     Relative,
 )
 from .errors import DomainError
-from .families import DistributionFamily, _check_n, prob_range, prob_ranges, resolve_family
+from .families import (DistributionFamily, _cdf_ends, _cdf_keys, _check_n, prob_range, prob_ranges,
+                       resolve_family)
 
 # rows whose float thresholds sit this close to a decision boundary are
 # recomputed exactly
@@ -311,9 +317,12 @@ def _scan_runs(
     can hold the least value, by branch and bound over the runs of free rows
     with one window; the others keep their +inf.  `best` is the least value
     already known: the exact rows' and the candidates'."""
+    # F(lo - 1) and F(hi) of each evaluated row, as prob_ranges reads them
+    cdf = np.empty((2, len(tf)))
+
     def evaluate(rows: np.ndarray) -> float:
-        got = prob_ranges(fam, n, tf[rows], lo[rows], hi[rows], open_top[rows])
-        values[rows] = got
+        c = cdf[:, rows] = _cdf_ends(fam, n, tf[rows], lo[rows], hi[rows], open_top[rows])
+        got = values[rows] = np.maximum(c[1] - c[0], 0.0)
         return min(best, float(got.min(initial=np.inf)))
 
     # maximal runs: a free row opens one unless the row before is free with
@@ -323,20 +332,21 @@ def _scan_runs(
     s = (free & np.append(True, ~joins)).nonzero()[0]
     e = (free & np.append(~joins, True)).nonzero()[0]
     best = evaluate(np.union1d(s, e))
-    kmin, _ = fam.support_bound(n)
+    # a window that reads no CDF value, or F(k - 1) twice (an empty one),
+    # gives every row of its run the start row's value bit for bit, at the
+    # run's least theta
+    ks, _, ask = _cdf_keys(fam, n, lo[s], hi[s], open_top[s])
+    varies = ask.any(axis=0) & (ks[0] != ks[1])
+    s, e = s[varies], e[varies]
     while True:
-        # the runs with interior rows left, their ends evaluated
+        # the runs with interior rows left, their ends evaluated: each is
+        # bounded by F(l; theta_e) - F(k - 1; theta_s) from those ends
         inner = e - s > 1
         s, e = s[inner], e[inner]
+        live = cdf[1, e] - cdf[0, s] <= best + _PRUNE_MARGIN
+        s, e = s[live], e[live]
         if not len(s):
             return
-        # F(l; theta_e) and F(k - 1; theta_s) as the windows [kmin, l] and [kmin, k - 1]
-        m = len(s)
-        ends = prob_ranges(fam, n, tf[np.concatenate((e, s))], np.full(2 * m, kmin),
-                           np.concatenate((hi[s], lo[s] - 1)),
-                           np.concatenate((open_top[s], np.zeros(m, dtype=bool))))
-        live = ends[:m] - ends[m:] <= best + _PRUNE_MARGIN
-        s, e = s[live], e[live]
         leaf = e - s <= _LEAF_ROWS + 1
         ls, le = s[leaf], e[leaf]
         # every interior row of the leaves, then the middle row of the others

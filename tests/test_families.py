@@ -19,6 +19,7 @@ from covsize import (
     Absolute,
     DistributionFamily,
     DomainError,
+    GridSpec,
     ParamSpace,
     RangePreserving,
     Relative,
@@ -26,6 +27,7 @@ from covsize import (
     available_families,
     coverage,
     get_family,
+    grid_min_coverage,
     indicator_coverage,
     min_coverage,
     min_sample_size,
@@ -35,6 +37,7 @@ from covsize import (
     register_family,
 )
 from covsize.families import _REGISTRY, prob_min, prob_ranges
+from covsize.minimize import witness_minima
 
 from _reference import bernoulli_coverage, binom_pmf, binom_range, poisson_pmf_dec
 
@@ -264,6 +267,27 @@ def test_a_nan_probability_raises_domain_error_naming_where():
                             Fraction(1), Fraction(1, 20))
     with pytest.raises(DomainError, match="'nan-at-half' gave a NaN probability"):
         min_sample_size(query)
+
+
+def _no_empty_ask(n, theta, k):
+    # a custom CDF need not accept an empty batch
+    if not np.size(k):
+        raise ValueError("cdf_batch asked for no value")
+    return _sps.bdtr(k, n, theta)
+
+
+def test_cdf_batch_is_never_asked_for_no_value():
+    fam = dataclasses.replace(BERNOULLI, name="no-empty-ask", cdf_batch=_no_empty_ask)
+    whole = np.array([0]), np.array([12]), np.array([False])
+    assert prob_ranges(fam, 12, np.array([0.5]), *whole).tolist() == [1.0]
+    # every clamped estimate at n = 11 to 13 is within 3/5 of theta: every
+    # window is the whole support, and no CDF value is read
+    a, b = Fraction(1, 5), Fraction(4, 5)
+    args = Absolute(Fraction(7, 10)), RangePreserving(a, b), a, b
+    assert grid_min_coverage(fam, 11, *args, GridSpec.divide(a, b)) == (1.0, a)
+    assert min_coverage(fam, 11, *args).min_coverage == 1.0
+    _, values, _ = witness_minima(fam, 11, 3, *args, Fraction(1, 2))
+    assert len(values) and (values == 1.0).all()
 
 
 def test_log_pmf_batch_is_not_accepted():

@@ -451,7 +451,7 @@ def over_one_denominator(thetas):
 
 def test_batched_exact_rows_equal_per_row_indicator_coverage(monkeypatch):
     # the number of thetas in each call
-    calls = {"prob_range": [], "prob_ranges": []}
+    calls = {"prob_range": [], "prob_ranges": [], "_cdf_ends": []}
     for name in calls:
         real = getattr(oracle, name)
 
@@ -470,14 +470,14 @@ def test_batched_exact_rows_equal_per_row_indicator_coverage(monkeypatch):
         assert grid_min_coverage(fam, n, crit, est, a, b, grid) == (expected, theta), (
             fam.name, n, crit, est, a, b, cells)
         vectorized = fam.cdf_batch is not None and cells == 60
-        # one batch first for the flagged (or, without them, all) rows and
-        # the candidates together; then, for the vectorized rows, the
-        # batches of their branch and bound, starting with the ends of runs
+        # one prob_ranges batch for the flagged (or, without them, all) rows
+        # and the candidates together; then, for the vectorized rows, the
+        # CDF batches of their branch and bound, starting with the ends of runs
         t, den = over_one_denominator(exact)
         _, _, open_top, full = oracle._windows(fam, n, crit, est, t, den)
         assert calls["prob_range"] == []
-        assert calls["prob_ranges"][0] == full.sum()
-        assert (len(calls["prob_ranges"]) > 1) is vectorized
+        assert calls["prob_ranges"] == [full.sum()]
+        assert bool(calls["_cdf_ends"]) is vectorized
         if vectorized:
             # vectorized rows whose thresholds hit an integer, which
             # _vector_rows flags for the exact path
@@ -533,6 +533,20 @@ TWO_PEAKED_INSIDE = [
 ]
 
 
+# grids whose runs have one coverage on every row: (n, criterion, estimator,
+# a, b), the grid's least value and theta at 10^4 cells without candidates,
+# and the most CDF values the scan may ask for
+CONSTANT_RUNS = [
+    # every clamped estimate is within 3/5 of theta: every window is the
+    # whole support, and no CDF value is read
+    ((11, Absolute(F(7, 10)), RangePreserving(F(1, 5), F(4, 5)), F(1, 5), F(4, 5)),
+     (1.0, F(1, 5)), 0),
+    # the windows are empty but for theta near 5/6, where they hold k = 5:
+    # two values for each of a few dozen rows at most
+    ((6, Absolute(F(1, 40)), UNBIASED, F(31, 40), F(9, 10)), (0.0, F(31, 40)), 48),
+]
+
+
 def pruning_cases():
     """(family, n, criterion, estimator, a, b, cells, include_candidates):
     criterion-1-style instances of both families and all six pairs on grids
@@ -554,6 +568,8 @@ def pruning_cases():
         for instance in instances:
             for cells in (60, 1000, 10_000):
                 cases.append((fam, *instance, cells, False))
+    for instance, _, _ in CONSTANT_RUNS:
+        cases.append((BERNOULLI, *instance, 10_000, False))
     return cases
 
 
@@ -601,6 +617,72 @@ def test_pruned_grid_scan_asks_for_a_fraction_of_the_cdf_values():
                 assert grid_min_coverage(fams[family], n, crit, est, a, b, grid) == expected
                 pruned += asked[0]
     assert pruned <= 0.4 * full, (pruned, full)
+
+
+def counting_cdf(fam, counts):
+    """`fam` whose cdf_batch adds its calls and the values asked to `counts`."""
+    def cdf_batch(n, thetas, ks):
+        counts["calls"] += 1
+        counts["values"] += np.size(ks)
+        return fam.cdf_batch(n, thetas, ks)
+    return dataclasses.replace(fam, cdf_batch=cdf_batch)
+
+
+def test_pruned_grid_scan_makes_one_cdf_call_per_level():
+    counts = {"calls": 0, "values": 0}
+    fams = {fam.name: counting_cdf(fam, counts) for fam in (BERNOULLI, POISSON)}
+    rng = random.Random(20260801)  # criterion 1's instances
+    most = 0
+    for family, count in (("bernoulli", 4), ("poisson", 2)):
+        for pair in PAIRS:
+            for _ in range(count):
+                n, crit, est, a, b = random_instance(rng, pair, family)
+                grid = GridSpec.divide(a, b, cells=10_000, include_candidates=True)
+                counts["calls"] = 0
+                grid_min_coverage(fams[family], n, crit, est, a, b, grid)
+                most = max(most, counts["calls"])
+    # the exact rows, the ends of the runs, one level per halving of a run
+    # of 10^4 rows down to the leaves' 16 interior rows, and the leaves
+    assert most <= 2 + math.ceil(math.log2(10_000 / 16)) + 1, most
+
+
+@pytest.mark.parametrize("instance, expected, most", CONSTANT_RUNS)
+def test_runs_of_constant_coverage_are_read_at_their_ends_only(instance, expected, most):
+    counts = {"calls": 0, "values": 0}
+    a, b = instance[-2:]
+    grid = GridSpec.divide(a, b, cells=10_000, include_candidates=False)
+    assert grid_min_coverage(counting_cdf(BERNOULLI, counts), *instance, grid) == expected
+    assert per_row_scan(BERNOULLI, *instance, grid)[:2] == expected
+    assert counts["values"] <= most, counts
+
+
+@pytest.mark.parametrize("where", ["inside", "end"])
+def test_a_nan_on_the_scan_path_raises_domain_error(where):
+    # the rows the scan reads in a clean pass, as runs of one window: a NaN at
+    # one of them, inside its run or at its start, is read the same way
+    n, crit, est, a, b = TWO_PEAKED_INSIDE[0]
+    grid = GridSpec.divide(a, b, cells=10_000, include_candidates=False)
+    read = set()
+
+    def recording(n_, thetas, ks):
+        read.update(np.asarray(thetas).tolist())
+        return _mixture_cdf(n_, thetas, ks)
+
+    grid_min_coverage(_cdf_only("recording", recording), n, crit, est, a, b, grid)
+    tf = float(a) + float(grid.step) * np.arange(10_001, dtype=np.float64)
+    lo, hi, open_top, flags = oracle._vector_rows(TWO_PEAKED, n, crit, est, tf, float(a), float(b))
+    same = ~flags[1:] & ~flags[:-1] & (lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1])
+    same &= open_top[1:] == open_top[:-1]
+    inside = np.append(False, same) & np.append(same, False)
+    start = ~flags & ~np.append(False, same) & np.append(same, False)
+    j = next(j for j in (inside if where == "inside" else start).nonzero()[0]
+             if tf[j] in read and lo[j] > 0)
+    theta = float(tf[j])
+    nan_at = _cdf_only("nan-at-row", lambda n_, thetas, ks: np.where(
+        thetas == theta, np.nan, _mixture_cdf(n_, thetas, ks)))
+    with pytest.raises(DomainError, match=rf"'nan-at-row' gave a NaN probability at n={n}, "
+                                          rf"theta={theta!r}, k={lo[j] - 1}\b"):
+        grid_min_coverage(nan_at, n, crit, est, a, b, grid)
 
 
 def clamp_edges(crit, est, a, b):
