@@ -16,10 +16,11 @@ family without `cdf_batch` finds them by branch and bound, and sums all of
 `values` only when they are read).  With `--route grid` it runs
 `grid_min_coverage` on every instance over a grid of `--cells` cells, once
 without and once with the candidate points, and records each value and
-theta.  These two routes also run every instance on a copy of its family
-without `cdf_batch`, whose probabilities are log-pmf sums, and count its
-differences apart from the built-in families', with how many of them are
-now exactly 1.0.  Each checkout is run in its own interpreter; the values
+theta; it reports how many differing rows moved a theta and the largest
+|value difference|.  These two routes also run every instance on a copy of
+its family without `cdf_batch`, whose probabilities are log-pmf sums, and
+count its differences apart from the built-in families', with how many of
+them are now exactly 1.0.  Each checkout is run in its own interpreter; the values
 must be equal as floats (`==`), not merely close.  With `--route search` it
 runs `min_sample_size` on a fixed query set (the goldens 101 / 901 / 156,
 the Poisson relative query with n_min 65, the range-preserving mixed query
@@ -323,6 +324,11 @@ def main() -> int:
         diffs = [(a, b) for a, b in zip(mine, theirs) if a != b]
         print(f"{len(mine)} rows ({args.instances} instances and their log-pmf copies), "
               f"{args.cells}-cell grids with and without candidates: {len(diffs)} differ")
+        # [3::2] are the two value fields, [4::2] their thetas
+        moved = sum(a[4::2] != b[4::2] for a, b in diffs)
+        gap = max((abs(float.fromhex(x) - float.fromhex(y)) for a, b in diffs
+                   for x, y in zip(a[3::2], b[3::2])), default=0.0)
+        print(f"  {moved} of them with another theta; largest |value difference| {gap:.3g}")
         print(log_pmf_summary(diffs))
     else:
         if [row[:4] for row in mine] != [row[:4] for row in theirs]:

@@ -395,6 +395,7 @@ def candidate_block(
     per n.
     """
     _check_n(n0)
+    _check_n(count, "count")
     return _block(_spec(criterion, estimator, a, b), n0, count,
                   exact(near, name="near"), exact(radius, name="radius"))
 

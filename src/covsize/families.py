@@ -404,9 +404,7 @@ def prob_range(
     """Pr{k <= Y_n <= l | theta}; l=None means no upper limit.
 
     Returns 0.0 when the window is empty.  The window is clipped to the
-    support.  This is one row of `prob_ranges`, bit-equal to it for both
-    kinds of family; with `cdf_batch` it makes the same float operations on
-    the same CDF values directly, which costs less than a batch of one.
+    support.  This is one row of `prob_ranges`, after validation.
     """
     fam = resolve_family(family)
     n = _check_n(n)
@@ -414,20 +412,12 @@ def prob_range(
     _check_int(k, "k")
     if l is not None:
         _check_int(l, "l")
-    tf = float(theta)
-    if fam.cdf_batch is None:
-        top = l is None
-        row = np.array([k]), np.array([k if top else l]), np.array([top])
-        return float(prob_ranges(fam, n, np.array([tf]), *row)[0])
+    # ends clipped to one beyond either edge of the support, where they read
+    # as they would farther out, so that lo - 1 and hi fit in int64
     kmin, kmax = fam.support_bound(n)
-    if l is not None and (l if kmax is None else min(l, kmax)) < max(k, kmin):
-        return 0.0
-    # F at k - 1 and l, asked for as in `prob_ranges`
-    ks, top = (k - 1, _PAST_TOP if l is None else l), _PAST_TOP if kmax is None else kmax
-    ask = [x for x in ks if kmin <= x < top]
-    cdf = iter(fam.cdf_batch(n, np.full(len(ask), tf), np.array(ask)).tolist() if ask else ())
-    lower, upper = (next(cdf) if kmin <= x < top else float(x >= kmin) for x in ks)
-    return max(upper - lower, 0.0)
+    cap = _PAST_TOP - 1 if kmax is None else kmax + 1
+    lo, hi = (np.array([min(max(x, kmin - 1), cap)]) for x in (k, k if l is None else l))
+    return float(prob_ranges(fam, n, np.array([float(theta)]), lo, hi, np.array([l is None]))[0])
 
 
 # ---------------------------------------------------------------------------

@@ -124,10 +124,11 @@ def witness_minima(
     of `near`, the coverage at its every row, and each n's argmin row: the
     smallest theta among float-equal minima, as in `min_coverage`.  The rows
     go through the windows and probabilities of a full sweep, with one n per
-    row, so every value is bit-equal to the sweep's at that theta.  The
-    arguments are not checked beyond what building the candidates checks.
+    row, so every value is bit-equal to the sweep's at that theta.  Only n0,
+    count and what building the candidates checks are checked.
     """
     _check_n(n0)
+    _check_n(count, "count")
     return _witness_minima(resolve_family(family), _spec(criterion, estimator, a, b), n0, count,
                            exact(near, name="near"))
 

@@ -13,15 +13,15 @@ ints otherwise; `indicator_coverage` is its one-theta case.
 candidate points, and reports the smallest coverage seen.  Agreement between
 this scan and the candidate-set minimum is what certifies the reduction.
 
-The grid scan has a vectorized fast path built on library CDFs: one floor
-per window threshold gives every row's float window, and a row is flagged
-when a threshold lands near an integer (tested only where the floor's
-fraction is nearly 0 or 1) or near a clamp switchover.  Flagged rows, the
-candidate points (the set `min_coverage` built, while held) and every row of
-a family without `cdf_batch` find their windows in one bisection and take
+Every grid of a family with `cdf_batch` takes a vectorized path built on its
+CDFs: one floor per window threshold gives every row's float window, and a
+row is flagged when a threshold lands near an integer (tested only where the
+floor's fraction is nearly 0 or 1) or near a clamp switchover.  Flagged rows,
+the candidate points (the set `min_coverage` built, while held) and every row
+of a family without `cdf_batch` find their windows in one bisection and take
 their probabilities from one `prob_ranges` call, each row bit-equal to the
-scalar `prob_range` of `indicator_coverage`; the least of these exact values
-seeds the scan's best.
+scalar `prob_range` of `indicator_coverage` (a window that accepts nothing
+is the row lo .. lo - 1, read as 0.0); the least of them seeds the scan's best.
 
 The other rows are not all read.  They fall into maximal runs of rows with
 one window [k, l], whose two end rows are evaluated, and every evaluated row
@@ -65,8 +65,6 @@ from .families import (DistributionFamily, _cdf_ends, _cdf_keys, _check_n, prob_
 # rows whose float thresholds sit this close to a decision boundary are
 # recomputed exactly
 _FLAG_RTOL = 1e-9
-# grids at least this long go through the vectorized CDF path when available
-_VECTOR_MIN_ROWS = 16
 # a run is dropped when its bound exceeds the best value by this much: twice
 # the 5e-10 cross-check tolerance, and far above 4x the float CDFs' error
 # (at most 5e-11 up to n = 10**6)
@@ -110,11 +108,11 @@ def _windows(
     estimator: EstimatorKind,
     t: np.ndarray,
     den: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Accepted outcomes at the thetas t / den (integers over one positive
-    denominator) as int64 arrays (lo, hi) and masks (open_top, full): the
-    window runs through the top of the support where open_top, and accepts
-    nothing where not full.  The thetas are validated by their least and
+    denominator) as int64 arrays (lo, hi) and a mask open_top, where the
+    window runs through the top of the support; one that accepts nothing is
+    lo .. lo - 1, never open.  The thetas are validated by their least and
     greatest."""
     tmin, tmax = int(t.min()), int(t.max())
     lowest = fam.require_theta(Fraction(tmin, den))
@@ -179,7 +177,7 @@ def _windows(
         kq = np.where(up < key, up, kq)
     end = np.asarray(end, np.int64)
     first, stop = np.asarray(np.minimum(kq // q + 1, end), np.int64)
-    return first, stop - 1, stop == end, stop > first
+    return first, stop - 1, (stop == end) & (stop > first)
 
 
 def indicator_coverage(
@@ -193,10 +191,8 @@ def indicator_coverage(
     fam = resolve_family(family)
     _check_n(n)
     theta = exact(theta, name="theta")
-    lo, hi, open_top, full = _windows(fam, n, criterion, estimator,
-                                      np.array([theta.numerator]), theta.denominator)
-    if not full[0]:
-        return 0.0
+    lo, hi, open_top = _windows(fam, n, criterion, estimator,
+                                np.array([theta.numerator]), theta.denominator)
     return prob_range(fam, n, int(lo[0]), None if open_top[0] else int(hi[0]), theta)
 
 
@@ -208,12 +204,10 @@ def _exact_values(
     t: np.ndarray,
     den: int,
 ) -> np.ndarray:
-    """`indicator_coverage` at each theta t / den: the non-empty windows go
-    through one `prob_ranges` call, whose rows are bit-equal to `prob_range`."""
-    lo, hi, open_top, full = _windows(fam, n, criterion, estimator, t, den)
-    values = np.zeros(len(t), dtype=np.float64)
-    values[full] = prob_ranges(fam, n, _floats(t[full], den), lo[full], hi[full], open_top[full])
-    return values
+    """`indicator_coverage` at each theta t / den: one `prob_ranges` call,
+    whose rows are bit-equal to `prob_range`."""
+    lo, hi, open_top = _windows(fam, n, criterion, estimator, t, den)
+    return prob_ranges(fam, n, _floats(t, den), lo, hi, open_top)
 
 
 # ---------------------------------------------------------------------------
@@ -371,10 +365,10 @@ def grid_min_coverage(
 
     Returns (value, theta); ties resolve to the smallest theta.  Candidate
     points, boundary-suspicious grid rows and every row of a family without
-    `cdf_batch` (or of a grid under `_VECTOR_MIN_ROWS` rows) are evaluated
-    through the exact indicator path, all in one `prob_ranges` batch.  The
-    other rows take float windows and are read only where the branch and
-    bound over their runs says the minimum can be.
+    `cdf_batch` are evaluated through the exact indicator path, all in one
+    `prob_ranges` batch, where a window that accepts nothing is a row that
+    reads 0.0.  The other rows take float windows and are read only where
+    the branch and bound over their runs says the minimum can be.
     """
     fam = resolve_family(family)
     _check_n(n)
@@ -396,8 +390,7 @@ def grid_min_coverage(
         )
 
     rows = int(math.floor((b - a) / grid.step)) + 1
-    vector = fam.cdf_batch is not None and rows >= _VECTOR_MIN_ROWS
-    if vector:
+    if fam.cdf_batch is not None:
         tf = float(a) + float(grid.step) * np.arange(rows, dtype=np.float64)
         *window, flagged = _vector_rows(fam, n, criterion, estimator, tf, float(a), float(b))
         exact_rows = np.nonzero(flagged)[0]
@@ -418,7 +411,7 @@ def grid_min_coverage(
     # rows left unevaluated hold +inf, strictly above the least value
     values = np.full(rows, np.inf)
     values[exact_rows] = exact_values[:len(exact_rows)]
-    if vector:
+    if fam.cdf_batch is not None:
         _scan_runs(fam, n, tf, *window, ~flagged, values,
                    float(exact_values.min(initial=np.inf)))
     # argmin takes the first, smallest theta of the tied rows

@@ -613,3 +613,13 @@ def test_float_or_bool_endpoint_rejected_cold_and_warm(a, b, warm):
         held = candidate_set_for(10, crit, UNBIASED, *warm)
         candidate_block(10, 2, crit, UNBIASED, *warm, F(1, 2), 3)
     assert held.rule == "absolute/unbiased"  # held: the warm call finds it
+
+
+@pytest.mark.parametrize("count", [0, -2, 2.5, True])
+def test_block_count_must_be_a_positive_integer(count):
+    # count = 2.5 once built a block of 3 n, and 0 or -2 an empty one
+    args = Absolute(F(1, 10)), UNBIASED, F(0), F(1), F(1, 2)
+    with pytest.raises(DomainError, match="count must be a positive integer"):
+        candidate_block(10, count, *args, 3)
+    with pytest.raises(DomainError, match="count must be a positive integer"):
+        witness_minima("bernoulli", 10, count, *args)

@@ -94,6 +94,19 @@ def test_prob_range_clips_to_support():
     assert pmf("bernoulli", 6, Fraction(2, 5), 7) == 0.0
 
 
+@pytest.mark.parametrize("fam", [BERNOULLI, POISSON, PLAIN_BERNOULLI])
+def test_prob_range_ends_past_int64_read_as_clipped(fam):
+    # ends far outside the support read what the support's edges do; as an
+    # int64 row, k = -2**63 would wrap lo - 1 to 2**63 - 1 and read nothing
+    theta, huge = Fraction(2, 5), 10**30
+    whole = prob_range(fam, 6, 0, None, theta)
+    assert prob_range(fam, 6, -2**63, None, theta) == whole
+    assert prob_range(fam, 6, -huge, huge, theta) == whole
+    assert prob_range(fam, 6, -huge, 3, theta) == prob_range(fam, 6, 0, 3, theta)
+    assert prob_range(fam, 6, 2, huge, theta) == prob_range(fam, 6, 2, None, theta)
+    assert prob_range(fam, 6, huge, None, theta) == prob_range(fam, 6, 4, -huge, theta) == 0.0
+
+
 def test_prob_range_unbounded_upper():
     val = prob_range("poisson", 3, 0, None, Fraction(4, 3))
     assert val == pytest.approx(1.0, abs=1e-12)
@@ -267,6 +280,21 @@ def test_a_nan_probability_raises_domain_error_naming_where():
                             Fraction(1), Fraction(1, 20))
     with pytest.raises(DomainError, match="'nan-at-half' gave a NaN probability"):
         min_sample_size(query)
+
+
+def test_a_nan_cdf_raises_domain_error_at_every_scalar_entry():
+    # the accepted outcomes at n = 12, theta = 1/2 under |k/12 - 1/2| < 1/4
+    # are 4..8: every entry reads F(3) first
+    nan_cdf = dataclasses.replace(
+        BERNOULLI, name="nan-cdf",
+        cdf_batch=lambda n, theta, k: np.where(theta == 0.5, np.nan, _sps.bdtr(k, n, theta)))
+    crit, half = Absolute(Fraction(1, 4)), Fraction(1, 2)
+    for entry in (lambda: prob_range(nan_cdf, 12, 4, 8, half),
+                  lambda: coverage(nan_cdf, 12, crit, UNBIASED, half),
+                  lambda: indicator_coverage(nan_cdf, 12, crit, UNBIASED, half)):
+        with pytest.raises(DomainError, match=r"'nan-cdf' gave a NaN probability at "
+                                              r"n=12, theta=0\.5, k=3\b"):
+            entry()
 
 
 def _no_empty_ask(n, theta, k):

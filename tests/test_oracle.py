@@ -394,7 +394,7 @@ def per_row_scan(fam, n, crit, est, a, b, grid):
     Also returns the exactly evaluated grid rows, the candidates, and the
     indicator_coverage values of both."""
     rows = math.floor((b - a) / grid.step) + 1
-    if fam.cdf_batch is not None and rows >= oracle._VECTOR_MIN_ROWS:
+    if fam.cdf_batch is not None:
         tf = float(a) + float(grid.step) * np.arange(rows, dtype=np.float64)
         lo, hi, open_top, flagged = oracle._vector_rows(fam, n, crit, est, tf, float(a), float(b))
         values = prob_ranges(fam, n, tf, lo, hi, open_top).tolist()
@@ -419,9 +419,9 @@ PLAIN_POISSON = dataclasses.replace(POISSON, cdf_batch=None)
 
 def batch_cases():
     """(family, n, criterion, estimator, a, b, cells) for both families, the
-    log-pmf-only clones and all six pairs, on grids of 12 (all rows exact)
-    and 60 cells, plus a case with narrow margins and one whose grid rows
-    put outcomes exactly on a margin edge."""
+    log-pmf-only clones and all six pairs, on grids of 12 and 60 cells, plus
+    a case with narrow margins and one whose grid rows put outcomes exactly
+    on a margin edge."""
     rng = random.Random(20261018)
     cases = []
     for fam in (BERNOULLI, POISSON, PLAIN_BERNOULLI, PLAIN_POISSON):
@@ -469,14 +469,15 @@ def test_batched_exact_rows_equal_per_row_indicator_coverage(monkeypatch):
             calls[name].clear()
         assert grid_min_coverage(fam, n, crit, est, a, b, grid) == (expected, theta), (
             fam.name, n, crit, est, a, b, cells)
-        vectorized = fam.cdf_batch is not None and cells == 60
+        vectorized = fam.cdf_batch is not None
         # one prob_ranges batch for the flagged (or, without them, all) rows
-        # and the candidates together; then, for the vectorized rows, the
-        # CDF batches of their branch and bound, starting with the ends of runs
+        # and the candidates together, empty windows included; then, for the
+        # vectorized rows, the CDF batches of their branch and bound, starting
+        # with the ends of runs
         t, den = over_one_denominator(exact)
-        _, _, open_top, full = oracle._windows(fam, n, crit, est, t, den)
+        lo, hi, open_top = oracle._windows(fam, n, crit, est, t, den)
         assert calls["prob_range"] == []
-        assert calls["prob_ranges"] == [full.sum()]
+        assert calls["prob_ranges"] == [len(t)]
         assert bool(calls["_cdf_ends"]) is vectorized
         if vectorized:
             # vectorized rows whose thresholds hit an integer, which
@@ -486,8 +487,8 @@ def test_batched_exact_rows_equal_per_row_indicator_coverage(monkeypatch):
                 or (n * (t + margin_at(crit, t))).denominator == 1 for t in rows)
         # the batch is value for value the scalar path
         assert oracle._exact_values(fam, n, crit, est, t, den).tolist() == per_row
-        for top, nonempty in zip(open_top.tolist(), full.tolist()):
-            shapes["empty" if not nonempty else "open" if top else "closed"] += 1
+        for top, empty in zip(open_top.tolist(), (hi < lo).tolist()):
+            shapes["empty" if empty else "open" if top else "closed"] += 1
     assert min(shapes.values()) > 0, shapes
 
 
@@ -550,8 +551,9 @@ CONSTANT_RUNS = [
 def pruning_cases():
     """(family, n, criterion, estimator, a, b, cells, include_candidates):
     criterion-1-style instances of both families and all six pairs on grids
-    of 16, 60 and 10^4 cells, with and without the candidates, and the two
-    CDF-only families at n = 2..12 without them."""
+    of 16, 60 and 10^4 cells, with and without the candidates, one grid of
+    each family at the fewest cells, 10, the two CDF-only families at
+    n = 2..12 without the candidates, and the grids of CONSTANT_RUNS."""
     rng = random.Random(20261019)
     cases = []
     for fam in (BERNOULLI, POISSON):
@@ -570,6 +572,8 @@ def pruning_cases():
                 cases.append((fam, *instance, cells, False))
     for instance, _, _ in CONSTANT_RUNS:
         cases.append((BERNOULLI, *instance, 10_000, False))
+    for fam in (BERNOULLI, POISSON):
+        cases.append((fam, *random_instance(rng, PAIRS[0], fam.name), 10, True))
     return cases
 
 
@@ -729,7 +733,8 @@ def test_integer_keyed_window_matches_the_brute_force_event(seed, family, pair, 
 def batch_edge_cases():
     """(label, family, n, criterion, estimator, thetas) for the batched
     windows: grids whose integer products pass 2**62, every clamp edge of
-    clamped instances, mixed crossovers, and Poisson's open support."""
+    clamped instances, mixed crossovers, Poisson's open support, and margins
+    so narrow that most windows accept nothing."""
     # over one denominator near 2**46 the numerators fit in int64 but their
     # products with n and the margin's denominator do not; a = (2**40 + 15) /
     # (2**41 + 3) and a step over another ~2**40 denominator need one near 2**85
@@ -763,6 +768,11 @@ def batch_edge_cases():
         for est in (UNBIASED, RangePreserving(F(1, 2), F(8))):
             cases.append(("open support", "poisson", 6, crit, est,
                           [F(1, 2) + F(j, 8) for j in range(61)]))
+    # margins narrower than 1/(2n)
+    cases += [("narrow", "bernoulli", 4, Absolute(F(1, 16)), UNBIASED,
+               [F(j, 24) for j in range(25)]),
+              ("narrow", "poisson", 3, Relative(F(1, 20)), UNBIASED,
+               [F(1, 2) + F(j, 8) for j in range(21)])]
     return cases
 
 
@@ -772,15 +782,28 @@ def test_batched_windows_equal_indicator_and_brute_force(label, family, n, crit,
     t, den = over_one_denominator(thetas)
     if label == "past 2**62":
         assert int(max(t)) * n * 97 > 2**62
-    lo, hi, open_top, full = oracle._windows(fam, n, crit, est, t, den)
+    lo, hi, open_top = oracle._windows(fam, n, crit, est, t, den)
     values = oracle._exact_values(fam, n, crit, est, t, den).tolist()
     assert values == [indicator_coverage(fam, n, crit, est, theta) for theta in thetas]
     for j, theta in enumerate(thetas):
         accepted, top = accepted_outcomes(family, n, crit, est, theta)
-        window = list(range(lo[j], (top if open_top[j] else hi[j]) + 1)) if full[j] else []
+        window = list(range(lo[j], (top if open_top[j] else hi[j]) + 1))
         assert window == accepted, (label, theta)
+        # a window that accepts nothing is lo .. lo - 1, never open
+        assert bool(accepted) or (hi[j] == lo[j] - 1 and not open_top[j]), (label, theta)
     if label == "open support":
-        assert open_top[full].any() == isinstance(est, RangePreserving)
+        assert open_top.any() == isinstance(est, RangePreserving)
+    if label == "narrow":
+        assert (hi < lo).any()
+
+
+def test_a_window_past_the_top_of_the_support_is_empty_and_closed():
+    # every accepted outcome lies above a support cut at n / 2: the bisection
+    # stops at the support's end with nothing accepted
+    half = dataclasses.replace(BERNOULLI, name="half", support_bound=lambda n: (0, n // 2))
+    t, den = over_one_denominator([F(9, 10), F(1)])
+    lo, hi, open_top = oracle._windows(half, 10, Absolute(F(1, 10)), UNBIASED, t, den)
+    assert lo.tolist() == [6, 6] and hi.tolist() == [5, 5] and not open_top.any()
 
 
 # ---------------------------------------------------------------------------
