@@ -38,11 +38,12 @@ from .coverage import (
     RangePreserving,
     Relative,
     Unbiased,
-    coverage,
+    acceptance_windows,
 )
 from .errors import DomainError
+from .families import prob_ranges, resolve_family
 from .minimize import min_coverage
-from .oracle import GridSpec, grid_min_coverage
+from .oracle import GridSpec, grid_min_coverage, grid_rows
 from .search import SampleSizeQuery, min_sample_size
 
 
@@ -257,14 +258,22 @@ def _cmd_coverage_curve(args: argparse.Namespace, crit: ErrorCriterion,
     if step <= 0 or step > b - a:
         raise DomainError(f"step must lie in (0, b-a], got {step}")
     marks: dict[Fraction, tuple[str, ...]] = {
-        a + j * step: () for j in range((b - a) // step + 1)}
+        a + j * step: () for j in range(grid_rows(a, b, step))}
     if not args.no_candidates:
         for point in candidate_set_for(args.n, crit, est, a, b).points:
             marks[point.theta] = point.tags
     thetas = sorted(marks)
-    _add_points(rec, "points", [ratio_str(t) for t in thetas], [float(t) for t in thetas],
-                ["+".join(marks[t]) for t in thetas],
-                values=[coverage(args.family, args.n, crit, est, t) for t in thetas],
+    fam = resolve_family(args.family)
+    floats = [float(fam.require_theta(t)) for t in thetas]
+    # each point's coverage: its window as a run of one theta, then one
+    # probability batch; a window open below starts at the support's least k
+    lo, hi, open_lo, open_hi = acceptance_windows(
+        args.n, crit, est, [(t.numerator, 0, t.denominator) for t in thetas],
+        np.arange(len(thetas)), np.zeros(len(thetas), np.int64))
+    lo[open_lo] = fam.support_bound(args.n)[0]
+    values = prob_ranges(fam, args.n, np.array(floats), lo, hi, open_hi)
+    _add_points(rec, "points", [ratio_str(t) for t in thetas], floats,
+                ["+".join(marks[t]) for t in thetas], values=values.tolist(),
                 candidate=[bool(marks[t]) for t in thetas])
 
 

@@ -13,18 +13,17 @@ ints otherwise; `indicator_coverage` is its one-theta case.
 candidate points, and reports the smallest coverage seen.  Agreement between
 this scan and the candidate-set minimum is what certifies the reduction.
 
-Every grid of a family with `cdf_batch` takes a vectorized path built on its
-CDFs: one floor per window threshold gives every row's float window, and a
-row is flagged when a threshold lands near an integer (tested only where the
-floor's fraction is nearly 0 or 1) or near a clamp switchover.  Flagged rows,
-the candidate points (the set `min_coverage` built, while held) and every row
-of a family without `cdf_batch` find their windows in one bisection and take
-their probabilities from one `prob_ranges` call, each row bit-equal to the
-scalar `prob_range` of `indicator_coverage` (a window that accepts nothing
-is the row lo .. lo - 1, read as 0.0); the least of them seeds the scan's best.
+A grid row theta = a + j * step, over the rows' own denominator, is read at
+its correctly rounded float in the window of one floor division per end,
+lo = floor(n (theta - m)) + 1 and hi = ceil(n (theta + m)) - 1.  The
+candidate points (the set `min_coverage` built, while held) take one
+`prob_ranges` call, each row bit-equal to `indicator_coverage` (a window
+that accepts nothing is the row lo .. lo - 1, read as 0.0).  A family
+without `cdf_batch` reads every grid row in one more; for the others the
+least candidate value seeds a branch and bound over the rows.
 
-The other rows are not all read.  They fall into maximal runs of rows with
-one window [k, l], whose two end rows are evaluated, and every evaluated row
+Not every grid row is read.  The rows fall into maximal runs with one
+window [k, l], whose two end rows are evaluated, and every evaluated row
 keeps the two CDF values it read, F(k - 1; theta) and F(l; theta).  The
 family promises that F(l; theta) = Pr{Y_n <= l | theta} does not increase in
 theta, so on a run from theta_s to theta_e every row's coverage is at least
@@ -59,18 +58,18 @@ from .coverage import (
     Relative,
 )
 from .errors import DomainError
-from .families import (DistributionFamily, _cdf_ends, _cdf_keys, _check_n, prob_range, prob_ranges,
-                       resolve_family)
+from .families import (_PAST_TOP, DistributionFamily, _cdf_ends, _cdf_keys, _check_n, prob_range,
+                       prob_ranges, resolve_family)
 
-# rows whose float thresholds sit this close to a decision boundary are
-# recomputed exactly
-_FLAG_RTOL = 1e-9
 # a run is dropped when its bound exceeds the best value by this much: twice
 # the 5e-10 cross-check tolerance, and far above 4x the float CDFs' error
 # (at most 5e-11 up to n = 10**6)
 _PRUNE_MARGIN = 1e-9
 # runs with at most this many interior rows are evaluated whole
 _LEAF_ROWS = 16
+# the most rows a grid may have: a hundred times the 10**4-cell grids of the
+# cross-checks; a finer step is rejected before any row is built
+MAX_GRID_ROWS = 10**6
 
 
 @dataclass(frozen=True)
@@ -101,24 +100,19 @@ class GridSpec:
         return cls(step=(b - a) / cells, include_candidates=include_candidates)
 
 
-def _windows(
-    fam: DistributionFamily,
-    n: int,
-    criterion: ErrorCriterion,
-    estimator: EstimatorKind,
-    t: np.ndarray,
-    den: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Accepted outcomes at the thetas t / den (integers over one positive
-    denominator) as int64 arrays (lo, hi) and a mask open_top, where the
-    window runs through the top of the support; one that accepts nothing is
-    lo .. lo - 1, never open.  The thetas are validated by their least and
-    greatest."""
+def _edges(fam: DistributionFamily, criterion: ErrorCriterion, estimator: EstimatorKind,
+           t: np.ndarray, den: int, per_edge: int,
+           per_q: int) -> tuple[np.ndarray, np.ndarray, int, int]:
+    """theta - m and theta + m at the thetas t / den (integers over one
+    positive denominator), validated by their least and greatest, as arrays
+    (low, high) of integers over q = den * d * g; also q and a bound,
+    per_edge * edge + per_q * q with edge >= |low|, |high|.  The arrays are
+    int64 where the bound is below 2**62, else Python ints, which never wrap."""
     tmin, tmax = int(t.min()), int(t.max())
     lowest = fam.require_theta(Fraction(tmin, den))
     highest = lowest if tmax == tmin else fam.require_theta(Fraction(tmax, den))
-    rp = isinstance(estimator, RangePreserving)
-    if rp and not estimator.lower <= lowest <= highest <= estimator.upper:
+    if isinstance(estimator, RangePreserving) and not (
+            estimator.lower <= lowest <= highest <= estimator.upper):
         outside = lowest if lowest < estimator.lower else highest
         raise DomainError(
             f"theta={outside} outside the range-preserving interval "
@@ -138,16 +132,35 @@ def _windows(
             (e, d), (f, g) = eps_abs.as_integer_ratio(), eps_rel.as_integer_ratio()
         case _:
             raise DomainError(f"unknown criterion {criterion!r}")
-    q, kmin, kmax = den * d * g, *fam.support_bound(n)
+    q = den * d * g
+    edge = max(abs(tmin), abs(tmax)) * (d * g + f * d) + e * g * den
+    bound = per_edge * edge + per_q * q
+    t = t.astype(np.int64 if bound < 2**62 else object)
+    m = np.maximum(e * g * den, f * d * t)
+    return t * (d * g) - m, t * (d * g) + m, q, bound
+
+
+def _windows(
+    fam: DistributionFamily,
+    n: int,
+    criterion: ErrorCriterion,
+    estimator: EstimatorKind,
+    t: np.ndarray,
+    den: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Accepted outcomes at the thetas t / den (integers over one positive
+    denominator) as int64 arrays (lo, hi) and a mask open_top, where the
+    window runs through the top of the support; one that accepts nothing is
+    lo .. lo - 1, never open.  The thetas are validated by their least and
+    greatest."""
+    kmin, kmax = fam.support_bound(n)
+    rp = isinstance(estimator, RangePreserving)
     (ln, ld), (un, ud) = ((estimator.lower.as_integer_ratio(), estimator.upper.as_integer_ratio())
                           if rp else ((0, 1), (0, 1)))
     # a bound on every integer below: edges, k * q and its key edge * n, with
-    # k at most twice the top of the search; else Python ints, which never wrap
-    edge = max(abs(tmin), abs(tmax)) * (d * g + f * d) + e * g * den
-    bound = 4 * (edge * (n + max(ld, ud)) + (n * -(-un // ud) + abs(kmin) + ln + un + 8) * q)
-    t = t.astype(np.int64 if bound < 2**62 else object)
-    m = np.maximum(e * g * den, f * d * t)
-    low, high = t * (d * g) - m, t * (d * g) + m
+    # k at most twice the top of the search
+    low, high, q, bound = _edges(fam, criterion, estimator, t, den, 4 * (n + max(ld, ud)),
+                                 4 * (n * -(-un // ud) + abs(kmin) + ln + un + 8))
     # transitions of the event happen while the estimate moves through
     # (theta - m, theta + m) or up to the upper clamp; beyond both it is
     # constant in k
@@ -180,6 +193,40 @@ def _windows(
     return first, stop - 1, (stop == end) & (stop > first)
 
 
+def _grid_windows(fam: DistributionFamily, n: int, criterion: ErrorCriterion,
+                  estimator: EstimatorKind, t: np.ndarray,
+                  den: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The outcomes `_windows` accepts at the grid rows t / den, without a
+    bisection and not clipped to the support: the k with k / n strictly
+    inside (theta - m, theta + m) run from lo = floor(n (theta - m)) + 1 to
+    hi = ceil(n (theta + m)) - 1.  A clamped estimate takes every k from the
+    support's least where theta - m is below the lower clamp, and every k
+    above the window, an open top, where theta + m is above the upper one."""
+    low, high, q, _ = _edges(fam, criterion, estimator, t, den, 2 * n, 1)
+    lo, hi = n * low // q + 1, -(-n * high // q) - 1
+    kmin, kmax = fam.support_bound(n)
+    open_top = np.zeros(len(t), bool)
+    if isinstance(estimator, RangePreserving):
+        (ln, ld), (un, ud) = estimator.lower.as_integer_ratio(), estimator.upper.as_integer_ratio()
+        # low < lower * q and high > upper * q, against integer thresholds
+        lo[low < -(-ln * q // ld)] = kmin
+        open_top = np.asarray(high > un * q // ud, bool)
+    if lo.dtype == object:
+        # ends clipped to one beyond either edge of the support, where they
+        # read as they would farther out, so that they fit in int64
+        cap = _PAST_TOP - 1 if kmax is None else kmax + 1
+        lo, hi = (np.clip(x, kmin - 1, cap).astype(np.int64) for x in (lo, hi))
+    return lo, hi, open_top
+
+
+def grid_rows(a: Fraction, b: Fraction, step: Fraction) -> int:
+    """The number of thetas a + j * step in [a, b], at most MAX_GRID_ROWS."""
+    if (rows := (b - a) // step + 1) > MAX_GRID_ROWS:
+        raise DomainError(f"grid step {step} gives {rows} rows on [{a}, {b}]; "
+                          f"at most {MAX_GRID_ROWS} are allowed")
+    return rows
+
+
 def indicator_coverage(
     family: DistributionFamily | str,
     n: int,
@@ -210,107 +257,12 @@ def _exact_values(
     return prob_ranges(fam, n, _floats(t, den), lo, hi, open_top)
 
 
-# ---------------------------------------------------------------------------
-# vectorized grid rows
-
-def _floor_near_int(x: np.ndarray, flags: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """floor(x) as int64 and the rows where x is an integer; flags where x is
-    within _FLAG_RTOL * max(1, |x|) of an integer, tested only where x is
-    within `bound` of one: it bounds every row's tolerance (x is ascending),
-    its slack the rounding of the fraction of a small negative x."""
-    frac = np.floor(x)
-    floor = frac.astype(np.int64)
-    np.subtract(x, frac, out=frac)  # the fraction, 0 just where x is an integer
-    bound = _FLAG_RTOL * max(1.0, -x[0], x[-1]) + 2**-50
-    near = ((frac <= bound) | (frac >= 1.0 - bound)).nonzero()[0]
-    xs = x[near]
-    flags[near[np.abs(xs - np.rint(xs)) <= np.maximum(np.abs(xs), 1.0) * _FLAG_RTOL]] = True
-    return floor, near[frac[near] == 0.0]
-
-
-def _near(x: np.ndarray, y: float, flags: np.ndarray) -> None:
-    """Flag where x, ascending, is within _FLAG_RTOL * max(1, |y|) of y;
-    only the rows within twice that are compared."""
-    tol = _FLAG_RTOL * max(1.0, abs(y))
-    i, j = x.searchsorted((y - 2 * tol, y + 2 * tol))
-    flags[i:j] |= np.abs(x[i:j] - y) <= tol
-
-
-def _vector_rows(
-    fam: DistributionFamily,
-    n: int,
-    criterion: ErrorCriterion,
-    estimator: EstimatorKind,
-    tf: np.ndarray,
-    af: float,
-    bf: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Float windows (lo, hi, open_top) per grid row plus a mask of rows
-    needing exact redo; the rows' thetas `tf` are ascending, and so is every
-    threshold."""
-    kmin, _ = fam.support_bound(n)
-    rp = isinstance(estimator, RangePreserving)
-    flags = np.zeros(tf.shape, dtype=bool)
-
-    def one_window(eps_f: float, relative: bool):
-        if relative:
-            lo_edge = tf * (1.0 - eps_f)
-            hi_edge = tf * (1.0 + eps_f)
-        else:
-            lo_edge = tf - eps_f
-            hi_edge = tf + eps_f
-        lo, _ = _floor_near_int(n * lo_edge, flags)
-        lo += 1
-        # ceil(x) - 1 is floor(x), or x - 1 where x is an integer
-        hi, whole = _floor_near_int(n * hi_edge, flags)
-        hi[whole] -= 1
-        open_top = np.zeros(tf.shape, dtype=bool)
-        if rp:
-            lo[:lo_edge.searchsorted(af)] = kmin
-            open_top = hi_edge > bf
-            _near(lo_edge, af, flags)
-            _near(hi_edge, bf, flags)
-        return lo, hi, open_top
-
-    match criterion:
-        case Absolute(eps=eps):
-            lo, hi, open_top = one_window(float(eps), False)
-        case Relative(eps=eps):
-            lo, hi, open_top = one_window(float(eps), True)
-        case Mixed():
-            lo, hi, open_top = one_window(float(criterion.eps_abs), False)
-            lo_r, hi_r, open_r = one_window(float(criterion.eps_rel), True)
-            # the two margins give nested windows; the union is the wider one
-            np.minimum(lo, lo_r, out=lo)
-            np.maximum(hi, hi_r, out=hi)
-            open_top |= open_r
-        case _:
-            raise DomainError(f"unknown criterion {criterion!r}")
-
-    space = fam.param_space
-    if space.include_lower:
-        _near(tf, float(space.lower), flags)
-    if space.upper is not None and space.include_upper:
-        _near(tf, float(space.upper), flags)
-
-    return lo, hi, open_top, flags
-
-
-def _scan_runs(
-    fam: DistributionFamily,
-    n: int,
-    tf: np.ndarray,
-    lo: np.ndarray,
-    hi: np.ndarray,
-    open_top: np.ndarray,
-    free: np.ndarray,
-    values: np.ndarray,
-    best: float,
-) -> None:
-    """Write into `values` the float coverage of every row in `free` that
-    can hold the least value, by branch and bound over the runs of free rows
-    with one window; the others keep their +inf.  `best` is the least value
-    already known: the exact rows' and the candidates'."""
+def _scan_runs(fam: DistributionFamily, n: int, tf: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+               open_top: np.ndarray, values: np.ndarray, best: float) -> None:
+    """Write into `values` the float coverage of every row that can hold the
+    least value, by branch and bound over the runs of rows with one window;
+    the others keep their +inf.  `best` is the least value already known,
+    the candidates'."""
     # F(lo - 1) and F(hi) of each evaluated row, as prob_ranges reads them
     cdf = np.empty((2, len(tf)))
 
@@ -319,12 +271,11 @@ def _scan_runs(
         got = values[rows] = np.maximum(c[1] - c[0], 0.0)
         return min(best, float(got.min(initial=np.inf)))
 
-    # maximal runs: a free row opens one unless the row before is free with
-    # its window, and closes one unless the row after opens none
-    joins = free[1:] & free[:-1] & (lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1])
-    joins &= open_top[1:] == open_top[:-1]
-    s = (free & np.append(True, ~joins)).nonzero()[0]
-    e = (free & np.append(~joins, True)).nonzero()[0]
+    # maximal runs: a row opens one unless the row before has its window,
+    # and closes one unless the row after opens one
+    joins = (lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1]) & (open_top[1:] == open_top[:-1])
+    s = np.append(True, ~joins).nonzero()[0]
+    e = np.append(~joins, True).nonzero()[0]
     best = evaluate(np.union1d(s, e))
     # a window that reads no CDF value, or F(k - 1) twice (an empty one),
     # gives every row of its run the start row's value bit for bit, at the
@@ -363,12 +314,13 @@ def grid_min_coverage(
 ) -> tuple[float, Fraction]:
     """Smallest coverage over the grid (and candidates, if included) on [a, b].
 
-    Returns (value, theta); ties resolve to the smallest theta.  Candidate
-    points, boundary-suspicious grid rows and every row of a family without
-    `cdf_batch` are evaluated through the exact indicator path, all in one
-    `prob_ranges` batch, where a window that accepts nothing is a row that
-    reads 0.0.  The other rows take float windows and are read only where
-    the branch and bound over their runs says the minimum can be.
+    Returns (value, theta); ties resolve to the smallest theta.  The
+    candidate points take the exact indicator path in one `prob_ranges`
+    batch, where a window that accepts nothing is a row that reads 0.0.  The
+    grid rows take their windows from one floor division per end; a family
+    without `cdf_batch` reads every row, the others only the rows where the
+    branch and bound over their runs says the minimum can be.  A grid of more
+    than MAX_GRID_ROWS rows raises DomainError.
     """
     fam = resolve_family(family)
     _check_n(n)
@@ -377,52 +329,39 @@ def grid_min_coverage(
     if not a < b:
         raise DomainError(f"need a < b, got a={a}, b={b}")
     fam.require_interval(a, b)
-    if isinstance(estimator, RangePreserving) and (
-        estimator.lower != a or estimator.upper != b
-    ):
-        raise DomainError(
-            f"range-preserving clamp [{estimator.lower}, {estimator.upper}] must "
-            f"equal the scanned interval [{a}, {b}]"
-        )
+    if isinstance(estimator, RangePreserving) and (estimator.lower, estimator.upper) != (a, b):
+        raise DomainError(f"range-preserving clamp [{estimator.lower}, {estimator.upper}] must "
+                          f"equal the scanned interval [{a}, {b}]")
     if grid.step > (b - a) / 10:
-        raise DomainError(
-            f"grid step {grid.step} too coarse for [{a}, {b}]; need at most (b-a)/10"
-        )
+        raise DomainError(f"grid step {grid.step} too coarse for [{a}, {b}]; need at most (b-a)/10")
 
-    rows = int(math.floor((b - a) / grid.step)) + 1
-    if fam.cdf_batch is not None:
-        tf = float(a) + float(grid.step) * np.arange(rows, dtype=np.float64)
-        *window, flagged = _vector_rows(fam, n, criterion, estimator, tf, float(a), float(b))
-        exact_rows = np.nonzero(flagged)[0]
-    else:
-        exact_rows = np.arange(rows)
-    # the exact grid rows (a + j * step) and the candidates, in one batch
-    # over one denominator; the candidates come sorted by theta
-    cset = candidate_set_for(n, criterion, estimator, a, b) if grid.include_candidates else None
+    rows = grid_rows(a, b, grid.step)
+    # the rows a + j * step over their own denominator, in Python ints where
+    # int64 could wrap
     (an, ad), (sn, sd) = a.as_integer_ratio(), grid.step.as_integer_ratio()
-    cn, cd = (cset.numerators, cset.den) if cset is not None else (np.zeros(0, np.int64), 1)
-    den = math.lcm(ad, sd, cd)
-    an, sn, cm = an * (den // ad), sn * (den // sd), den // cd
-    top = max(abs(an) + rows * sn, int(np.abs(cn).max(initial=0)) * cm)
-    dtype = np.int64 if top < 2**62 else object  # else Python ints, which never wrap
-    t = np.concatenate((an + exact_rows.astype(dtype) * sn, cn.astype(dtype) * cm))
-    exact_values = (_exact_values(fam, n, criterion, estimator, t, den) if len(t)
-                    else np.zeros(0, np.float64))
-    # rows left unevaluated hold +inf, strictly above the least value
-    values = np.full(rows, np.inf)
-    values[exact_rows] = exact_values[:len(exact_rows)]
-    if fam.cdf_batch is not None:
-        _scan_runs(fam, n, tf, *window, ~flagged, values,
-                   float(exact_values.min(initial=np.inf)))
+    den = math.lcm(ad, sd)
+    an, sn = an * (den // ad), sn * (den // sd)
+    t = an + np.arange(rows).astype(np.int64 if abs(an) + rows * sn < 2**62 else object) * sn
+    window = _grid_windows(fam, n, criterion, estimator, t, den)
+    tf = _floats(t, den)
+    # the candidates, over theirs, sorted by theta
+    cset = candidate_set_for(n, criterion, estimator, a, b) if grid.include_candidates else None
+    cand = (_exact_values(fam, n, criterion, estimator, cset.numerators, cset.den)
+            if cset is not None else np.zeros(0))
+    if fam.cdf_batch is None:
+        values = prob_ranges(fam, n, tf, *window)
+    else:
+        # rows left unevaluated hold +inf, strictly above the least value
+        values = np.full(rows, np.inf)
+        _scan_runs(fam, n, tf, *window, values, float(cand.min(initial=np.inf)))
     # argmin takes the first, smallest theta of the tied rows
     j = int(np.argmin(values))
     best, theta = float(values[j]), a + j * grid.step
 
     if cset is not None:
-        cand = exact_values[len(exact_rows):]
         i = int(np.argmin(cand))
         if cand[i] <= best:
-            tied = Fraction(int(cn[i]), cd)
+            tied = Fraction(int(cset.numerators[i]), cset.den)
             theta = tied if cand[i] < best else min(theta, tied)
             best = float(cand[i])
 

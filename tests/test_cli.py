@@ -542,3 +542,15 @@ def test_thread_env_does_not_change_bytes():
     assert obj["command"] == "min-coverage"
     assert obj["evaluations"]
     assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("command", ["verify", "coverage-curve"])
+def test_a_grid_of_more_than_a_million_rows_exits_3(capsys, command):
+    # 10**12 rows would exhaust memory or run for hours; the row count is
+    # checked before any row is built
+    code, out, err = run_cli(
+        capsys, command, "--family", "bernoulli", "--n", "5", "--abs-eps", "1/4",
+        "--a", "0", "--b", "1", "--step", "1/1000000000000",
+    )
+    assert code == 3 and out == ""
+    assert "1000000000001 rows" in err and "at most 1000000" in err

@@ -26,7 +26,7 @@ from covsize import (
     min_coverage,
 )
 from covsize import oracle
-from covsize.families import BERNOULLI, POISSON, DistributionFamily, prob_ranges
+from covsize.families import BERNOULLI, POISSON, DistributionFamily
 from tests._reference import bernoulli_coverage, estimate_of, margin_at, poisson_pmf_dec
 from tests.test_acceptance import PAIRS, random_instance
 
@@ -320,10 +320,9 @@ def test_grid_without_candidates_stays_close():
 def test_lattice_aligned_grid_goes_through_exact_path():
     """Every fifth grid row lands exactly on a window threshold.
 
-    Rows where n*theta +- n*eps is an integer are where float thresholds and
-    exact thresholds can disagree; the scan must recompute those rows
-    exactly, so a full scalar recomputation reproduces every value bit for
-    bit.
+    Rows where n*theta +- n*eps is an integer are where the strict margin
+    excludes an outcome; the scan's integer windows must exclude it too, so a
+    full scalar recomputation reproduces every value bit for bit.
     """
     n, crit = 10, Absolute(F(1, 10))
     spec = GridSpec(step=F(1, 20), include_candidates=False)
@@ -387,30 +386,29 @@ def test_grid_certifies_the_decisions_at_golden_scale(family, crit, a, b, n_min)
         assert (report.min_coverage > threshold) is passes, n
 
 
+def grid_over_one_denominator(a, step, rows):
+    """The grid rows a + j * step, j < rows, as integer numerators over the
+    least common denominator of a and step."""
+    den = math.lcm(a.denominator, step.denominator)
+    first, gap = a.numerator * (den // a.denominator), step.numerator * (den // step.denominator)
+    return np.array([first + j * gap for j in range(rows)]), den
+
+
 def per_row_scan(fam, n, crit, est, a, b, grid):
-    """grid_min_coverage as a full row-by-row scan: every vectorized row's
-    float window through prob_ranges where the grid takes them, then every
-    flagged row and every candidate through its own indicator_coverage call.
-    Also returns the exactly evaluated grid rows, the candidates, and the
-    indicator_coverage values of both."""
+    """grid_min_coverage as a full row-by-row scan: every grid row through
+    `oracle._exact_values`, which takes the bisection's windows and correctly
+    rounded floats, and every candidate through its own indicator_coverage
+    call.  Also returns the candidates and their values."""
     rows = math.floor((b - a) / grid.step) + 1
-    if fam.cdf_batch is not None:
-        tf = float(a) + float(grid.step) * np.arange(rows, dtype=np.float64)
-        lo, hi, open_top, flagged = oracle._vector_rows(fam, n, crit, est, tf, float(a), float(b))
-        values = prob_ranges(fam, n, tf, lo, hi, open_top).tolist()
-        flagged = flagged.tolist()
-    else:
-        values, flagged = [None] * rows, [True] * rows
-    exact = [a + j * grid.step for j, f in enumerate(flagged) if f]
+    values = oracle._exact_values(fam, n, crit, est,
+                                  *grid_over_one_denominator(a, grid.step, rows)).tolist()
     cands = candidate_set_for(n, crit, est, a, b).thetas if grid.include_candidates else ()
-    per_row = [indicator_coverage(fam, n, crit, est, t) for t in (*exact, *cands)]
-    flagged_values = iter(per_row)
-    values = [next(flagged_values) if f else v for v, f in zip(values, flagged)]
-    best = min(values + per_row[len(exact):])
+    cand_values = [indicator_coverage(fam, n, crit, est, t) for t in cands]
+    best = min(values + cand_values)
     # the first grid row and every candidate at the least value
     tied = [a + values.index(best) * grid.step] if best in values else []
-    tied += [t for v, t in zip(per_row[len(exact):], cands) if v == best]
-    return best, min(tied), exact, cands, per_row
+    tied += [t for v, t in zip(cand_values, cands) if v == best]
+    return best, min(tied), cands, cand_values
 
 
 PLAIN_BERNOULLI = dataclasses.replace(BERNOULLI, cdf_batch=None)
@@ -463,30 +461,30 @@ def test_batched_exact_rows_equal_per_row_indicator_coverage(monkeypatch):
     shapes = {"empty": 0, "open": 0, "closed": 0, "on an edge": 0}
     for fam, n, crit, est, a, b, cells in batch_cases():
         grid = GridSpec.divide(a, b, cells=cells)
-        expected, theta, rows, cands, per_row = per_row_scan(fam, n, crit, est, a, b, grid)
-        exact = rows + list(cands)
+        expected, theta, cands, cand_values = per_row_scan(fam, n, crit, est, a, b, grid)
+        rows = [a + j * grid.step for j in range(cells + 1)]
         for name in calls:
             calls[name].clear()
         assert grid_min_coverage(fam, n, crit, est, a, b, grid) == (expected, theta), (
             fam.name, n, crit, est, a, b, cells)
         vectorized = fam.cdf_batch is not None
-        # one prob_ranges batch for the flagged (or, without them, all) rows
-        # and the candidates together, empty windows included; then, for the
-        # vectorized rows, the CDF batches of their branch and bound, starting
-        # with the ends of runs
-        t, den = over_one_denominator(exact)
-        lo, hi, open_top = oracle._windows(fam, n, crit, est, t, den)
+        # one prob_ranges batch for the candidates, empty windows included,
+        # and, without cdf_batch, one for every grid row; with it, the CDF
+        # batches of the branch and bound over the grid rows, starting with
+        # the ends of runs
         assert calls["prob_range"] == []
-        assert calls["prob_ranges"] == [len(t)]
+        assert calls["prob_ranges"] == [len(cands)] + ([] if vectorized else [len(rows)])
         assert bool(calls["_cdf_ends"]) is vectorized
-        if vectorized:
-            # vectorized rows whose thresholds hit an integer, which
-            # _vector_rows flags for the exact path
-            shapes["on an edge"] += sum(
-                (n * (t - margin_at(crit, t))).denominator == 1
-                or (n * (t + margin_at(crit, t))).denominator == 1 for t in rows)
-        # the batch is value for value the scalar path
-        assert oracle._exact_values(fam, n, crit, est, t, den).tolist() == per_row
+        # grid rows whose n * (theta -+ m) is an integer, where the strict
+        # margin excludes an outcome
+        shapes["on an edge"] += sum(
+            (n * (t - margin_at(crit, t))).denominator == 1
+            or (n * (t + margin_at(crit, t))).denominator == 1 for t in rows)
+        # the candidates' batch is value for value the scalar path
+        t, den = over_one_denominator(list(cands))
+        assert oracle._exact_values(fam, n, crit, est, t, den).tolist() == cand_values
+        t, den = over_one_denominator(rows + list(cands))
+        lo, hi, open_top = oracle._windows(fam, n, crit, est, t, den)
         for top, empty in zip(open_top.tolist(), (hi < lo).tolist()):
             shapes["empty" if empty else "open" if top else "closed"] += 1
     assert min(shapes.values()) > 0, shapes
@@ -586,11 +584,11 @@ def test_pruned_grid_scan_equals_the_full_scan_bit_for_bit():
             fam.name, n, crit, est, a, b, cells, include)
         if fam.name in inside:
             # the first least row lies strictly inside its run of one window
-            tf = float(a) + float(grid.step) * np.arange(cells + 1, dtype=np.float64)
-            *window, flags = oracle._vector_rows(fam, n, crit, est, tf, float(a), float(b))
+            window = oracle._grid_windows(fam, n, crit, est,
+                                          *grid_over_one_denominator(a, grid.step, cells + 1))
             j = round((expected[1] - a) / grid.step)
-            inside[fam.name] += 0 < j < cells and not flags[j - 1:j + 2].any() and all(
-                w[j - 1] == w[j] == w[j + 1] for w in window)
+            inside[fam.name] += 0 < j < cells and all(w[j - 1] == w[j] == w[j + 1]
+                                                      for w in window)
     # minima that only a valid bound, dropping only what is strictly above
     # the least value, keeps
     assert min(inside.values()) > 0, inside
@@ -673,12 +671,12 @@ def test_a_nan_on_the_scan_path_raises_domain_error(where):
         return _mixture_cdf(n_, thetas, ks)
 
     grid_min_coverage(_cdf_only("recording", recording), n, crit, est, a, b, grid)
-    tf = float(a) + float(grid.step) * np.arange(10_001, dtype=np.float64)
-    lo, hi, open_top, flags = oracle._vector_rows(TWO_PEAKED, n, crit, est, tf, float(a), float(b))
-    same = ~flags[1:] & ~flags[:-1] & (lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1])
-    same &= open_top[1:] == open_top[:-1]
+    t, den = grid_over_one_denominator(a, grid.step, 10_001)
+    tf = t / den
+    lo, hi, open_top = oracle._grid_windows(TWO_PEAKED, n, crit, est, t, den)
+    same = (lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1]) & (open_top[1:] == open_top[:-1])
     inside = np.append(False, same) & np.append(same, False)
-    start = ~flags & ~np.append(False, same) & np.append(same, False)
+    start = ~np.append(False, same) & np.append(same, False)
     j = next(j for j in (inside if where == "inside" else start).nonzero()[0]
              if tf[j] in read and lo[j] > 0)
     theta = float(tf[j])
@@ -807,125 +805,92 @@ def test_a_window_past_the_top_of_the_support_is_empty_and_closed():
 
 
 # ---------------------------------------------------------------------------
-# _vector_rows against the float windows and flags it replaced: every
-# threshold x through rint and the near-integer test, ceil(x) - 1 for the
-# upper end
+# the grid's integer windows against the bisection
 
-def reference_near_int(x, flags):
-    gap, tol = np.rint(x), np.abs(x)
-    np.subtract(x, gap, out=gap)
-    np.abs(gap, out=gap)
-    np.maximum(tol, 1.0, out=tol)
-    tol *= oracle._FLAG_RTOL
-    flags |= gap <= tol
-
-
-def reference_near(x, y, flags):
-    gap = x - y
-    np.abs(gap, out=gap)
-    flags |= gap <= oracle._FLAG_RTOL * max(1.0, abs(y))
+def accepted_ranges(fam, n, lo, hi, open_top):
+    """Each window clipped to the support: (least, greatest) accepted k, the
+    greatest None for a top without end, or None for a window that accepts
+    nothing."""
+    kmin, kmax = fam.support_bound(n)
+    out = []
+    for k, l, top in zip(lo.tolist(), hi.tolist(), open_top.tolist()):
+        k, l = max(k, kmin), kmax if top else l if kmax is None else min(l, kmax)
+        out.append(None if l is not None and l < k else (k, l))
+    return out
 
 
-def reference_vector_windows(fam, n, crit, est, tf, af, bf):
-    """(lo, hi, open_top, flags) of the grid rows tf, as the float scan
-    computed them with a near-integer test on every row."""
-    kmin, _ = fam.support_bound(n)
-    rp = isinstance(est, RangePreserving)
-    flags = np.zeros(tf.shape, dtype=bool)
-
-    def one_window(eps_f, relative):
-        if relative:
-            lo_edge, hi_edge = tf * (1.0 - eps_f), tf * (1.0 + eps_f)
-        else:
-            lo_edge, hi_edge = tf - eps_f, tf + eps_f
-        t_lo, t_hi = n * lo_edge, n * hi_edge
-        reference_near_int(t_lo, flags)
-        reference_near_int(t_hi, flags)
-        lo = np.floor(t_lo).astype(np.int64) + 1
-        hi = np.ceil(t_hi).astype(np.int64) - 1
-        open_top = np.zeros(tf.shape, dtype=bool)
-        if rp:
-            lo[lo_edge < af] = kmin
-            open_top = hi_edge > bf
-            reference_near(lo_edge, af, flags)
-            reference_near(hi_edge, bf, flags)
-        return lo, hi, open_top
-
-    if isinstance(crit, Mixed):
-        lo, hi, open_top = one_window(float(crit.eps_abs), False)
-        lo_r, hi_r, open_r = one_window(float(crit.eps_rel), True)
-        lo, hi, open_top = np.minimum(lo, lo_r), np.maximum(hi, hi_r), open_top | open_r
-    else:
-        lo, hi, open_top = one_window(float(crit.eps), isinstance(crit, Relative))
-    space = fam.param_space
-    if space.include_lower:
-        reference_near(tf, float(space.lower), flags)
-    if space.upper is not None and space.include_upper:
-        reference_near(tf, float(space.upper), flags)
-    return lo, hi, open_top, flags
+# a grid whose integers pass 2**62: n * (theta + m) over the rows' common
+# denominator, near 2**81, with the margin's
+BIG_DENOMINATOR = (4001, Absolute(F(1, 97)), UNBIASED,
+                   F(2**40 + 15, 2**41 + 3), F(2**38 + 7, 2**40 + 9) / 5000)
 
 
-def vector_row_cases():
-    """(label, family, n, criterion, estimator, a, b, tf)"""
-    def grid(a, b, cells):
-        return float(a) + float((b - a) / cells) * np.arange(cells + 1, dtype=np.float64)
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    family=st.sampled_from(["bernoulli", "poisson"]),
+    pair=st.sampled_from(PAIRS),
+    where=st.sampled_from(["criterion 1", "outcome edges", "clamp edges", "space ends",
+                           "python ints"]),
+    cells=st.sampled_from([10, 14, 97, 1000]),
+)
+def test_grid_windows_equal_the_bisection_row_by_row(seed, family, pair, where, cells):
+    # criterion-1-style draws on a grid of [a, b]; every theta where an
+    # outcome or a clamped estimate sits exactly on a margin edge; a grid
+    # from an end of the parameter space; or a grid in Python ints
+    n, crit, est, a, b = random_instance(random.Random(seed), pair, family)
+    thetas = [a + j * (b - a) / cells for j in range(cells + 1)]
+    if where == "outcome edges":
+        thetas = boundary_thetas(n, crit, a, b) + [a, b]
+    elif where == "clamp edges" and isinstance(est, RangePreserving):
+        thetas = clamp_edges(crit, est, a, b) + [a, b]
+    elif where == "space ends":
+        # Bernoulli's 0 and 1 where the criterion allows theta = 0, else a
+        # theta just above 0
+        a = F(0) if family == "bernoulli" and isinstance(crit, Absolute) else F(1, 10**6)
+        b = F(1) if family == "bernoulli" else b
+        est = RangePreserving(a, b) if isinstance(est, RangePreserving) else est
+        thetas = [a + j * (b - a) / cells for j in range(cells + 1)]
+    elif where == "python ints":
+        n, crit, est, a, step = BIG_DENOMINATOR
+        family, thetas = "bernoulli", [a + j * step for j in range(cells + 1)]
+    fam = BERNOULLI if family == "bernoulli" else POISSON
+    t, den = over_one_denominator(sorted(set(thetas)))
+    if where == "python ints":
+        assert t.dtype == object and int(t.max()) * n * 97 > 2**62
+    got = oracle._grid_windows(fam, n, crit, est, t, den)
+    assert accepted_ranges(fam, n, *got) == accepted_ranges(
+        fam, n, *oracle._windows(fam, n, crit, est, t, den)), (where, n, crit, est)
 
-    cases = [
-        # n divides the cells: n * (theta -+ eps) is an integer on every
-        # tenth row, and negative below eps
-        ("lattice-aligned", BERNOULLI, 10, Absolute(F(1, 10)), UNBIASED, F(0), F(1),
-         grid(F(0), F(1), 1000)),
-        ("lattice-aligned", BERNOULLI, 40, Mixed(F(1, 20), F(1, 4)), UNBIASED, F(0), F(1),
-         grid(F(0), F(1), 10_000)),
-        ("lattice-aligned", POISSON, 8, Relative(F(1, 4)), UNBIASED, F(1, 2), F(5, 2),
-         grid(F(1, 2), F(5, 2), 1600)),
-        # a = 0: every threshold below eps is negative; the ends are the
-        # parameter bounds 0 and 1
-        ("a = 0", BERNOULLI, 37, Absolute(F(3, 20)), UNBIASED, F(0), F(1),
-         grid(F(0), F(1), 10_000)),
-        ("a = 0", BERNOULLI, 7, Mixed(F(1, 8), F(1, 2)), UNBIASED, F(0), F(1),
-         grid(F(0), F(1), 999)),
-        ("poisson", POISSON, 23, Absolute(F(5, 8)), UNBIASED, F(1, 2), F(20),
-         grid(F(1, 2), F(20), 10_000)),
-        ("poisson", POISSON, 6, Mixed(F(3, 4), F(1, 4)), RangePreserving(F(1, 2), F(8)),
-         F(1, 2), F(8), grid(F(1, 2), F(8), 10_000)),
-        # a tiny exact step around theta = 1/2, where 10 * (theta -+ 1/10) is
-        # an integer: the prefilter keeps many rows and some just fail the test
-        ("tiny step", BERNOULLI, 10, Absolute(F(1, 10)), UNBIASED, F(0), F(1),
-         float(F(1, 2)) + float(F(1, 10**11)) * np.arange(-2000, 2001, dtype=np.float64)),
-        ("tiny step", POISSON, 4, Relative(F(1, 4)), UNBIASED, F(1, 2), F(5),
-         float(F(2)) + float(F(1, 10**11)) * np.arange(-2000, 2001, dtype=np.float64)),
-    ]
-    # every clamp edge of range-preserving instances, and its neighbours
-    rng = random.Random(20261020)
-    for family in (BERNOULLI, POISSON):
-        for pair in PAIRS[3:]:
-            n, crit, est, a, b = random_instance(rng, pair, family.name)
-            # rows on both sides of each edge and of each clamp, within and
-            # beyond the flag's tolerance 1e-9 * max(1, |edge|)
-            edges = np.array([float(t) for t in clamp_edges(crit, est, a, b) + [a, b]])
-            tf = np.sort(np.concatenate([edges + d * 3e-10 * np.maximum(1.0, edges)
-                                         for d in range(-5, 6)] + [grid(a, b, 10_000)]))
-            cases.append(("clamp edges", family, n, crit, est, a, b, np.clip(tf, float(a), float(b))))
-    # criterion-1 instances on their 10^4-cell grids
-    for family in (BERNOULLI, POISSON):
+
+def test_grid_values_equal_indicator_coverage_at_their_theta():
+    # criterion-1-style grids of 11, 14, 97 and 1000 cells, with and
+    # without the candidates: each grid row is evaluated at the float of the
+    # theta it reports, in its exact window
+    rng = random.Random(5)
+    for family in ("bernoulli", "poisson"):
         for pair in PAIRS:
-            n, crit, est, a, b = random_instance(rng, pair, family.name)
-            cases.append(("criterion 1", family, n, crit, est, a, b, grid(a, b, 10_000)))
-    return cases
+            for _ in range(40):
+                n, crit, est, a, b = random_instance(rng, pair, family)
+                for cells in (11, 14, 97, 1000):
+                    for include in (True, False):
+                        grid = GridSpec.divide(a, b, cells=cells, include_candidates=include)
+                        value, theta = grid_min_coverage(family, n, crit, est, a, b, grid)
+                        assert value == indicator_coverage(family, n, crit, est, theta), (
+                            family, n, crit, est, a, b, cells, include)
 
 
-@pytest.mark.parametrize("label,fam,n,crit,est,a,b,tf", vector_row_cases())
-def test_vector_rows_equal_the_float_windows_and_flags_row_by_row(label, fam, n, crit, est,
-                                                                  a, b, tf):
-    got_lo, got_hi, got_top, flags = oracle._vector_rows(fam, n, crit, est, tf,
-                                                         float(a), float(b))
-    lo, hi, open_top, expected_flags = reference_vector_windows(fam, n, crit, est, tf,
-                                                                float(a), float(b))
-    assert flags.tolist() == expected_flags.tolist()
-    assert got_lo.tolist() == lo.tolist() and got_hi.tolist() == hi.tolist()
-    assert got_top.tolist() == open_top.tolist()
-    if label == "tiny step":
-        # many rows kept by the prefilter, and both outcomes of the exact test
-        # among them
-        assert 0 < flags.sum() < len(tf) - 1000
+def test_grid_ties_of_equal_rational_coverage_take_the_smaller_theta():
+    # 19/40 and 21/40 have equal rational coverage; rows evaluated at the
+    # float of their theta break the tie toward the smaller one
+    grid = GridSpec.divide(F(7, 40), F(7, 8), cells=14, include_candidates=False)
+    _, theta = grid_min_coverage("bernoulli", 19, Absolute(F(3, 40)), UNBIASED, F(7, 40),
+                                 F(7, 8), grid)
+    assert theta == F(19, 40)
+
+
+def test_a_grid_of_more_than_a_million_rows_is_rejected():
+    with pytest.raises(DomainError, match="at most 1000000"):
+        grid_min_coverage("bernoulli", 5, Absolute(F(1, 4)), UNBIASED, F(0), F(1),
+                          GridSpec(step=F(1, 10**6)))
+    assert oracle.grid_rows(F(0), F(1), F(1, 10**6 - 1)) == 10**6
