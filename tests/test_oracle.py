@@ -863,6 +863,63 @@ def test_grid_windows_equal_the_bisection_row_by_row(seed, family, pair, where, 
         fam, n, *oracle._windows(fam, n, crit, est, t, den)), (where, n, crit, est)
 
 
+def fixed_grid_cases():
+    """(label, family, n, criterion, estimator, thetas)"""
+    def grid(a, b, cells, js=None):
+        step = (b - a) / cells
+        return [a + j * step for j in (range(cells + 1) if js is None else js)]
+
+    cases = [
+        # n divides the cells: n * (theta -+ eps) is an integer on every
+        # tenth row, and negative below eps
+        ("lattice-aligned", BERNOULLI, 10, Absolute(F(1, 10)), UNBIASED, grid(F(0), F(1), 1000)),
+        ("lattice-aligned", BERNOULLI, 40, Mixed(F(1, 20), F(1, 4)), UNBIASED,
+         grid(F(0), F(1), 10_000)),
+        ("lattice-aligned", POISSON, 8, Relative(F(1, 4)), UNBIASED,
+         grid(F(1, 2), F(5, 2), 1600)),
+        # a = 0: every threshold below eps is negative; the ends are the
+        # parameter bounds 0 and 1
+        ("a = 0", BERNOULLI, 37, Absolute(F(3, 20)), UNBIASED, grid(F(0), F(1), 10_000)),
+        ("a = 0", BERNOULLI, 7, Mixed(F(1, 8), F(1, 2)), UNBIASED, grid(F(0), F(1), 999)),
+        ("poisson", POISSON, 23, Absolute(F(5, 8)), UNBIASED, grid(F(1, 2), F(20), 10_000)),
+        ("poisson", POISSON, 6, Mixed(F(3, 4), F(1, 4)), RangePreserving(F(1, 2), F(8)),
+         grid(F(1, 2), F(8), 10_000)),
+        # a step of 1e-11 across theta = 1/2 and theta = 2, where n (theta -+ eps)
+        # is an integer: the windows change at the middle row
+        ("tiny step", BERNOULLI, 10, Absolute(F(1, 10)), UNBIASED,
+         grid(F(1, 2), F(1, 2) + F(1, 10**11), 1, range(-2000, 2001))),
+        ("tiny step", POISSON, 4, Relative(F(1, 4)), UNBIASED,
+         grid(F(2), F(2) + F(1, 10**11), 1, range(-2000, 2001))),
+    ]
+    # every clamp edge of range-preserving instances, the rows 3e-10 apart
+    # on either side of it, and a 10^4-cell grid
+    rng = random.Random(20261020)
+    for family in (BERNOULLI, POISSON):
+        for pair in PAIRS[3:]:
+            n, crit, est, a, b = random_instance(rng, pair, family.name)
+            near = [e + d * F(3, 10**10) * max(1, abs(e))
+                    for e in clamp_edges(crit, est, a, b) + [a, b] for d in range(-5, 6)]
+            thetas = [t for t in near if a <= t <= b] + grid(a, b, 10_000)
+            cases.append(("clamp edges", family, n, crit, est, thetas))
+    # criterion-1 instances on their 10^4-cell grids
+    for family in (BERNOULLI, POISSON):
+        for pair in PAIRS:
+            n, crit, est, a, b = random_instance(rng, pair, family.name)
+            cases.append(("criterion 1", family, n, crit, est, grid(a, b, 10_000)))
+    return cases
+
+
+@pytest.mark.parametrize("label,fam,n,crit,est,thetas", fixed_grid_cases())
+def test_grid_windows_equal_the_bisection_on_fixed_grids(label, fam, n, crit, est, thetas):
+    t, den = over_one_denominator(sorted(set(thetas)))
+    got = accepted_ranges(fam, n, *oracle._grid_windows(fam, n, crit, est, t, den))
+    assert got == accepted_ranges(fam, n, *oracle._windows(fam, n, crit, est, t, den))
+    if label == "tiny step":
+        # the rows straddle an outcome edge: the windows below the middle row
+        # differ from those above it
+        assert got[0] != got[-1]
+
+
 def test_grid_values_equal_indicator_coverage_at_their_theta():
     # criterion-1-style grids of 11, 14, 97 and 1000 cells, with and
     # without the candidates: each grid row is evaluated at the float of the
