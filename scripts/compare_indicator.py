@@ -11,13 +11,13 @@ instance and on the production shapes (n = 9622 absolute 1/100, n = 892..901
 relative 1/5, n = 96 range-preserving mixed, and the witness sets of the
 last two), and records the rule, the cardinality bound, every candidate's
 theta, tags and value, and the argmin, after asserting that the minimum and
-argmin are the minimum and first index of the report's own `values` (a
-family without `cdf_batch` finds them by branch and bound, and sums all of
-`values` only when they are read).  With `--route grid` it runs
-`grid_min_coverage` on every instance over a grid of `--cells` cells, once
-without and once with the candidate points, and records each value and
-theta; it reports how many differing rows moved a theta and the largest
-|value difference|.  These two routes also run every instance on a copy of
+argmin are the minimum and first index of the report's own `values` (the
+minimum comes from `prob_min`, and `values` are evaluated only when they
+are read).  With `--route grid` it runs `grid_min_coverage` on every
+instance over a grid of `--cells` cells, once without and once with the
+candidate points, and records each value and theta; it reports how many
+differing rows moved a theta, the largest |value difference| and each
+checkout's CPU seconds.  These two routes also run every instance on a copy of
 its family without `cdf_batch`, whose probabilities are log-pmf sums, and
 count its differences apart from the built-in families', with how many of
 them are now exactly 1.0.  Each checkout is run in its own interpreter; the values
@@ -39,13 +39,13 @@ Run from the repository root:
     python3 scripts/compare_indicator.py --other ../old-checkout/src --route grid --cells 2000
     python3 scripts/compare_indicator.py --other ../old-checkout/src --route search
 
-The grid route's time is almost all the log-pmf copies' (93 % of the CPU
-time at `--instances 120 --cells 1000`), since every one of their rows takes
-the exact path, a pmf sum per row.  Measured per checkout on two shared
-Xeon cores (a comparison runs two checkouts): `--instances 120 --cells 40`,
-a quick run, takes about 3 s; `--instances 120 --cells 1000` 13 s;
-`--instances 30` (10⁴ cells) 52 s; the defaults (1800 instances, 10⁴
-cells) 36 min.
+The grid route's time is almost all the log-pmf copies' (97 % of the CPU
+time at `--instances 120 --cells 1000`): `prob_min` stops a row's pmf sum
+once it exceeds the least whole row, but every row is started.  CPU time of
+the grid calls per checkout, measured on two shared Xeon cores (a
+comparison runs two checkouts): `--instances 120 --cells 40`, a quick run,
+0.7 s; `--instances 120 --cells 1000` 4.6 s; `--instances 30` (10⁴ cells)
+16 s; the defaults (1800 instances, 10⁴ cells) 13 min.
 """
 
 import argparse
@@ -157,8 +157,10 @@ def dump_min_coverage(src: Path, count: int, seed: int) -> list:
 
 def dump_grid(src: Path, count: int, seed: int, cells: int) -> list:
     """[family, pair, n, grid min.hex(), theta, grid-and-candidates min.hex(),
-    theta] for every instance."""
+    theta, CPU seconds] for every instance."""
     sys.path[:0] = [str(src), str(ROOT)]
+    import time
+
     import covsize
     from covsize import GridSpec, grid_min_coverage
 
@@ -173,12 +175,12 @@ def dump_grid(src: Path, count: int, seed: int, cells: int) -> list:
         pair = PAIRS[i % 6]
         n, crit, est, a, b = random_instance(rng, pair, family)
         for label, fam in with_log_pmf_copy(family):
-            row = [label, "/".join(pair), n]
+            row, start = [label, "/".join(pair), n], time.process_time()
             for include in (False, True):
                 grid = GridSpec.divide(a, b, cells=cells, include_candidates=include)
                 value, theta = grid_min_coverage(fam, n, crit, est, a, b, grid)
                 row += [value.hex(), str(theta)]
-            out.append(row)
+            out.append(row + [time.process_time() - start])
     return out
 
 
@@ -319,6 +321,8 @@ def main() -> int:
               f"their log-pmf copies and the production shapes: {len(diffs)} differ")
         print(log_pmf_summary(diffs))
     elif args.route == "grid":
+        # the last field is the CPU time, which is reported, not compared
+        cpu = [sum(row.pop() for row in rows) for rows in (mine, theirs)]
         if [row[:3] for row in mine] != [row[:3] for row in theirs]:
             sys.exit("the two checkouts drew different instances")
         diffs = [(a, b) for a, b in zip(mine, theirs) if a != b]
@@ -328,7 +332,8 @@ def main() -> int:
         moved = sum(a[4::2] != b[4::2] for a, b in diffs)
         gap = max((abs(float.fromhex(x) - float.fromhex(y)) for a, b in diffs
                    for x, y in zip(a[3::2], b[3::2])), default=0.0)
-        print(f"  {moved} of them with another theta; largest |value difference| {gap:.3g}")
+        print(f"  {moved} of them with another theta; largest |value difference| {gap:.3g}; "
+              f"CPU {cpu[0]:.2f} s here, {cpu[1]:.2f} s in the other checkout")
         print(log_pmf_summary(diffs))
     else:
         if [row[:4] for row in mine] != [row[:4] for row in theirs]:

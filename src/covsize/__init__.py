@@ -28,8 +28,6 @@ from .coverage import (
     UNBIASED,
     Unbiased,
     acceptance_window,
-    bounds_abs,
-    bounds_rel,
     coverage,
 )
 from .errors import CovsizeError, DomainError
@@ -74,8 +72,6 @@ __all__ = [
     "Unbiased",
     "acceptance_window",
     "available_families",
-    "bounds_abs",
-    "bounds_rel",
     "candidate_set_for",
     "coverage",
     "exact",

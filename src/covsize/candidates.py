@@ -66,6 +66,8 @@ TAG_REL_UPPER = "rel-upper"
 TAG_REL_LOWER = "rel-lower"
 
 _last: tuple = (None, lambda: None)  # key and weak reference of the last set built
+# the greatest cardinality bound built: 5x a search's largest set at n <= 10**6
+MAX_CANDIDATES = 10**7
 
 
 class CandidatePoint(NamedTuple):
@@ -320,7 +322,8 @@ def candidate_set_for(
 
     Relative needs a > 0, and so does range-preserving Absolute; Mixed needs
     a >= 0 and its crossover strictly inside (a, b).  A range-preserving
-    clamp must equal [a, b].  The set last built, held here only weakly and
+    clamp must equal [a, b], and the set's cardinality bound be at most
+    MAX_CANDIDATES.  The set last built, held here only weakly and
     read-only, is returned again for the same query while anything holds it.
     """
     global _last
@@ -331,6 +334,9 @@ def candidate_set_for(
         return cset
     spec = _spec(*key[1:])
     den, runs, bound, top = spec.frame(n)
+    if bound > MAX_CANDIDATES:
+        raise DomainError(f"the candidate set at n={n} has a cardinality bound of "
+                          f"{float(bound):.3g}; at most {MAX_CANDIDATES} points are built")
     dtype = np.int64 if top < 2**62 else object  # else Python ints, which never wrap
     run = np.repeat(np.arange(len(runs)), [len(r[3]) for r in runs])
     k = np.concatenate([np.arange(r[3].start, r[3].stop, dtype=dtype) for r in runs])

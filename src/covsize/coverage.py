@@ -25,7 +25,7 @@ import numpy as np
 
 from ._exact import exact
 from .errors import DomainError
-from .families import DistributionFamily, _check_n, prob_range, resolve_family
+from .families import DistributionFamily, _check_n, _int64_ends, prob_range, resolve_family
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +193,9 @@ def windows_at(table: WindowTable, n: Union[int, np.ndarray], run: np.ndarray, k
     n, k = np.asarray(n, dtype), np.asarray(k, dtype)
     p_lo, p_hi, r, a_lo, a_hi, q_lo, q_hi = table.coef.astype(dtype, copy=False).take(run, axis=1)
     x_lo, x_hi = n * p_lo + r + q_lo * k, n * p_hi - 1 + q_hi * k
-    lo, hi = np.asarray(x_lo // r, np.int64), np.asarray(x_hi // r, np.int64)
+    lo, hi = x_lo // r, x_hi // r
+    if dtype is object:
+        lo, hi = _int64_ends(lo, hi)
     if not table.clamped:
         return lo, hi, lo != lo, lo != lo
     return (lo, hi, np.asarray(x_lo < r - n * a_lo // table.ad, bool),
@@ -225,6 +227,8 @@ def acceptance_windows(
     """
     if np.ndim(n) == 0:
         _check_n(n)
+    elif (n := np.asarray(n)).dtype.kind not in "iu" or (n < 1).any():
+        raise DomainError(f"n must be positive integers, got {n!r}")
     ea, er, c = margins(criterion)
     run, k = np.asarray(run, np.intp), np.asarray(k)
     relative = [ea is None] * len(runs)
@@ -257,16 +261,6 @@ def acceptance_window(
     run = (theta.numerator, 0, theta.denominator, range(1))
     lo, hi, open_lo, open_hi = acceptance_windows(n, criterion, estimator, (run,), [0], [0])
     return (None if open_lo[0] else int(lo[0]), None if open_hi[0] else int(hi[0]))
-
-
-def bounds_abs(n: int, eps: Fraction, theta: Fraction) -> tuple[int, int]:
-    """Window [g, h] of Y_n values with |Y_n/n - theta| < eps (exact)."""
-    return acceptance_window(n, Absolute(eps), UNBIASED, theta)
-
-
-def bounds_rel(n: int, eps: Fraction, theta: Fraction) -> tuple[int, int]:
-    """Window [g, h] of Y_n values with |Y_n/n - theta| < eps * theta (exact)."""
-    return acceptance_window(n, Relative(eps), UNBIASED, theta)
 
 
 # ---------------------------------------------------------------------------

@@ -10,11 +10,11 @@ range probability comes from `prob_ranges`, which serves both kinds: with a
 `cdf_batch` (the built-in families use the library CDFs `bdtr` / `pdtr`) a
 row is a difference of two CDF values, evaluated for many thetas in one
 call; without one it is a compensated sum of the pmf term by term, at most
-1.0, and `prob_min` finds the least of many by branch and bound.  The
-minimization theory elsewhere in the package relies on theta ->
-Pr{k <= Y_n <= l | theta} having at most one interior peak on the
-parameter interval.  That holds for the built-in families; `peak_count` is
-provided as an empirical diagnostic for custom ones.
+1.0.  `prob_min` gives the least of many rows and the first row that has
+it, for both kinds.  The minimization theory elsewhere in the package
+relies on theta -> Pr{k <= Y_n <= l | theta} having at most one interior
+peak on the parameter interval.  That holds for the built-in families;
+`peak_count` is provided as an empirical diagnostic for custom ones.
 """
 
 from __future__ import annotations
@@ -120,6 +120,15 @@ def _check_n(n: int, name: str = "n") -> int:
 def _check_int(value: int, name: str) -> None:
     if not isinstance(value, int) or isinstance(value, bool):
         raise DomainError(f"{name} must be an integer, got {value!r}")
+
+
+def _int64_ends(*ends: np.ndarray) -> list[np.ndarray]:
+    """Integer window ends as int64 arrays; a Python-int end that leaves no
+    room in int64 for lo - 1 and `_PAST_TOP` raises DomainError."""
+    for end in (f(x) for x in ends if x.dtype == object and x.size for f in (np.min, np.max)):
+        if not -_PAST_TOP <= end < _PAST_TOP:
+            raise DomainError(f"window end {end} does not fit in int64: n * theta is too large")
+    return [np.asarray(x, np.int64) for x in ends]
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +331,8 @@ def _cdf_ends(
 def prob_min(fam: DistributionFamily, n: int | np.ndarray, thetas: np.ndarray, lo: np.ndarray,
              hi: np.ndarray, open_top: np.ndarray) -> tuple[float, int]:
     """`min` of `prob_ranges(...)` and the first row that attains it, bit for
-    bit, for a family without `cdf_batch`: a branch and bound over the rows.
+    bit; (inf, -1) for no rows.  With `cdf_batch` that is one `prob_ranges`
+    call; without it, a branch and bound over the rows.
 
     A row sums its pmf outward from the mean of Y_n, c = clamp(floor(n theta),
     k, l), always the larger neighbour next.  Once the fsum of its terms so
@@ -333,6 +343,12 @@ def prob_min(fam: DistributionFamily, n: int | np.ndarray, thetas: np.ndarray, l
     (distance from c to the nearer end + 1/2) * pmf(c), about that distance in
     standard deviations, which changes the work, never the answer.
     """
+    if fam.cdf_batch is not None:
+        values = prob_ranges(fam, n, thetas, lo, hi, open_top)
+        if not len(values):
+            return math.inf, -1
+        i = int(values.argmin())  # the first of equal values
+        return float(values[i]), i
     log_pmf, exp, fsum = fam.log_pmf, math.exp, math.fsum
 
     def pmf(n: int, theta: float, j: int) -> float:

@@ -45,8 +45,8 @@ def resolve_threads(threads: Optional[int]) -> int:
 class CoverageReport:
     """Minimum coverage over [a, b] at a fixed n: `values` holds the coverage at
     each candidate, in order, and `evaluations` pairs them with the thetas.
-    For a family without `cdf_batch`, `values` are summed on first read: the
-    minimum came from `prob_min`, equal to theirs bit for bit."""
+    `values` are evaluated on first read: the minimum came from `prob_min`,
+    equal to theirs bit for bit."""
 
     n: int
     min_coverage: float
@@ -76,14 +76,12 @@ def min_coverage(
 ) -> CoverageReport:
     """Minimize coverage over theta in [a, b] by evaluating the candidate set.
 
-    Windows come from one integer pass.  With `cdf_batch` the probabilities
-    come from one vectorized `prob_ranges` call at the candidates' floats;
-    without it `prob_min` finds the minimum by branch and bound over log-pmf
-    sums, equal bit for bit to the minimum of those full sums.  Ties break
-    toward the smallest theta among float-equal values, so exact ties such
-    as the mirror points theta and 1 - theta of a symmetric query can swap
-    when the floats' last bits do.  Evaluations are in ascending theta order;
-    `threads` is only validated.
+    Windows come from one integer pass and the minimum from one `prob_min`
+    call at the candidates' floats, equal bit for bit to the minimum of
+    `prob_ranges` over them.  Ties break toward the smallest theta among
+    float-equal values, so exact ties such as the mirror points theta and
+    1 - theta of a symmetric query can swap when the floats' last bits do.
+    Evaluations are in ascending theta order; `threads` is only validated.
     """
     fam = resolve_family(family)
     _check_n(n)
@@ -93,19 +91,10 @@ def min_coverage(
     fam.require_interval(a, b)
     # every candidate lies in [a, b], inside the family's parameter interval
     cset = candidate_set_for(n, criterion, estimator, a, b)
-    rows = _rows(fam, n, cset.spec, cset)
-    if fam.cdf_batch is None:
-        value, argmin = prob_min(fam, *rows)
-    else:
-        values = prob_ranges(fam, *rows).tolist()
-        argmin = values.index(min(values))
-        value = values[argmin]
-    report = CoverageReport(n=n, min_coverage=value,
-                            argmin_theta=Fraction(int(cset.numerators[argmin]), cset.den),
-                            candidate_set=cset, family=fam)
-    if fam.cdf_batch is not None:
-        vars(report)["values"] = tuple(values)  # the cached property's slot
-    return report
+    value, argmin = prob_min(fam, *_rows(fam, n, cset.spec, cset))
+    return CoverageReport(n=n, min_coverage=value,
+                          argmin_theta=Fraction(int(cset.numerators[argmin]), cset.den),
+                          candidate_set=cset, family=fam)
 
 
 def witness_minima(

@@ -16,11 +16,11 @@ this scan and the candidate-set minimum is what certifies the reduction.
 A grid row theta = a + j * step, over the rows' own denominator, is read at
 its correctly rounded float in the window of one floor division per end,
 lo = floor(n (theta - m)) + 1 and hi = ceil(n (theta + m)) - 1.  The
-candidate points (the set `min_coverage` built, while held) take one
-`prob_ranges` call, each row bit-equal to `indicator_coverage` (a window
-that accepts nothing is the row lo .. lo - 1, read as 0.0).  A family
-without `cdf_batch` reads every grid row in one more; for the others the
-least candidate value seeds a branch and bound over the rows.
+candidate points (the set `min_coverage` built, while held) take the
+bisection's windows and one `prob_min` call, each row bit-equal to
+`indicator_coverage` (a window that accepts nothing is the row lo .. lo - 1,
+read as 0.0).  The grid rows of a family without `cdf_batch` take another;
+for the others the least candidate value seeds a branch and bound.
 
 Not every grid row is read.  The rows fall into maximal runs with one
 window [k, l], whose two end rows are evaluated, and every evaluated row
@@ -58,8 +58,8 @@ from .coverage import (
     Relative,
 )
 from .errors import DomainError
-from .families import (_PAST_TOP, DistributionFamily, _cdf_ends, _cdf_keys, _check_n, prob_range,
-                       prob_ranges, resolve_family)
+from .families import (DistributionFamily, _cdf_ends, _cdf_keys, _check_n, _int64_ends, prob_min,
+                       prob_range, resolve_family)
 
 # a run is dropped when its bound exceeds the best value by this much: twice
 # the 5e-10 cross-check tolerance, and far above 4x the float CDFs' error
@@ -188,9 +188,9 @@ def _windows(
     for i in reversed(range(int((end - kmin).max()).bit_length())):
         up = kq + (q << i)
         kq = np.where(up < key, up, kq)
-    end = np.asarray(end, np.int64)
-    first, stop = np.asarray(np.minimum(kq // q + 1, end), np.int64)
-    return first, stop - 1, (stop == end) & (stop > first)
+    first, stop = np.minimum(kq // q + 1, end)
+    lo, hi = _int64_ends(first, stop - 1)
+    return lo, hi, (stop == end) & (stop > first)
 
 
 def _grid_windows(fam: DistributionFamily, n: int, criterion: ErrorCriterion,
@@ -213,9 +213,9 @@ def _grid_windows(fam: DistributionFamily, n: int, criterion: ErrorCriterion,
         open_top = np.asarray(high > un * q // ud, bool)
     if lo.dtype == object:
         # ends clipped to one beyond either edge of the support, where they
-        # read as they would farther out, so that they fit in int64
-        cap = _PAST_TOP - 1 if kmax is None else kmax + 1
-        lo, hi = (np.clip(x, kmin - 1, cap).astype(np.int64) for x in (lo, hi))
+        # read as they would farther out
+        top = None if kmax is None else kmax + 1
+        lo, hi = _int64_ends(*(np.clip(x, kmin - 1, top) for x in (lo, hi)))
     return lo, hi, open_top
 
 
@@ -243,40 +243,28 @@ def indicator_coverage(
     return prob_range(fam, n, int(lo[0]), None if open_top[0] else int(hi[0]), theta)
 
 
-def _exact_values(
-    fam: DistributionFamily,
-    n: int,
-    criterion: ErrorCriterion,
-    estimator: EstimatorKind,
-    t: np.ndarray,
-    den: int,
-) -> np.ndarray:
-    """`indicator_coverage` at each theta t / den: one `prob_ranges` call,
-    whose rows are bit-equal to `prob_range`."""
-    lo, hi, open_top = _windows(fam, n, criterion, estimator, t, den)
-    return prob_ranges(fam, n, _floats(t, den), lo, hi, open_top)
-
-
 def _scan_runs(fam: DistributionFamily, n: int, tf: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-               open_top: np.ndarray, values: np.ndarray, best: float) -> None:
-    """Write into `values` the float coverage of every row that can hold the
-    least value, by branch and bound over the runs of rows with one window;
-    the others keep their +inf.  `best` is the least value already known,
-    the candidates'."""
+               open_top: np.ndarray, best: float) -> tuple[float, int]:
+    """The least float coverage of the rows and the first row that has it,
+    by branch and bound over the runs of rows with one window, or some row
+    strictly above `best`, the least value already known (the candidates')."""
     # F(lo - 1) and F(hi) of each evaluated row, as prob_ranges reads them
     cdf = np.empty((2, len(tf)))
+    found = (math.inf, -1)
 
-    def evaluate(rows: np.ndarray) -> float:
+    def evaluate(rows: np.ndarray) -> None:
+        nonlocal found
         c = cdf[:, rows] = _cdf_ends(fam, n, tf[rows], lo[rows], hi[rows], open_top[rows])
-        got = values[rows] = np.maximum(c[1] - c[0], 0.0)
-        return min(best, float(got.min(initial=np.inf)))
+        got = np.maximum(c[1] - c[0], 0.0)
+        if (least := float(got.min())) <= found[0]:
+            found = min(found, (least, int(rows[got == least].min())))
 
     # maximal runs: a row opens one unless the row before has its window,
     # and closes one unless the row after opens one
     joins = (lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1]) & (open_top[1:] == open_top[:-1])
     s = np.append(True, ~joins).nonzero()[0]
     e = np.append(~joins, True).nonzero()[0]
-    best = evaluate(np.union1d(s, e))
+    evaluate(np.union1d(s, e))
     # a window that reads no CDF value, or F(k - 1) twice (an empty one),
     # gives every row of its run the start row's value bit for bit, at the
     # run's least theta
@@ -288,10 +276,10 @@ def _scan_runs(fam: DistributionFamily, n: int, tf: np.ndarray, lo: np.ndarray, 
         # bounded by F(l; theta_e) - F(k - 1; theta_s) from those ends
         inner = e - s > 1
         s, e = s[inner], e[inner]
-        live = cdf[1, e] - cdf[0, s] <= best + _PRUNE_MARGIN
+        live = cdf[1, e] - cdf[0, s] <= min(best, found[0]) + _PRUNE_MARGIN
         s, e = s[live], e[live]
         if not len(s):
-            return
+            return found
         leaf = e - s <= _LEAF_ROWS + 1
         ls, le = s[leaf], e[leaf]
         # every interior row of the leaves, then the middle row of the others
@@ -299,7 +287,7 @@ def _scan_runs(fam: DistributionFamily, n: int, tf: np.ndarray, lo: np.ndarray, 
         inside = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes - ls - 1, sizes)
         s, e = s[~leaf], e[~leaf]
         mid = (s + e) // 2
-        best = evaluate(np.concatenate((inside, mid)))
+        evaluate(np.concatenate((inside, mid)))
         s, e = np.concatenate((s, mid)), np.concatenate((mid, e))
 
 
@@ -315,12 +303,13 @@ def grid_min_coverage(
     """Smallest coverage over the grid (and candidates, if included) on [a, b].
 
     Returns (value, theta); ties resolve to the smallest theta.  The
-    candidate points take the exact indicator path in one `prob_ranges`
-    batch, where a window that accepts nothing is a row that reads 0.0.  The
-    grid rows take their windows from one floor division per end; a family
-    without `cdf_batch` reads every row, the others only the rows where the
-    branch and bound over their runs says the minimum can be.  A grid of more
-    than MAX_GRID_ROWS rows raises DomainError.
+    candidate points take the exact indicator path in one `prob_min` batch,
+    where a window that accepts nothing is a row that reads 0.0.  The grid
+    rows take their windows from one floor division per end and their least
+    value from `prob_min` for a family without `cdf_batch`, for the others
+    from a branch and bound over their runs, which reads only the rows where
+    the minimum can be.  A grid of more than MAX_GRID_ROWS rows raises
+    DomainError.
     """
     fam = resolve_family(family)
     _check_n(n)
@@ -346,23 +335,15 @@ def grid_min_coverage(
     tf = _floats(t, den)
     # the candidates, over theirs, sorted by theta
     cset = candidate_set_for(n, criterion, estimator, a, b) if grid.include_candidates else None
-    cand = (_exact_values(fam, n, criterion, estimator, cset.numerators, cset.den)
-            if cset is not None else np.zeros(0))
-    if fam.cdf_batch is None:
-        values = prob_ranges(fam, n, tf, *window)
-    else:
-        # rows left unevaluated hold +inf, strictly above the least value
-        values = np.full(rows, np.inf)
-        _scan_runs(fam, n, tf, *window, values, float(cand.min(initial=np.inf)))
-    # argmin takes the first, smallest theta of the tied rows
-    j = int(np.argmin(values))
-    best, theta = float(values[j]), a + j * grid.step
-
-    if cset is not None:
-        i = int(np.argmin(cand))
-        if cand[i] <= best:
-            tied = Fraction(int(cset.numerators[i]), cset.den)
-            theta = tied if cand[i] < best else min(theta, tied)
-            best = float(cand[i])
-
+    cand = (prob_min(fam, n, cset.floats,
+                     *_windows(fam, n, criterion, estimator, cset.numerators, cset.den))
+            if cset is not None else (math.inf, -1))
+    # CDF values bound the rows a run of one window holds; log-pmf sums do not
+    best, j = (_scan_runs(fam, n, tf, *window, cand[0]) if fam.cdf_batch is not None
+               else prob_min(fam, n, tf, *window))
+    theta = a + j * grid.step
+    if cand[0] <= best:
+        tied = Fraction(int(cset.numerators[cand[1]]), cset.den)
+        theta = tied if cand[0] < best else min(theta, tied)
+        best = cand[0]
     return best, theta

@@ -16,11 +16,13 @@ from covsize import (
     Mixed,
     RangePreserving,
     Relative,
+    SampleSizeQuery,
     UNBIASED,
     candidate_set_for,
     grid_min_coverage,
     indicator_coverage,
     min_coverage,
+    min_sample_size,
 )
 from covsize import candidates
 from covsize.candidates import (
@@ -623,3 +625,27 @@ def test_block_count_must_be_a_positive_integer(count):
         candidate_block(10, count, *args, 3)
     with pytest.raises(DomainError, match="count must be a positive integer"):
         witness_minima("bernoulli", 10, count, *args)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: candidate_set_for(10**20, Absolute(F(1, 10)), UNBIASED, F(0), F(1)),
+    # a relative lattice of about 2 * 10**15 points
+    lambda: min_coverage("poisson", 1000, Relative(F(1, 5)), UNBIASED, F(10**12),
+                         F(2 * 10**12)),
+    lambda: min_coverage("poisson", 10, Relative(F(1, 5)), UNBIASED, F(10**30), F(2 * 10**30)),
+    lambda: min_sample_size(SampleSizeQuery("bernoulli", Absolute(F(1, 10)), UNBIASED, F(0),
+                                            F(1), F(1, 20), n_start=10**19, n_max=10**19 + 5)),
+], ids=["n=10^20", "poisson-10^12", "poisson-10^30", "search-from-10^19"])
+def test_a_set_past_the_candidate_limit_is_a_domain_error(build):
+    with pytest.raises(DomainError, match=f"at most {candidates.MAX_CANDIDATES} points"):
+        build()
+
+
+def test_the_candidate_limit_reads_the_cardinality_bound(monkeypatch):
+    spec = (101, Absolute(F(1, 10)), UNBIASED, F(0), F(1))
+    bound = candidate_set_for(*spec).cardinality_bound
+    monkeypatch.setattr(candidates, "MAX_CANDIDATES", bound)
+    assert len(candidate_set_for(*spec)) > 0
+    monkeypatch.setattr(candidates, "MAX_CANDIDATES", bound - 1)
+    with pytest.raises(DomainError, match="cardinality bound"):
+        candidate_set_for(*spec)

@@ -554,3 +554,16 @@ def test_a_grid_of_more_than_a_million_rows_exits_3(capsys, command):
     )
     assert code == 3 and out == ""
     assert "1000000000001 rows" in err and "at most 1000000" in err
+
+
+@pytest.mark.parametrize("command, extra, message", [
+    ("min-coverage", [], "at most 10000000 points"),
+    ("verify", [], "at most 10000000 points"),
+    ("coverage-curve", [], "at most 10000000 points"),
+    ("coverage-curve", ["--no-candidates"], "does not fit in int64"),
+])
+def test_extreme_inputs_exit_3(capsys, command, extra, message):
+    code, out, err = run_cli(capsys, command, "--family", "poisson", "--n", "10",
+                             "--rel-eps", "1/5", "--a", str(10**30), "--b", str(2 * 10**30),
+                             *extra)
+    assert code == 3 and out == "" and message in err

@@ -16,9 +16,8 @@ from covsize import (
     Relative,
     UNBIASED,
     acceptance_window,
-    bounds_abs,
-    bounds_rel,
     coverage,
+    indicator_coverage,
 )
 
 from covsize._exact import exact
@@ -43,41 +42,43 @@ def criteria_strategy():
 # ---------------------------------------------------------------------------
 # window formulas
 
+# the unbiased windows [g, h] of the absolute and the relative criterion
+
 def test_bounds_abs_fixed_values():
-    assert bounds_abs(10, F(3, 10), F(1, 2)) == (3, 7)
-    assert bounds_abs(10, F(1, 10), F(1, 10)) == (1, 1)
-    assert bounds_abs(7, F(1, 7), F(3, 7)) == (3, 3)
+    assert acceptance_window(10, Absolute(F(3, 10)), UNBIASED, F(1, 2)) == (3, 7)
+    assert acceptance_window(10, Absolute(F(1, 10)), UNBIASED, F(1, 10)) == (1, 1)
+    assert acceptance_window(7, Absolute(F(1, 7)), UNBIASED, F(3, 7)) == (3, 3)
 
 
 def test_bounds_rel_fixed_values():
-    assert bounds_rel(10, F(1, 5), F(1, 2)) == (5, 5)
-    assert bounds_rel(20, F(1, 10), F(1, 4)) == (5, 5)
-    assert bounds_rel(12, F(1, 2), F(1)) == (7, 17)
+    assert acceptance_window(10, Relative(F(1, 5)), UNBIASED, F(1, 2)) == (5, 5)
+    assert acceptance_window(20, Relative(F(1, 10)), UNBIASED, F(1, 4)) == (5, 5)
+    assert acceptance_window(12, Relative(F(1, 2)), UNBIASED, F(1)) == (7, 17)
 
 
 def test_bounds_rel_requires_positive_theta():
     with pytest.raises(DomainError):
-        bounds_rel(10, F(1, 5), F(0))
-
+        acceptance_window(10, Relative(F(1, 5)), UNBIASED, F(0))
 
 
 def test_bounds_helpers_take_the_criteria_domains():
-    # bounds_abs / bounds_rel are acceptance_window with Absolute / Relative,
-    # so their margins and theta are validated as those are
+    # the margins and theta of the unbiased windows are validated by the
+    # criteria and by acceptance_window
     for bad in (F(0), F(-1, 10)):
         with pytest.raises(DomainError, match="positive"):
-            bounds_abs(10, bad, F(1, 2))
+            acceptance_window(10, Absolute(bad), UNBIASED, F(1, 2))
     for bad in (F(0), F(1), F(3, 2)):
         with pytest.raises(DomainError, match=r"\(0, 1\)"):
-            bounds_rel(10, bad, F(1, 2))
+            acceptance_window(10, Relative(bad), UNBIASED, F(1, 2))
     with pytest.raises(DomainError, match="binary float"):
-        bounds_abs(10, F(1, 10), 0.5)
+        acceptance_window(10, Absolute(F(1, 10)), UNBIASED, 0.5)
     with pytest.raises(DomainError, match="binary float"):
-        bounds_rel(10, F(1, 10), 0.5)
+        acceptance_window(10, Relative(F(1, 10)), UNBIASED, 0.5)
+
 
 @given(n=st.integers(1, 50), eps=margins, theta=thetas_01)
 def test_bounds_abs_window_is_exactly_the_strict_event(n, eps, theta):
-    g, h = bounds_abs(n, eps, theta)
+    g, h = acceptance_window(n, Absolute(eps), UNBIASED, theta)
     for k in range(max(0, g - 2), h + 3):
         inside = abs(F(k, n) - theta) < eps
         assert inside == (g <= k <= h)
@@ -89,7 +90,7 @@ def test_bounds_abs_window_is_exactly_the_strict_event(n, eps, theta):
     theta=st.fractions(min_value=F(1, 64), max_value=2, max_denominator=64),
 )
 def test_bounds_rel_window_is_exactly_the_strict_event(n, eps, theta):
-    g, h = bounds_rel(n, eps, theta)
+    g, h = acceptance_window(n, Relative(eps), UNBIASED, theta)
     for k in range(max(0, g - 2), h + 3):
         inside = abs(F(k, n) - theta) < eps * theta
         assert inside == (g <= k <= h)
@@ -103,6 +104,32 @@ def test_acceptance_windows_of_no_theta_are_empty_arrays():
     assert [(x.dtype, x.shape) for x in (lo, hi, open_lo, open_hi)] == [
         (np.int64, (0,)), (np.int64, (0,)), (bool, (0,)), (bool, (0,)),
     ]
+
+
+@pytest.mark.parametrize("n", [np.array([0]), np.array([-5]), np.array([2.5]),
+                               np.array([3, 0]), np.array([True])], ids=repr)
+def test_acceptance_windows_rejects_an_array_n_of_non_positive_or_non_integers(n):
+    runs = [(1, 0, 2)] * len(n)
+    with pytest.raises(DomainError, match="positive integers"):
+        acceptance_windows(n, Absolute(F(1, 4)), UNBIASED, runs, range(len(n)), [0] * len(n))
+
+
+@pytest.mark.parametrize("entry", [acceptance_window, coverage, indicator_coverage])
+@pytest.mark.parametrize("family, n, crit, theta", [
+    ("bernoulli", 10**20, Absolute(F(1, 10)), F(1, 2)),
+    ("bernoulli", 2 * 10**19, Absolute(F(1, 10)), F(1, 2)),  # hi = 1.2e19 - 1 only
+    ("poisson", 10, Relative(F(1, 5)), F(10**30)),
+])
+def test_a_window_end_past_int64_is_a_domain_error(entry, family, n, crit, theta):
+    args = (n, crit, UNBIASED, theta)
+    with pytest.raises(DomainError, match="does not fit in int64"):
+        entry(*args) if entry is acceptance_window else entry(family, *args)
+
+
+def test_window_ends_just_inside_int64_are_python_int_windows():
+    # both ends below 2**63, computed in Python ints
+    assert acceptance_window(10**19, Absolute(F(1, 10)), UNBIASED, F(1, 2)) == (
+        4 * 10**18 + 1, 6 * 10**18 - 1)
 
 
 @pytest.mark.parametrize("text", ["Infinity", "-Infinity", "NaN", "sNaN"])
@@ -186,12 +213,9 @@ def test_lattice_hits_count_as_misses():
 # acceptance windows
 
 def test_unbiased_window_matches_bounds():
-    assert acceptance_window(10, Absolute(F(1, 4)), UNBIASED, F(1, 2)) == bounds_abs(
-        10, F(1, 4), F(1, 2)
-    )
-    assert acceptance_window(10, Relative(F(1, 5)), UNBIASED, F(1, 2)) == bounds_rel(
-        10, F(1, 5), F(1, 2)
-    )
+    # k / 10 strictly inside (1/4, 3/4), and inside (2/5, 3/5)
+    assert acceptance_window(10, Absolute(F(1, 4)), UNBIASED, F(1, 2)) == (3, 7)
+    assert acceptance_window(10, Relative(F(1, 5)), UNBIASED, F(1, 2)) == (5, 5)
 
 
 def test_range_preserving_window_shapes():

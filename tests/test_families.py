@@ -227,30 +227,39 @@ BIMODAL = DistributionFamily(name="bimodal", param_space=BERNOULLI.param_space,
 
 
 @st.composite
-def log_pmf_rows(draw):
-    """(family, n, thetas, lo, hi, open_top) with empty windows, whole-support
-    rows, open tops and duplicated rows, n one int or one per row."""
-    fam = draw(st.sampled_from([PLAIN_BERNOULLI, PLAIN_POISSON, BIMODAL]))
-    top_theta = 4 if fam is PLAIN_POISSON else 1
+def prob_rows(draw):
+    """(family, n, thetas, lo, hi, open_top) of either kind of family with
+    empty windows, whole-support rows, open tops and duplicated rows, or no
+    rows at all, n one int or one per row."""
+    fam = draw(st.sampled_from([PLAIN_BERNOULLI, PLAIN_POISSON, BIMODAL, BERNOULLI, POISSON]))
+    top_theta = 4 if fam.name == "poisson" else 1
     rows = draw(st.lists(st.tuples(
         st.integers(1, 60),
         st.integers(0 if top_theta == 1 else 1, 40 * top_theta).map(lambda x: x / 40),
-        st.integers(-3, 70), st.integers(-4, 70), st.booleans()), min_size=1, max_size=12))
+        st.integers(-3, 70), st.integers(-4, 70), st.booleans()), max_size=12))
+    if not rows:
+        empty = np.zeros(0, int)
+        return fam, empty, np.zeros(0), empty, empty, np.zeros(0, bool)
     rows += draw(st.lists(st.sampled_from(rows), max_size=6))  # ties
     rows = draw(st.permutations(rows))
     n, thetas, lo, hi, top = (np.array(x) for x in zip(*rows))
     return fam, n if draw(st.booleans()) else int(n[0]), thetas, lo, hi, top
 
 
-@settings(max_examples=300, deadline=None)
-@given(log_pmf_rows())
+@settings(max_examples=400, deadline=None)
+@given(prob_rows())
 # the rows sum to the same float, the later rows, nearer their window's lower
 # end, are visited first, and a naive sum of each overshoots its fsum
 @example((PLAIN_POISSON, 20, np.full(3, 3.575), np.array([1, 2, 3]), np.zeros(3, int),
           np.ones(3, bool)))
+# no rows, for both kinds, with one n and with one per row
+@example((POISSON, 20, np.zeros(0), np.zeros(0, int), np.zeros(0, int), np.zeros(0, bool)))
+@example((PLAIN_POISSON, np.zeros(0, int), np.zeros(0), np.zeros(0, int), np.zeros(0, int),
+          np.zeros(0, bool)))
 def test_prob_min_is_the_first_minimum_of_the_full_sums(args):
     values = prob_ranges(*args).tolist()
-    assert prob_min(*args) == (min(values), values.index(min(values)))
+    expected = (min(values), values.index(min(values))) if values else (math.inf, -1)
+    assert prob_min(*args) == expected
 
 
 NAN_AT_HALF = dataclasses.replace(

@@ -245,6 +245,21 @@ def test_a_log_pmf_minimum_is_the_first_minimum_of_its_full_sums():
     assert report.min_coverage == pytest.approx(builtin.min_coverage, abs=1e-13)
 
 
+@pytest.mark.parametrize("family", ["bernoulli", "poisson"])
+def test_a_builtin_report_evaluates_its_values_on_first_read(family):
+    args = (101, Absolute(F(1, 10)), UNBIASED, F(1, 10), F(9, 10))
+    report = min_coverage(family, *args)
+    assert "values" not in vars(report)
+    cset = report.candidate_set
+    lo, hi, open_lo, open_hi = acceptance_windows(101, *args[1:3], cset.runs, cset.run, cset.k)
+    eager = prob_ranges(report.family, 101, cset.floats, np.where(open_lo, 0, lo), hi,
+                        open_hi).tolist()
+    assert report.values == tuple(eager)
+    assert "values" in vars(report)
+    assert report.min_coverage == min(eager)
+    assert report.argmin_theta == cset.thetas[eager.index(min(eager))]
+
+
 def test_a_log_pmf_minimum_sums_at_most_two_fifths_of_the_terms():
     # the full sums of this call take 203,411 log_pmf calls
     calls = 0

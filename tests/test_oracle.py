@@ -26,7 +26,8 @@ from covsize import (
     min_coverage,
 )
 from covsize import oracle
-from covsize.families import BERNOULLI, POISSON, DistributionFamily
+from covsize.candidates import _floats
+from covsize.families import BERNOULLI, POISSON, DistributionFamily, prob_ranges
 from tests._reference import bernoulli_coverage, estimate_of, margin_at, poisson_pmf_dec
 from tests.test_acceptance import PAIRS, random_instance
 
@@ -394,14 +395,19 @@ def grid_over_one_denominator(a, step, rows):
     return np.array([first + j * gap for j in range(rows)]), den
 
 
+def exact_values(fam, n, crit, est, t, den):
+    """The coverage at each theta t / den from the bisection's windows and
+    correctly rounded floats, in one `prob_ranges` call."""
+    return prob_ranges(fam, n, _floats(t, den), *oracle._windows(fam, n, crit, est, t, den))
+
+
 def per_row_scan(fam, n, crit, est, a, b, grid):
     """grid_min_coverage as a full row-by-row scan: every grid row through
-    `oracle._exact_values`, which takes the bisection's windows and correctly
-    rounded floats, and every candidate through its own indicator_coverage
+    `exact_values` and every candidate through its own indicator_coverage
     call.  Also returns the candidates and their values."""
     rows = math.floor((b - a) / grid.step) + 1
-    values = oracle._exact_values(fam, n, crit, est,
-                                  *grid_over_one_denominator(a, grid.step, rows)).tolist()
+    values = exact_values(fam, n, crit, est,
+                          *grid_over_one_denominator(a, grid.step, rows)).tolist()
     cands = candidate_set_for(n, crit, est, a, b).thetas if grid.include_candidates else ()
     cand_values = [indicator_coverage(fam, n, crit, est, t) for t in cands]
     best = min(values + cand_values)
@@ -449,7 +455,7 @@ def over_one_denominator(thetas):
 
 def test_batched_exact_rows_equal_per_row_indicator_coverage(monkeypatch):
     # the number of thetas in each call
-    calls = {"prob_range": [], "prob_ranges": [], "_cdf_ends": []}
+    calls = {"prob_range": [], "prob_min": [], "_cdf_ends": []}
     for name in calls:
         real = getattr(oracle, name)
 
@@ -468,12 +474,12 @@ def test_batched_exact_rows_equal_per_row_indicator_coverage(monkeypatch):
         assert grid_min_coverage(fam, n, crit, est, a, b, grid) == (expected, theta), (
             fam.name, n, crit, est, a, b, cells)
         vectorized = fam.cdf_batch is not None
-        # one prob_ranges batch for the candidates, empty windows included,
+        # one prob_min batch for the candidates, empty windows included,
         # and, without cdf_batch, one for every grid row; with it, the CDF
         # batches of the branch and bound over the grid rows, starting with
         # the ends of runs
         assert calls["prob_range"] == []
-        assert calls["prob_ranges"] == [len(cands)] + ([] if vectorized else [len(rows)])
+        assert calls["prob_min"] == [len(cands)] + ([] if vectorized else [len(rows)])
         assert bool(calls["_cdf_ends"]) is vectorized
         # grid rows whose n * (theta -+ m) is an integer, where the strict
         # margin excludes an outcome
@@ -482,12 +488,41 @@ def test_batched_exact_rows_equal_per_row_indicator_coverage(monkeypatch):
             or (n * (t + margin_at(crit, t))).denominator == 1 for t in rows)
         # the candidates' batch is value for value the scalar path
         t, den = over_one_denominator(list(cands))
-        assert oracle._exact_values(fam, n, crit, est, t, den).tolist() == cand_values
+        assert exact_values(fam, n, crit, est, t, den).tolist() == cand_values
         t, den = over_one_denominator(rows + list(cands))
         lo, hi, open_top = oracle._windows(fam, n, crit, est, t, den)
         for top, empty in zip(open_top.tolist(), (hi < lo).tolist()):
             shapes["empty" if empty else "open" if top else "closed"] += 1
     assert min(shapes.values()) > 0, shapes
+
+
+def test_a_log_pmf_grid_is_the_per_row_scan_with_fewer_log_pmf_calls():
+    calls = [0]
+
+    def log_pmf(n, theta, k):
+        calls[0] += 1
+        return BERNOULLI.log_pmf(n, theta, k)
+
+    clone = dataclasses.replace(BERNOULLI, name="counting", cdf_batch=None, log_pmf=log_pmf)
+    n, crit = 60, Relative(F(1, 5))
+    for include in (False, True):
+        grid = GridSpec.divide(F(1, 10), F(9, 10), cells=400, include_candidates=include)
+        calls[0] = 0
+        expected = per_row_scan(clone, n, crit, UNBIASED, F(1, 10), F(9, 10), grid)[:2]
+        full = calls[0]
+        calls[0] = 0
+        assert grid_min_coverage(clone, n, crit, UNBIASED, F(1, 10), F(9, 10), grid) == expected
+        assert calls[0] < full / 2, (calls[0], full)
+
+
+@pytest.mark.parametrize("family, n, crit, a, b", [
+    ("poisson", 10, Relative(F(1, 5)), F(10**30), F(2 * 10**30)),  # read as 0.0 before
+    ("bernoulli", 10**20, Absolute(F(1, 10)), F(0), F(1)),
+])
+def test_a_grid_row_end_past_int64_is_a_domain_error(family, n, crit, a, b):
+    grid = GridSpec.divide(a, b, cells=10, include_candidates=False)
+    with pytest.raises(DomainError, match="does not fit in int64"):
+        grid_min_coverage(family, n, crit, UNBIASED, a, b, grid)
 
 
 def _mixture_cdf(n, theta, k):
@@ -781,7 +816,7 @@ def test_batched_windows_equal_indicator_and_brute_force(label, family, n, crit,
     if label == "past 2**62":
         assert int(max(t)) * n * 97 > 2**62
     lo, hi, open_top = oracle._windows(fam, n, crit, est, t, den)
-    values = oracle._exact_values(fam, n, crit, est, t, den).tolist()
+    values = exact_values(fam, n, crit, est, t, den).tolist()
     assert values == [indicator_coverage(fam, n, crit, est, theta) for theta in thetas]
     for j, theta in enumerate(thetas):
         accepted, top = accepted_outcomes(family, n, crit, est, theta)
