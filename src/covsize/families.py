@@ -11,7 +11,8 @@ range probability comes from `prob_ranges`, which serves both kinds: with a
 row is a difference of two CDF values, evaluated for many thetas in one
 call; without one it is a compensated sum of the pmf term by term, at most
 1.0.  `prob_min` gives the least of many rows and the first row that has
-it, for both kinds.  The minimization theory elsewhere in the package
+it, for both kinds.  `cdf_error` bounds the float error of the built-in
+CDFs, from measurements.  The minimization theory elsewhere in the package
 relies on theta -> Pr{k <= Y_n <= l | theta} having at most one interior
 peak on the parameter interval.  That holds for the built-in families;
 `peak_count` is provided as an empirical diagnostic for custom ones.
@@ -189,6 +190,31 @@ POISSON = DistributionFamily(
     cdf_batch=_poisson_cdf_batch,
     tail_cutoff=_poisson_tail_cutoff,
 )
+
+
+# bounds on |cdf_batch - F| for the built-in CDFs, as (top, error): the
+# Bernoulli's for n <= top, the Poisson's for a mean n * theta <= top.  Each
+# is 10 times the largest error scripts/measure_cdf_error.py finds in the
+# band (seed 20261020, 2000 draws per band), rounded up: the errors have a
+# long tail, and bdtr's grow with n (3.3e-15 at n <= 64, 1.1e-13 at n <= 256)
+_BDTR_ERROR = ((16, 9e-15), (64, 4e-14), (256, 2e-12))
+_PDTR_ERROR = ((16, 8e-15), (64, 8e-15), (256, 7e-15), (1024, 2e-14), (4096, 2e-14))
+
+
+def cdf_error(fam: DistributionFamily, n: int, theta: float) -> Optional[float]:
+    """A bound on |fam.cdf_batch(n, t, k) - Pr{Y_n <= k | t}|, for every k
+    it is asked for and every float t <= theta, with t read exactly: from
+    the table of measured errors for the built-in `cdf_batch` functions
+    themselves, by n for the Bernoulli and by the mean n * theta for the
+    Poisson.  None past the measured range and for any other `cdf_batch`,
+    a wrapped built-in one too."""
+    if fam.cdf_batch is _bernoulli_cdf_batch:
+        size, bands = n, _BDTR_ERROR
+    elif fam.cdf_batch is _poisson_cdf_batch:
+        size, bands = n * theta, _PDTR_ERROR
+    else:
+        return None
+    return next((error for top, error in bands if size <= top), None)
 
 
 # ---------------------------------------------------------------------------

@@ -30,13 +30,17 @@ theta, so on a run from theta_s to theta_e every row's coverage is at least
 F(l; theta_e) - F(k - 1; theta_s) (an interval bound, Moore 1966), from
 values already in hand.  A run whose window reads no CDF value (the whole
 support, or a window outside it) or one value twice (an empty window) holds
-its start row's value on every row, bit for bit, and is dropped.  Level by
-level, a run whose bound exceeds the best value by more than `_PRUNE_MARGIN`
-is dropped, one with at most `_LEAF_ROWS` interior rows is evaluated whole,
-and any other is split at its middle row, which is evaluated and bounds both
-halves: at most one `cdf_batch` call per level.  A dropped row is strictly
-above the result or equal to an evaluated row of smaller theta, so the
-scan's (value, theta) is that of evaluating every row.
+its start row's value on every row, bit for bit, and is dropped.  A run
+whose bound exceeds the best value by more than a margin is dropped; one
+with more than `_LEAF_ROWS` interior rows is cut at every (`_LEAF_ROWS` +
+1)-th row, all cuts in one call, into pieces that are bounded by their ends
+in turn; what is left is evaluated row by row.  So there are at most three
+`cdf_batch` calls per grid: the ends of the runs, the cuts, the leaves.
+The margin is 4 * `cdf_error` + 2**-52 where the family's CDF has a
+measured error bound (`_prune_margin` derives it), `_PRUNE_MARGIN`
+otherwise.  A dropped row is strictly above the result or equal to an
+evaluated row of smaller theta, so the scan's (value, theta) is that of
+evaluating every row.
 """
 
 from __future__ import annotations
@@ -58,14 +62,16 @@ from .coverage import (
     Relative,
 )
 from .errors import DomainError
-from .families import (DistributionFamily, _cdf_ends, _cdf_keys, _check_n, _int64_ends, prob_min,
-                       prob_range, resolve_family)
+from .families import (DistributionFamily, _cdf_ends, _cdf_keys, _check_n, _int64_ends, cdf_error,
+                       prob_min, prob_range, resolve_family)
 
-# a run is dropped when its bound exceeds the best value by this much: twice
-# the 5e-10 cross-check tolerance, and far above 4x the float CDFs' error
-# (at most 5e-11 up to n = 10**6)
+# the prune margin of a family whose CDF has no stated error (a custom or a
+# wrapped `cdf_batch`, or n past the measured table): twice the 5e-10
+# cross-check tolerance.  The built-in CDFs take 4 * cdf_error + 2**-52
+# (`_prune_margin`), 1.6e-13 for the Bernoulli at n <= 64
 _PRUNE_MARGIN = 1e-9
-# runs with at most this many interior rows are evaluated whole
+# runs with at most this many interior rows are evaluated whole; longer ones
+# are cut into pieces of this many first
 _LEAF_ROWS = 16
 # the most rows a grid may have: a hundred times the 10**4-cell grids of the
 # cross-checks; a finer step is rejected before any row is built
@@ -243,21 +249,53 @@ def indicator_coverage(
     return prob_range(fam, n, int(lo[0]), None if open_top[0] else int(hi[0]), theta)
 
 
+def _prune_margin(fam: DistributionFamily, n: int, theta: float) -> float:
+    """How far a run's bound must exceed the best value for the run to be
+    dropped, at rows of float theta up to `theta`: 4 * cdf_error + 2**-52,
+    rounded up, where the family's CDF has a stated error, else
+    `_PRUNE_MARGIN`.  A row of a run is at least its bound less 4 * error:
+    F(l) and F(k - 1) at the row are each off by at most error, and so are
+    the ends' values that bound them, F not increasing in theta.  Rounding
+    the row's difference, the bound's and best + margin costs at most 2**-52
+    more, so a run whose bound is above best + margin, as rounded, has every
+    row strictly above best."""
+    error = cdf_error(fam, n, theta)
+    return _PRUNE_MARGIN if error is None else math.nextafter(4.0 * error + 2.0**-52, 1.0)
+
+
 def _scan_runs(fam: DistributionFamily, n: int, tf: np.ndarray, lo: np.ndarray, hi: np.ndarray,
                open_top: np.ndarray, best: float) -> tuple[float, int]:
     """The least float coverage of the rows and the first row that has it,
     by branch and bound over the runs of rows with one window, or some row
-    strictly above `best`, the least value already known (the candidates')."""
+    strictly above `best`, the least value already known (the candidates').
+    At most three `cdf_batch` calls: the ends of the runs, the cuts of the
+    long ones, the interior rows of what is left."""
+    margin = _prune_margin(fam, n, float(tf[-1]))
     # F(lo - 1) and F(hi) of each evaluated row, as prob_ranges reads them
     cdf = np.empty((2, len(tf)))
     found = (math.inf, -1)
 
     def evaluate(rows: np.ndarray) -> None:
         nonlocal found
+        if not len(rows):
+            return
         c = cdf[:, rows] = _cdf_ends(fam, n, tf[rows], lo[rows], hi[rows], open_top[rows])
         got = np.maximum(c[1] - c[0], 0.0)
         if (least := float(got.min())) <= found[0]:
             found = min(found, (least, int(rows[got == least].min())))
+
+    def live(s: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # the runs with interior rows left, their ends evaluated, whose bound
+        # F(l; theta_e) - F(k - 1; theta_s) from those ends is within margin
+        keep = e - s > 1
+        keep[keep] = cdf[1, e[keep]] - cdf[0, s[keep]] <= min(best, found[0]) + margin
+        return s[keep], e[keep]
+
+    def every(s: np.ndarray, e: np.ndarray, stride: int) -> np.ndarray:
+        # the rows s + stride, s + 2 * stride, ... before e of each run
+        counts = (e - s - 1) // stride
+        steps = np.arange(1, counts.sum() + 1) - np.repeat(np.cumsum(counts) - counts, counts)
+        return np.repeat(s, counts) + stride * steps
 
     # maximal runs: a row opens one unless the row before has its window,
     # and closes one unless the row after opens one
@@ -270,25 +308,15 @@ def _scan_runs(fam: DistributionFamily, n: int, tf: np.ndarray, lo: np.ndarray, 
     # run's least theta
     ks, _, ask = _cdf_keys(fam, n, lo[s], hi[s], open_top[s])
     varies = ask.any(axis=0) & (ks[0] != ks[1])
-    s, e = s[varies], e[varies]
-    while True:
-        # the runs with interior rows left, their ends evaluated: each is
-        # bounded by F(l; theta_e) - F(k - 1; theta_s) from those ends
-        inner = e - s > 1
-        s, e = s[inner], e[inner]
-        live = cdf[1, e] - cdf[0, s] <= min(best, found[0]) + _PRUNE_MARGIN
-        s, e = s[live], e[live]
-        if not len(s):
-            return found
-        leaf = e - s <= _LEAF_ROWS + 1
-        ls, le = s[leaf], e[leaf]
-        # every interior row of the leaves, then the middle row of the others
-        sizes = le - ls - 1
-        inside = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes - ls - 1, sizes)
-        s, e = s[~leaf], e[~leaf]
-        mid = (s + e) // 2
-        evaluate(np.concatenate((inside, mid)))
-        s, e = np.concatenate((s, mid)), np.concatenate((mid, e))
+    s, e = live(s[varies], e[varies])
+    # a run of more than _LEAF_ROWS interior rows is cut at every
+    # (_LEAF_ROWS + 1)-th row into pieces of at most _LEAF_ROWS, each bounded
+    # by its ends again; then every interior row of the pieces left
+    cuts = every(s, e, _LEAF_ROWS + 1)
+    evaluate(cuts)
+    s, e = live(np.sort(np.concatenate((s, cuts))), np.sort(np.concatenate((cuts, e))))
+    evaluate(every(s, e, 1))
+    return found
 
 
 def grid_min_coverage(

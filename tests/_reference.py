@@ -39,6 +39,74 @@ def poisson_pmf_dec(lam: Fraction, k: int, prec: int = 50) -> Decimal:
         return (-lam_d).exp() * lam_d**k / Decimal(math.factorial(k))
 
 
+def poisson_cdf_dec(lam: Fraction, k: int, prec: int = 50) -> Decimal:
+    """Pr{Y <= k} for Y ~ Poisson(lam) in Decimal: `poisson_pmf_dec` at the
+    first term, then each next term from the ratio of neighbouring masses,
+    summed away from the mode until a term is below 10**-prec: F(k) below
+    the mean, 1 - Pr{Y > k} from it on."""
+    with localcontext() as ctx:
+        ctx.prec = prec
+        lam_d = Decimal(lam.numerator) / Decimal(lam.denominator)
+        tiny = Decimal(10) ** -prec
+        upper = k >= lam
+        j = k + 1 if upper else k
+        term = total = poisson_pmf_dec(lam, j, prec)
+        while term > tiny and (upper or j > 0):
+            if upper:
+                j += 1
+                term = term * lam_d / j
+            else:
+                term = term * j / lam_d
+                j -= 1
+            total += term
+        return 1 - total if upper else total
+
+
+def cdf_draws(rng, family: str, low: float, top: float, count: int):
+    """`count` draws (n, theta, k) of a built-in family's CDF arguments in
+    the band its error is tabulated by: low < n <= top for the Bernoulli,
+    low < n * theta <= top (the mean, as the float product) for the Poisson.
+    They cover theta anywhere, near 0 and 1 and at grid rows, and k anywhere,
+    at window ends, in both far tails (F far below 1e-15 or within it of 1)
+    and at the ends of the range `cdf_batch` is asked for."""
+    draws = []
+    while len(draws) < count:
+        if family == "bernoulli":
+            n = rng.randint(int(low) + 1, int(top))
+            theta = (rng.random(), 10.0 ** -rng.uniform(1, 16), 1.0 - 10.0 ** -rng.uniform(1, 16),
+                     float(rng.randint(0, 1)), rng.randint(0, 40) / 40)[rng.randrange(5)]
+            mean, sd, last = n * theta, math.sqrt(n * theta * (1.0 - theta)), n - 1
+            margin = rng.uniform(0.0, 1.0)
+        else:
+            n = rng.randint(1, 256)
+            mean = (low + (top - low) * rng.random(), top,
+                    max(low, 1e-12) * (top / max(low, 1e-12)) ** rng.random())[rng.randrange(3)]
+            theta = mean / n
+            while n * theta > top:
+                theta = math.nextafter(theta, 0.0)
+            mean = n * theta
+            if not low < mean <= top:
+                continue
+            sd, last = math.sqrt(mean), math.ceil(mean + 40.0 * math.sqrt(mean)) + 40
+            margin = theta * rng.uniform(0.0, 0.9) if rng.random() < 0.5 else rng.uniform(0.0, 2.0)
+        k = (rng.randint(0, last),
+             math.floor(n * (theta - margin)),  # lo - 1 of a window
+             math.ceil(n * (theta + margin)) - 1,  # hi of a window
+             round(mean + rng.choice((-1, 1)) * rng.uniform(5.0, 40.0) * sd),
+             (0, last)[rng.randrange(2)])[rng.randrange(5)]
+        draws.append((n, theta, min(max(k, 0), last)))
+    return draws
+
+
+def cdf_error_of(family: str, n: int, theta: float, k: int, got: float) -> float:
+    """|got - Pr{Y_n <= k | theta}|, with theta the exact value of its float:
+    `binom_range` in Fractions for the Bernoulli, `poisson_cdf_dec` at the
+    exact mean n * theta for the Poisson."""
+    if family == "bernoulli":
+        return float(abs(Fraction(got) - binom_range(n, 0, k, Fraction(theta))))
+    return float(abs(Decimal(got) - poisson_cdf_dec(n * Fraction(theta), k)))
+
+
 def margin_at(criterion, theta: Fraction) -> Fraction:
     if isinstance(criterion, Absolute):
         return criterion.eps

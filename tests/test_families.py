@@ -36,10 +36,11 @@ from covsize import (
     prob_range,
     register_family,
 )
-from covsize.families import _REGISTRY, prob_min, prob_ranges
+from covsize.families import _BDTR_ERROR, _PDTR_ERROR, _REGISTRY, cdf_error, prob_min, prob_ranges
 from covsize.minimize import witness_minima
 
-from _reference import bernoulli_coverage, binom_pmf, binom_range, poisson_pmf_dec
+from _reference import (bernoulli_coverage, binom_pmf, binom_range, cdf_draws, cdf_error_of,
+                        poisson_pmf_dec)
 
 # log-pmf-only copies of the built-in families: every range probability is a pmf sum
 PLAIN_BERNOULLI = dataclasses.replace(BERNOULLI, cdf_batch=None)
@@ -431,6 +432,23 @@ def test_large_n_poisson_coverage_matches_decimal_reference():
             ref += mass
     value = coverage("poisson", n, Absolute(eps), UNBIASED, theta)
     assert abs(value - float(ref)) <= 1e-12
+
+
+@pytest.mark.parametrize("family, bands", [("bernoulli", _BDTR_ERROR), ("poisson", _PDTR_ERROR)])
+def test_cdf_error_bounds_the_error_of_the_built_in_cdfs(family, bands):
+    # a seeded sample per band, not the one the table was measured on:
+    # theta anywhere, near 0 and 1 and at grid rows, k anywhere, at window
+    # ends and in both far tails, against the exact CDF at the float theta
+    fam = get_family(family)
+    rng = random.Random(20261021)
+    low = 0
+    for top, entry in bands:
+        sample = cdf_draws(rng, family, low, top, 120)
+        n, theta, k = (np.array(x) for x in zip(*sample))
+        for draw, value in zip(sample, fam.cdf_batch(n, theta, k).tolist()):
+            assert cdf_error(fam, *draw[:2]) == entry, (draw, top)
+            assert cdf_error_of(family, *draw, value) <= entry, (draw, value)
+        low = top
 
 
 # ---------------------------------------------------------------------------

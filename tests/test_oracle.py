@@ -4,6 +4,7 @@ import dataclasses
 import math
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,13 +22,14 @@ from covsize import (
     UNBIASED,
     candidate_set_for,
     coverage,
+    get_family,
     grid_min_coverage,
     indicator_coverage,
     min_coverage,
 )
-from covsize import oracle
+from covsize import families, oracle
 from covsize.candidates import _floats
-from covsize.families import BERNOULLI, POISSON, DistributionFamily, prob_ranges
+from covsize.families import BERNOULLI, POISSON, DistributionFamily, cdf_error, prob_ranges
 from tests._reference import bernoulli_coverage, estimate_of, margin_at, poisson_pmf_dec
 from tests.test_acceptance import PAIRS, random_instance
 
@@ -678,9 +680,56 @@ def test_pruned_grid_scan_makes_one_cdf_call_per_level():
                 counts["calls"] = 0
                 grid_min_coverage(fams[family], n, crit, est, a, b, grid)
                 most = max(most, counts["calls"])
-    # the exact rows, the ends of the runs, one level per halving of a run
-    # of 10^4 rows down to the leaves' 16 interior rows, and the leaves
-    assert most <= 2 + math.ceil(math.log2(10_000 / 16)) + 1, most
+    # the candidates' rows, then the ends of the runs, the cuts of the long
+    # ones and the leaves
+    assert most <= 4, most
+
+
+# criterion-1 instances whose grid minimum lies in [1 - 1e-9, 1), among the
+# fixed instances of the certify benchmark: (family, n, criterion, estimator,
+# a, b)
+NEAR_ONE = [
+    ("bernoulli", 37, Absolute(F(11, 20)), UNBIASED, F(17, 40), F(7, 8)),
+    ("bernoulli", 23, Relative(F(3, 4)), UNBIASED, F(4, 5), F(19, 20)),
+    ("poisson", 35, Mixed(F(11271, 2560), F(13, 40)), UNBIASED, F(12), F(57, 4)),
+]
+
+
+@pytest.mark.parametrize("instance", NEAR_ONE)
+def test_a_grid_minimum_just_below_one_is_found_from_few_rows(instance, monkeypatch):
+    family, n, crit, est, a, b = instance
+    grid = GridSpec.divide(a, b, cells=10_000)
+    expected = per_row_scan(get_family(family), n, crit, est, a, b, grid)[:2]
+    assert 1 - 1e-9 <= expected[0] < 1
+    # counted below the built-in cdf_batch, which a wrapper would replace,
+    # taking the prune margin of a family without a stated CDF error
+    asked = [0]
+
+    def counting(cdf):
+        def counted(k, *args):
+            asked[0] += np.size(k)
+            return cdf(k, *args)
+        return counted
+
+    monkeypatch.setattr(families, "_sps", SimpleNamespace(bdtr=counting(_sps.bdtr),
+                                                          pdtr=counting(_sps.pdtr)))
+    assert grid_min_coverage(family, n, crit, est, a, b, grid) == expected
+    # a tenth of the two values a row of the full scan reads
+    assert asked[0] < 2 * 10_000 / 10, asked[0]
+
+
+def test_the_prune_margin_covers_the_stated_cdf_error():
+    wrapped = dataclasses.replace(BERNOULLI, cdf_batch=lambda n, t, k: BERNOULLI.cdf_batch(n, t, k))
+    for fam, n, theta in ((BERNOULLI, 2, 1.0), (BERNOULLI, 64, 0.5), (BERNOULLI, 256, 1.0),
+                          (POISSON, 1, 1e-9), (POISSON, 60, 20.0), (POISSON, 1, 4096.0)):
+        error = cdf_error(fam, n, theta)
+        assert error is not None, (fam.name, n, theta)
+        assert 4 * F(error) + F(1, 2**52) <= oracle._prune_margin(fam, n, theta) < 1e-11
+    # past the table, and for any cdf_batch but the built-in ones themselves
+    for fam, n, theta in ((BERNOULLI, 257, 0.5), (POISSON, 60, 4097 / 60),
+                          (wrapped, 37, 0.5), (TWO_PEAKED, 9, 0.5), (STAIRCASE, 9, 0.5)):
+        assert cdf_error(fam, n, theta) is None
+        assert oracle._prune_margin(fam, n, theta) == 1e-9
 
 
 @pytest.mark.parametrize("instance, expected, most", CONSTANT_RUNS)
