@@ -15,12 +15,14 @@ this scan and the candidate-set minimum is what certifies the reduction.
 
 A grid row theta = a + j * step, over the rows' own denominator, is read at
 its correctly rounded float in the window of one floor division per end,
-lo = floor(n (theta - m)) + 1 and hi = ceil(n (theta + m)) - 1.  The
-candidate points (the set `min_coverage` built, while held) take the
-bisection's windows and one `prob_min` call, each row bit-equal to
-`indicator_coverage` (a window that accepts nothing is the row lo .. lo - 1,
-read as 0.0).  The grid rows of a family without `cdf_batch` take another;
-for the others the least candidate value seeds a branch and bound.
+lo = floor(n (theta - m)) + 1 and hi = ceil(n (theta + m)) - 1, and so
+are the candidate points (the set `min_coverage` built, while held), over
+their own denominator: clipped to the support, these windows accept what
+the bisection accepts, so every value is bit-equal to `indicator_coverage`
+(a window that accepts nothing reads 0.0).  For a family without
+`cdf_batch` the candidates and the grid rows take one `prob_min` call each;
+for the others the candidates are read in the scan's first CDF call, and
+their least value seeds a branch and bound.
 
 Not every grid row is read.  The rows fall into maximal runs with one
 window [k, l], whose two end rows are evaluated, and every evaluated row
@@ -35,7 +37,8 @@ whose bound exceeds the best value by more than a margin is dropped; one
 with more than `_LEAF_ROWS` interior rows is cut at every (`_LEAF_ROWS` +
 1)-th row, all cuts in one call, into pieces that are bounded by their ends
 in turn; what is left is evaluated row by row.  So there are at most three
-`cdf_batch` calls per grid: the ends of the runs, the cuts, the leaves.
+`cdf_batch` calls per grid: the candidates with the ends of the runs, the
+cuts, the leaves.  A grid row's float is made only when the row is read.
 The margin is 4 * `cdf_error` + 2**-52 where the family's CDF has a
 measured error bound (`_prune_margin` derives it), `_PRUNE_MARGIN`
 otherwise.  A dropped row is strictly above the result or equal to an
@@ -101,29 +104,22 @@ class GridSpec:
                include_candidates: bool = True) -> "GridSpec":
         a = exact(a, name="a")
         b = exact(b, name="b")
-        if not (a < b and cells >= 10):
-            raise DomainError(f"need a < b and cells >= 10, got a={a}, b={b}, cells={cells}")
+        if not isinstance(cells, int) or isinstance(cells, bool) or cells < 10:
+            raise DomainError(f"cells must be an int >= 10, got {cells!r}")
+        if not a < b:
+            raise DomainError(f"need a < b, got a={a}, b={b}")
         return cls(step=(b - a) / cells, include_candidates=include_candidates)
 
 
-def _edges(fam: DistributionFamily, criterion: ErrorCriterion, estimator: EstimatorKind,
-           t: np.ndarray, den: int, per_edge: int,
+def _edges(criterion: ErrorCriterion, t: np.ndarray, den: int, per_edge: int,
            per_q: int) -> tuple[np.ndarray, np.ndarray, int, int]:
     """theta - m and theta + m at the thetas t / den (integers over one
-    positive denominator), validated by their least and greatest, as arrays
-    (low, high) of integers over q = den * d * g; also q and a bound,
-    per_edge * edge + per_q * q with edge >= |low|, |high|.  The arrays are
-    int64 where the bound is below 2**62, else Python ints, which never wrap."""
+    positive denominator) as arrays (low, high) of integers over
+    q = den * d * g; also q and a bound, per_edge * edge + per_q * q with
+    edge >= |low|, |high|.  The arrays are int64 where the bound is below
+    2**62, else Python ints, which never wrap.  The caller validates the
+    thetas; a relative criterion's theta > 0 is a sign test here."""
     tmin, tmax = int(t.min()), int(t.max())
-    lowest = fam.require_theta(Fraction(tmin, den))
-    highest = lowest if tmax == tmin else fam.require_theta(Fraction(tmax, den))
-    if isinstance(estimator, RangePreserving) and not (
-            estimator.lower <= lowest <= highest <= estimator.upper):
-        outside = lowest if lowest < estimator.lower else highest
-        raise DomainError(
-            f"theta={outside} outside the range-preserving interval "
-            f"[{estimator.lower}, {estimator.upper}]"
-        )
     # over q = den * d * g, theta is t * d * g and its margin m: eps_abs =
     # e / d up to the crossover, eps_rel * theta = f * theta / g beyond it,
     # the wider where both apply
@@ -131,8 +127,8 @@ def _edges(fam: DistributionFamily, criterion: ErrorCriterion, estimator: Estima
         case Absolute(eps=eps):
             (e, d), (f, g) = eps.as_integer_ratio(), (0, 1)
         case Relative(eps=eps):
-            if lowest <= 0:
-                raise DomainError(f"relative coverage needs theta > 0, got {lowest}")
+            if tmin <= 0:
+                raise DomainError(f"relative coverage needs theta > 0, got {Fraction(tmin, den)}")
             (e, d), (f, g) = (0, 1), eps.as_integer_ratio()
         case Mixed(eps_abs=eps_abs, eps_rel=eps_rel):
             (e, d), (f, g) = eps_abs.as_integer_ratio(), eps_rel.as_integer_ratio()
@@ -161,11 +157,20 @@ def _windows(
     greatest."""
     kmin, kmax = fam.support_bound(n)
     rp = isinstance(estimator, RangePreserving)
+    tmin, tmax = int(t.min()), int(t.max())
+    lowest = fam.require_theta(Fraction(tmin, den))
+    highest = lowest if tmax == tmin else fam.require_theta(Fraction(tmax, den))
+    if rp and not (estimator.lower <= lowest <= highest <= estimator.upper):
+        outside = lowest if lowest < estimator.lower else highest
+        raise DomainError(
+            f"theta={outside} outside the range-preserving interval "
+            f"[{estimator.lower}, {estimator.upper}]"
+        )
     (ln, ld), (un, ud) = ((estimator.lower.as_integer_ratio(), estimator.upper.as_integer_ratio())
                           if rp else ((0, 1), (0, 1)))
     # a bound on every integer below: edges, k * q and its key edge * n, with
     # k at most twice the top of the search
-    low, high, q, bound = _edges(fam, criterion, estimator, t, den, 4 * (n + max(ld, ud)),
+    low, high, q, bound = _edges(criterion, t, den, 4 * (n + max(ld, ud)),
                                  4 * (n * -(-un // ud) + abs(kmin) + ln + un + 8))
     # transitions of the event happen while the estimate moves through
     # (theta - m, theta + m) or up to the upper clamp; beyond both it is
@@ -207,8 +212,9 @@ def _grid_windows(fam: DistributionFamily, n: int, criterion: ErrorCriterion,
     inside (theta - m, theta + m) run from lo = floor(n (theta - m)) + 1 to
     hi = ceil(n (theta + m)) - 1.  A clamped estimate takes every k from the
     support's least where theta - m is below the lower clamp, and every k
-    above the window, an open top, where theta + m is above the upper one."""
-    low, high, q, _ = _edges(fam, criterion, estimator, t, den, 2 * n, 1)
+    above the window, an open top, where theta + m is above the upper one.
+    The caller validates the thetas."""
+    low, high, q, _ = _edges(criterion, t, den, 2 * n, 1)
     lo, hi = n * low // q + 1, -(-n * high // q) - 1
     kmin, kmax = fam.support_bound(n)
     open_top = np.zeros(len(t), bool)
@@ -263,32 +269,44 @@ def _prune_margin(fam: DistributionFamily, n: int, theta: float) -> float:
     return _PRUNE_MARGIN if error is None else math.nextafter(4.0 * error + 2.0**-52, 1.0)
 
 
-def _scan_runs(fam: DistributionFamily, n: int, tf: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-               open_top: np.ndarray, best: float) -> tuple[float, int]:
-    """The least float coverage of the rows and the first row that has it,
-    by branch and bound over the runs of rows with one window, or some row
-    strictly above `best`, the least value already known (the candidates').
-    At most three `cdf_batch` calls: the ends of the runs, the cuts of the
-    long ones, the interior rows of what is left."""
-    margin = _prune_margin(fam, n, float(tf[-1]))
+def _scan_runs(fam: DistributionFamily, n: int, t: np.ndarray, den: int, lo: np.ndarray,
+               hi: np.ndarray, open_top: np.ndarray,
+               cand: tuple[np.ndarray, ...]) -> tuple[tuple[float, int], tuple[float, int]]:
+    """The least float coverage of the grid rows t / den and the first row
+    that has it, by branch and bound over the runs of rows with one window,
+    or some row strictly above the least value of the candidates; and that
+    least value with the first candidate that has it, (inf, -1) for none.
+    `cand` holds the candidates' float thetas and windows, or nothing.  At
+    most three `cdf_batch` calls: the candidates with the ends of the runs,
+    the cuts of the long runs, the interior rows of what is left.  A row's
+    float is made only when the row is read."""
+    margin = _prune_margin(fam, n, float(_floats(t[-1:], den)[0]))
     # F(lo - 1) and F(hi) of each evaluated row, as prob_ranges reads them
-    cdf = np.empty((2, len(tf)))
+    cdf = np.empty((2, len(t)))
     found = (math.inf, -1)
 
-    def evaluate(rows: np.ndarray) -> None:
+    def evaluate(rows: np.ndarray, ahead: tuple[np.ndarray, ...] = ()) -> np.ndarray:
+        # the rows, after the points `ahead` (float thetas and windows) if
+        # any, in one call; returns the values of those points
         nonlocal found
         if not len(rows):
-            return
-        c = cdf[:, rows] = _cdf_ends(fam, n, tf[rows], lo[rows], hi[rows], open_top[rows])
+            return np.empty(0)
+        read = _floats(t[rows], den), lo[rows], hi[rows], open_top[rows]
+        if ahead:
+            read = [np.concatenate(x) for x in zip(ahead, read)]
+        c = _cdf_ends(fam, n, *read)
         got = np.maximum(c[1] - c[0], 0.0)
-        if (least := float(got.min())) <= found[0]:
-            found = min(found, (least, int(rows[got == least].min())))
+        m = len(got) - len(rows)
+        cdf[:, rows] = c[:, m:]
+        if (low := float(got[m:].min())) <= found[0]:
+            found = min(found, (low, int(rows[got[m:] == low].min())))
+        return got[:m]
 
     def live(s: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # the runs with interior rows left, their ends evaluated, whose bound
         # F(l; theta_e) - F(k - 1; theta_s) from those ends is within margin
         keep = e - s > 1
-        keep[keep] = cdf[1, e[keep]] - cdf[0, s[keep]] <= min(best, found[0]) + margin
+        keep[keep] = cdf[1, e[keep]] - cdf[0, s[keep]] <= min(least[0], found[0]) + margin
         return s[keep], e[keep]
 
     def every(s: np.ndarray, e: np.ndarray, stride: int) -> np.ndarray:
@@ -302,7 +320,8 @@ def _scan_runs(fam: DistributionFamily, n: int, tf: np.ndarray, lo: np.ndarray, 
     joins = (lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1]) & (open_top[1:] == open_top[:-1])
     s = np.append(True, ~joins).nonzero()[0]
     e = np.append(~joins, True).nonzero()[0]
-    evaluate(np.union1d(s, e))
+    values = evaluate(np.union1d(s, e), cand)
+    least = (float(values.min()), int(values.argmin())) if len(values) else (math.inf, -1)
     # a window that reads no CDF value, or F(k - 1) twice (an empty one),
     # gives every row of its run the start row's value bit for bit, at the
     # run's least theta
@@ -316,7 +335,7 @@ def _scan_runs(fam: DistributionFamily, n: int, tf: np.ndarray, lo: np.ndarray, 
     evaluate(cuts)
     s, e = live(np.sort(np.concatenate((s, cuts))), np.sort(np.concatenate((cuts, e))))
     evaluate(every(s, e, 1))
-    return found
+    return found, least
 
 
 def grid_min_coverage(
@@ -330,14 +349,14 @@ def grid_min_coverage(
 ) -> tuple[float, Fraction]:
     """Smallest coverage over the grid (and candidates, if included) on [a, b].
 
-    Returns (value, theta); ties resolve to the smallest theta.  The
-    candidate points take the exact indicator path in one `prob_min` batch,
-    where a window that accepts nothing is a row that reads 0.0.  The grid
-    rows take their windows from one floor division per end and their least
-    value from `prob_min` for a family without `cdf_batch`, for the others
-    from a branch and bound over their runs, which reads only the rows where
-    the minimum can be.  A grid of more than MAX_GRID_ROWS rows raises
-    DomainError.
+    Returns (value, theta); ties resolve to the smallest theta.  Grid rows
+    and candidate points alike take their windows from one floor division
+    per end, and each value read equals `indicator_coverage` at its theta.
+    For a family without `cdf_batch` the least values come from one
+    `prob_min` call for the candidates and one for the grid rows; for the
+    others the candidates are read with the first rows of a branch and
+    bound over the grid's runs, which reads only the rows where the minimum
+    can be.  A grid of more than MAX_GRID_ROWS rows raises DomainError.
     """
     fam = resolve_family(family)
     _check_n(n)
@@ -360,18 +379,21 @@ def grid_min_coverage(
     an, sn = an * (den // ad), sn * (den // sd)
     t = an + np.arange(rows).astype(np.int64 if abs(an) + rows * sn < 2**62 else object) * sn
     window = _grid_windows(fam, n, criterion, estimator, t, den)
-    tf = _floats(t, den)
-    # the candidates, over theirs, sorted by theta
+    # the candidates, over theirs, sorted by theta, in windows of the same
+    # formula
     cset = candidate_set_for(n, criterion, estimator, a, b) if grid.include_candidates else None
-    cand = (prob_min(fam, n, cset.floats,
-                     *_windows(fam, n, criterion, estimator, cset.numerators, cset.den))
-            if cset is not None else (math.inf, -1))
-    # CDF values bound the rows a run of one window holds; log-pmf sums do not
-    best, j = (_scan_runs(fam, n, tf, *window, cand[0]) if fam.cdf_batch is not None
-               else prob_min(fam, n, tf, *window))
+    cand = (() if cset is None else
+            (cset.floats, *_grid_windows(fam, n, criterion, estimator, cset.numerators, cset.den)))
+    if fam.cdf_batch is not None:
+        # CDF values bound the rows a run of one window holds
+        (best, j), (least, i) = _scan_runs(fam, n, t, den, *window, cand)
+    else:
+        # log-pmf sums do not: every row is summed until it exceeds the least
+        least, i = prob_min(fam, n, *cand) if cand else (math.inf, -1)
+        best, j = prob_min(fam, n, _floats(t, den), *window)
     theta = a + j * grid.step
-    if cand[0] <= best:
-        tied = Fraction(int(cset.numerators[cand[1]]), cset.den)
-        theta = tied if cand[0] < best else min(theta, tied)
-        best = cand[0]
+    if least <= best:
+        tied = Fraction(int(cset.numerators[i]), cset.den)
+        theta = tied if least < best else min(theta, tied)
+        best = least
     return best, theta

@@ -237,6 +237,10 @@ def test_grid_spec_validation():
         GridSpec(step=0.1)
     with pytest.raises(DomainError, match="cells"):
         GridSpec.divide(F(0), F(1), cells=5)
+    # a float or a bool is not a cell count, even one equal to an int >= 10
+    for cells in (10.0, 1e4, True, F(10), "10"):
+        with pytest.raises(DomainError, match="cells must be an int"):
+            GridSpec.divide(F(0), F(1), cells=cells)
     with pytest.raises(DomainError):
         GridSpec.divide(F(1), F(0))
     spec = GridSpec.divide(F(0), F(1))
@@ -476,13 +480,15 @@ def test_batched_exact_rows_equal_per_row_indicator_coverage(monkeypatch):
         assert grid_min_coverage(fam, n, crit, est, a, b, grid) == (expected, theta), (
             fam.name, n, crit, est, a, b, cells)
         vectorized = fam.cdf_batch is not None
-        # one prob_min batch for the candidates, empty windows included,
-        # and, without cdf_batch, one for every grid row; with it, the CDF
-        # batches of the branch and bound over the grid rows, starting with
-        # the ends of runs
+        # without cdf_batch, one prob_min batch for the candidates, empty
+        # windows included, and one for every grid row; with it, no prob_min
+        # call: the candidates join the first CDF batch of the branch and
+        # bound over the grid rows, the ends of runs
         assert calls["prob_range"] == []
-        assert calls["prob_min"] == [len(cands)] + ([] if vectorized else [len(rows)])
+        assert calls["prob_min"] == ([] if vectorized else [len(cands), len(rows)])
         assert bool(calls["_cdf_ends"]) is vectorized
+        if vectorized:
+            assert calls["_cdf_ends"][0] > len(cands)
         # grid rows whose n * (theta -+ m) is an integer, where the strict
         # margin excludes an outcome
         shapes["on an edge"] += sum(
@@ -680,9 +686,9 @@ def test_pruned_grid_scan_makes_one_cdf_call_per_level():
                 counts["calls"] = 0
                 grid_min_coverage(fams[family], n, crit, est, a, b, grid)
                 most = max(most, counts["calls"])
-    # the candidates' rows, then the ends of the runs, the cuts of the long
-    # ones and the leaves
-    assert most <= 4, most
+    # the candidates' rows with the ends of the runs, then the cuts of the
+    # long runs and the leaves
+    assert most <= 3, most
 
 
 # criterion-1 instances whose grid minimum lies in [1 - 1e-9, 1), among the
@@ -1002,6 +1008,29 @@ def test_grid_windows_equal_the_bisection_on_fixed_grids(label, fam, n, crit, es
         # the rows straddle an outcome edge: the windows below the middle row
         # differ from those above it
         assert got[0] != got[-1]
+
+
+def candidate_window_cases():
+    """(family, n, criterion, estimator, a, b): criterion-1 instances of both
+    families and all six pairs, and the goldens at n_min - 1 and n_min."""
+    rng = random.Random(20261021)
+    cases = [(family, *random_instance(rng, pair, family))
+             for family in ("bernoulli", "poisson") for pair in PAIRS for _ in range(20)]
+    for family, crit, a, b, n_min in GOLDEN_SCALE:
+        cases += [(family, n, crit, UNBIASED, a, b) for n in (n_min - 1, n_min)]
+    return cases
+
+
+def test_grid_windows_equal_the_bisection_at_every_candidate():
+    # grid_min_coverage reads the candidates in the floor division's windows,
+    # indicator_coverage in the bisection's: both accept the same outcomes
+    for family, n, crit, est, a, b in candidate_window_cases():
+        fam = get_family(family)
+        cset = candidate_set_for(n, crit, est, a, b)
+        t, den = cset.numerators, cset.den
+        assert accepted_ranges(fam, n, *oracle._grid_windows(fam, n, crit, est, t, den)) == (
+            accepted_ranges(fam, n, *oracle._windows(fam, n, crit, est, t, den))), (
+            family, n, crit, est, a, b)
 
 
 def test_grid_values_equal_indicator_coverage_at_their_theta():
