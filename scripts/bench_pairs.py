@@ -1,16 +1,16 @@
 """Measure a change against a parent commit in alternating benchmark runs
 and write the result as BENCH_<pr>.json.
 
-    python3 scripts/bench_pairs.py --parent REV --pr N [--workload certify production]
-        [--pairs 10] [--seconds 45] [--claim TEXT]
+    python3 scripts/bench_pairs.py --parent REV --pr N [--claim TEXT]
 
 Run from anywhere inside a checkout.  The parent side is REV exported with
 `git archive` into a temporary directory; the change side is a copy of this
 checkout's files (tracked and untracked, less what .gitignore excludes).
 Both copies are removed at the end.  Each side runs its own
-`perfbench/run.py --workload W --seed S --seconds SECONDS --trace 0` in its
-own copy.  Pair i runs seed 2 with the change first when i is odd, and
-seed 1 with the parent first when i is even.
+`perfbench/run.py --workload W --seed S --seconds 45 --trace 0` in its own
+copy, 10 pairs on each of the workloads `certify` and `production`.
+Pair i runs seed 2 with the change first when i is odd, and seed 1 with
+the parent first when i is even.
 
 The file holds, per workload and end-to-end metric, each side's median and
 quartiles (inclusive method), `change_pct` (change median against parent
@@ -32,6 +32,8 @@ import tempfile
 from pathlib import Path
 
 WORKLOADS = ("certify", "production")
+PAIRS = 10
+SECONDS = 45
 METHOD = ("alternating parent/change runs, each from its own copy of its side's files; pair i "
           "runs seed 2 when i is odd (change first) and seed 1 when i is even (parent first); "
           "every metric in reference seconds as run.py reports it; change_wins counts pairs "
@@ -60,12 +62,12 @@ def copy_checkout(root: Path, into: Path) -> None:
             shutil.copy2(source, into / name)
 
 
-def run(side: Path, workload: str, seed: int, seconds: float) -> dict:
+def run(side: Path, workload: str, seed: int) -> dict:
     """One benchmark run in a side's copy: its result line, with the
     fingerprint it printed."""
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
+         "--seconds", str(SECONDS), "--trace", "0"],
         cwd=side, check=True, capture_output=True, text=True)
     lines = done.stdout.splitlines()
     result = json.loads(lines[-1])
@@ -116,17 +118,13 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="the commit to compare against")
     parser.add_argument("--pr", required=True, type=int, help="N of the BENCH_N.json written")
-    parser.add_argument("--workload", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=45.0)
     parser.add_argument("--claim", default="none")
     args = parser.parse_args(argv)
 
     root = Path(git(Path(__file__).resolve().parent, "rev-parse", "--show-toplevel"))
     out = root / f"BENCH_{args.pr}.json"
     bench = {
-        "command": f"python3 perfbench/run.py --workload W --seed S --seconds {args.seconds:g} "
-                   f"--trace 0",
+        "command": f"python3 perfbench/run.py --workload W --seed S --seconds {SECONDS} --trace 0",
         "method": METHOD,
         "parent": git(root, "rev-parse", "--short", args.parent),
         "claim": args.claim,
@@ -138,12 +136,12 @@ def main(argv=None) -> int:
         change.mkdir()
         export(root, args.parent, parent)
         copy_checkout(root, change)
-        for workload in args.workload:
+        for workload in WORKLOADS:
             pairs = []
-            for i in range(args.pairs):
+            for i in range(PAIRS):
                 seed = 2 if i % 2 else 1
                 order = (change, parent) if i % 2 else (parent, change)
-                got = {side: run(side, workload, seed, args.seconds) for side in order}
+                got = {side: run(side, workload, seed) for side in order}
                 pairs.append((got[parent], got[change]))
                 wall = [side["metrics"]["wall_s"]["value"] for side in pairs[-1]]
                 print(f"{workload} pair {i} seed {seed}: wall_s parent {wall[0]:.4f} "

@@ -996,6 +996,18 @@ def fixed_grid_cases():
         for pair in PAIRS:
             n, crit, est, a, b = random_instance(rng, pair, family.name)
             cases.append(("criterion 1", family, n, crit, est, grid(a, b, 10_000)))
+    # the candidate points, which grid_min_coverage reads in the floor
+    # division's windows and indicator_coverage in the bisection's:
+    # criterion-1 instances, and the goldens at n_min - 1 and n_min
+    rng = random.Random(20261021)
+    instances = [(family, *random_instance(rng, pair, family.name))
+                 for family in (BERNOULLI, POISSON) for pair in PAIRS for _ in range(20)]
+    for family, crit, a, b, n_min in GOLDEN_SCALE:
+        instances += [(get_family(family), n, crit, UNBIASED, a, b) for n in (n_min - 1, n_min)]
+    for family, n, crit, est, a, b in instances:
+        cset = candidate_set_for(n, crit, est, a, b)
+        thetas = [F(int(x), cset.den) for x in cset.numerators]
+        cases.append(("candidates", family, n, crit, est, thetas))
     return cases
 
 
@@ -1008,29 +1020,6 @@ def test_grid_windows_equal_the_bisection_on_fixed_grids(label, fam, n, crit, es
         # the rows straddle an outcome edge: the windows below the middle row
         # differ from those above it
         assert got[0] != got[-1]
-
-
-def candidate_window_cases():
-    """(family, n, criterion, estimator, a, b): criterion-1 instances of both
-    families and all six pairs, and the goldens at n_min - 1 and n_min."""
-    rng = random.Random(20261021)
-    cases = [(family, *random_instance(rng, pair, family))
-             for family in ("bernoulli", "poisson") for pair in PAIRS for _ in range(20)]
-    for family, crit, a, b, n_min in GOLDEN_SCALE:
-        cases += [(family, n, crit, UNBIASED, a, b) for n in (n_min - 1, n_min)]
-    return cases
-
-
-def test_grid_windows_equal_the_bisection_at_every_candidate():
-    # grid_min_coverage reads the candidates in the floor division's windows,
-    # indicator_coverage in the bisection's: both accept the same outcomes
-    for family, n, crit, est, a, b in candidate_window_cases():
-        fam = get_family(family)
-        cset = candidate_set_for(n, crit, est, a, b)
-        t, den = cset.numerators, cset.den
-        assert accepted_ranges(fam, n, *oracle._grid_windows(fam, n, crit, est, t, den)) == (
-            accepted_ranges(fam, n, *oracle._windows(fam, n, crit, est, t, den))), (
-            family, n, crit, est, a, b)
 
 
 def test_grid_values_equal_indicator_coverage_at_their_theta():
