@@ -1,13 +1,16 @@
-"""Compare `indicator_coverage`, `min_coverage` or `min_sample_size` of two
-checkouts value for value.
+"""Compare `indicator_coverage` (with `coverage` and `acceptance_window`),
+`min_coverage` or `min_sample_size` of two checkouts value for value.
 
 Draws criterion-1-style instances (both families, all six criterion/
 estimator pairs, with the instance generator of tests/test_acceptance.py).
-With `--route indicator` (the default) it evaluates `indicator_coverage` at
-a random sample of each instance's candidate points (where the acceptance
-window changes, so lattice theta are included) and at a few random grid rows
-of [a, b].  With `--route min-coverage` it runs `min_coverage` on every
-instance and on the production shapes (n = 9622 absolute 1/100, n = 892..901
+With `--route indicator` (the default) it evaluates `indicator_coverage`,
+`coverage` and `acceptance_window` at a random sample of each instance's
+candidate points (where the acceptance window changes, so lattice theta are
+included), at a few random grid rows of [a, b] and at a - (b - a) / 7 and
+b + (b - a) / 7, outside it, and records each value (a float as
+`value.hex()`) or the message of its DomainError.  With `--route
+min-coverage` it runs `min_coverage` on every instance and on the
+production shapes (n = 9622 absolute 1/100, n = 892..901
 relative 1/5, n = 96 range-preserving mixed, and the witness sets of the
 last two), and records the rule, the cardinality bound, every candidate's
 theta, tags and value, and the argmin, after asserting that the minimum and
@@ -71,10 +74,20 @@ def with_log_pmf_copy(family: str) -> list:
 
 
 def dump(src: Path, count: int, seed: int, candidates: int, grid_rows: int) -> list:
-    """[family, pair, n, theta, value.hex()] for every evaluated point."""
+    """[family, pair, n, theta, indicator_coverage, coverage, acceptance_window]
+    for every evaluated point."""
     sys.path[:0] = [str(src), str(ROOT)]
     import covsize
-    from covsize import candidate_set_for, indicator_coverage
+    from covsize import (DomainError, acceptance_window, candidate_set_for, coverage,
+                         indicator_coverage)
+
+    def record(entry, *args):
+        """`entry(*args)` as JSON: a float as hex, a DomainError as its message."""
+        try:
+            value = entry(*args)
+        except DomainError as exc:
+            return f"error: {exc}"
+        return value.hex() if isinstance(value, float) else list(value)
 
     if not Path(covsize.__file__).resolve().is_relative_to(src):
         sys.exit(f"covsize was imported from {covsize.__file__}, not {src}")
@@ -90,9 +103,12 @@ def dump(src: Path, count: int, seed: int, candidates: int, grid_rows: int) -> l
         thetas = rng.sample(thetas, min(candidates, len(thetas)))
         thetas += [a + Fraction(rng.randint(0, 10_000), 10_000) * (b - a)
                    for _ in range(grid_rows)]
+        thetas += [a - (b - a) / 7, b + (b - a) / 7]
         for theta in thetas:
-            value = indicator_coverage(family, n, crit, est, theta)
-            out.append([family, "/".join(pair), n, str(theta), value.hex()])
+            out.append([family, "/".join(pair), n, str(theta),
+                        record(indicator_coverage, family, n, crit, est, theta),
+                        record(coverage, family, n, crit, est, theta),
+                        record(acceptance_window, n, crit, est, theta)])
     return out
 
 
@@ -338,11 +354,14 @@ def main() -> int:
     else:
         if [row[:4] for row in mine] != [row[:4] for row in theirs]:
             sys.exit("the two checkouts drew different points")
-        diffs = [(a, b[4]) for a, b in zip(mine, theirs) if a[4] != b[4]]
+        diffs = [(a, b[4:]) for a, b in zip(mine, theirs) if a[4:] != b[4:]]
         families = sorted({row[0] for row in mine})
         pairs = sorted({row[1] for row in mine})
+        errors = sum(str(x).startswith("error: ") for row in mine for x in row[4:])
         print(f"{len(mine)} theta on {args.instances} instances "
-              f"({', '.join(families)}; {len(pairs)} pairs): {len(diffs)} differ")
+              f"({', '.join(families)}; {len(pairs)} pairs), each through "
+              f"indicator_coverage, coverage and acceptance_window ({errors} DomainErrors): "
+              f"{len(diffs)} differ")
     # built-in families' differences first; sorted() keeps their order
     for row, other in sorted(diffs, key=lambda d: LOG_PMF in str(d[0][0]))[:10]:
         print("  ", row, "other:", other)

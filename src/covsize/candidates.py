@@ -187,7 +187,6 @@ class _Spec:
                          bound[1] * q)
         return den, runs, Fraction(*bound), top
 
-
     @cached_property
     def tables(self) -> tuple[np.ndarray, np.ndarray, int, int]:
         """(kbounds, coef, top, kratio) of `_block`, made when first asked for
@@ -301,12 +300,8 @@ def _spec(criterion: ErrorCriterion, estimator: EstimatorKind, a: Fraction,
         q0, q1 = step * ld, step * hd
         edges.append(((ln * den - base * ld, q0, q0), (hn * den - base * hd, -1, q1)))
     scale = math.lcm(*(run[2] for run in runs))
-    # a single on the crossover takes the absolute side, as its margins agree there
-    cn, cd = c.as_integer_ratio()
-    relative = [er is not None and (ea is None or base * cd > cn * den)
-                if not step else tag in (TAG_REL_UPPER, TAG_REL_LOWER)
-                for base, step, den, _, tag in runs]
-    windows = window_table(criterion, estimator, runs, relative)
+    windows = window_table(criterion, estimator, runs,
+                           [tag in (TAG_REL_UPPER, TAG_REL_LOWER) for *_, tag in lattices])
     windows.coef.flags.writeable = False  # shared by every call of the query
     return _Spec(rule, tuple(runs), tuple(edges), scale, len(offered), windows)
 

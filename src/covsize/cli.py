@@ -265,11 +265,9 @@ def _cmd_coverage_curve(args: argparse.Namespace, crit: ErrorCriterion,
     thetas = sorted(marks)
     fam = resolve_family(args.family)
     floats = [float(fam.require_theta(t)) for t in thetas]
-    # each point's coverage: its window as a run of one theta, then one
-    # probability batch; a window open below starts at the support's least k
-    lo, hi, open_lo, open_hi = acceptance_windows(
-        args.n, crit, est, [(t.numerator, 0, t.denominator) for t in thetas],
-        np.arange(len(thetas)), np.zeros(len(thetas), np.int64))
+    # each point's coverage: the windows at every theta, then one probability
+    # batch; a window open below starts at the support's least k
+    lo, hi, open_lo, open_hi = acceptance_windows(args.n, crit, est, thetas)
     lo[open_lo] = fam.support_bound(args.n)[0]
     values = prob_ranges(fam, args.n, np.array(floats), lo, hi, open_hi)
     _add_points(rec, "points", [ratio_str(t) for t in thetas], floats,

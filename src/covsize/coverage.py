@@ -15,7 +15,6 @@ numerators and denominators before any probability is touched.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -146,11 +145,19 @@ class WindowTable(NamedTuple):
 
 
 def window_table(criterion: ErrorCriterion, estimator: EstimatorKind, runs: Sequence[tuple],
-                 relative: Sequence[bool]) -> WindowTable:
-    """The `WindowTable` of `runs` (see `acceptance_windows`), run j on the
-    relative side of the crossover when relative[j].  Only the single thetas
-    are checked against the criterion and the clamp."""
-    ea, er, _ = margins(criterion)
+                 lattice_sides: Sequence[bool]) -> WindowTable:
+    """The `WindowTable` of `runs`.  A run (base, step, den, ...) is the
+    lattice of thetas (base + step * k / n) / den at sample size n: offset
+    base / den, spacing step / (den * n); a single theta has step 0.  A run
+    keeps one side of the crossover, so n * (theta -+ margin) is affine in n
+    and k along it: each window end is one floor division of integers and
+    each clamp flag one comparison.  A single theta takes the relative side
+    when above the crossover (on it the margins agree); the lattices, in
+    order, the sides in `lattice_sides` (True: relative).  No theta is
+    checked here: `acceptance_windows` checks those from outside, and
+    `candidates._spec` builds its runs inside an [a, b] it has validated."""
+    ea, er, c = margins(criterion)
+    sides = iter(lattice_sides)
     clamp = estimator if isinstance(estimator, RangePreserving) else None
     if clamp is None and not isinstance(estimator, Unbiased):
         raise DomainError(f"unknown estimator {estimator!r}")
@@ -158,14 +165,9 @@ def window_table(criterion: ErrorCriterion, estimator: EstimatorKind, runs: Sequ
                           if clamp is not None else ((0, 1), (0, 1)))
     margin = tuple(m and m.as_integer_ratio() for m in (ea, er))  # by relative: 0, 1
     coef = []  # flat, one run after another
-    for (base, step, den, *_), rel in zip(runs, relative):
-        g = math.gcd(base, step, den)
-        u, v, w = base // g, step // g, den // g
-        if v == 0 and rel and u <= 0:
-            raise DomainError(f"relative coverage needs theta > 0, got {Fraction(u, w)}")
-        if v == 0 and clamp is not None and (u * ad < an * w or u * bd > bn * w):
-            raise DomainError(f"theta={Fraction(u, w)} outside the range-preserving "
-                              f"interval [{clamp.lower}, {clamp.upper}]")
+    for u, v, w, *_ in runs:
+        rel = next(sides) if v else ea is None or (
+            c is not None and u * c.denominator > c.numerator * w)
         # margin e/d (times theta if relative): with r = w * d the window ends
         # lo = floor(n * (theta - margin)) + 1 and hi = ceil(n * (theta + margin)) - 1
         # are x // r for x = r * n * (theta - margin) + r and r * n * (theta + margin) - 1;
@@ -182,9 +184,9 @@ def window_table(criterion: ErrorCriterion, estimator: EstimatorKind, runs: Sequ
 
 def windows_at(table: WindowTable, n: Union[int, np.ndarray], run: np.ndarray, k: np.ndarray,
                nk: Optional[int] = None) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The windows (lo, hi, open_lo, open_hi) of `acceptance_windows` at the
-    points (run, k) of the table's runs, n one int or one per point; `nk`,
-    when given, bounds n + |k| at every point."""
+    """The windows (lo, hi, open_lo, open_hi), as `acceptance_windows` gives
+    them, at the points (run, k) of the table's runs, n one int or one per
+    point; `nk`, when given, bounds n + |k| at every point."""
     k = np.asarray(k)
     if nk is None:
         nk = int(np.max(n, initial=1)) + int(np.abs(k).max(initial=0))
@@ -203,45 +205,31 @@ def windows_at(table: WindowTable, n: Union[int, np.ndarray], run: np.ndarray, k
 
 
 def acceptance_windows(
-    n: Union[int, np.ndarray],
+    n: int,
     criterion: ErrorCriterion,
     estimator: EstimatorKind,
-    runs: Sequence[tuple],
-    run: Sequence[int],
-    k: Sequence[int],
+    thetas: Sequence[Fraction],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Acceptance windows at the thetas (base + step * k / n) / den, each
-    point given by the index `run` of its run (base, step, den, ...) in
-    `runs`, its `k` and its sample size: `n` is one int for every point or an
-    int array with one per point.  A run is the lattice with offset
-    base / den and spacing step / (den * n); a single theta has step 0.
+    """Acceptance windows at the thetas (exact numbers), for one sample size n.
 
     Returns int64 arrays lo, hi and boolean masks open_lo, open_hi; an open
     side (a clamped side that cannot miss) runs through that end of the
-    support.  A run lies on one side of the crossover, taken here from one
-    of its points, so n * (theta -+ margin) is affine in n and k along it:
-    each window end is one floor division of integers and each clamp flag
-    one comparison (see `WindowTable`).  A candidate set's runs have their
-    table cached with their query (`candidates._Spec`); this builds one per
-    call.
+    support.  Each theta is a run of one in a `window_table`.  This is where
+    thetas from outside are checked: a relative one must be positive, a
+    clamped one inside the clamp.  A candidate set reads its windows from the
+    table cached with its query instead (`candidates._Spec`, by `windows_at`).
     """
-    if np.ndim(n) == 0:
-        _check_n(n)
-    elif (n := np.asarray(n)).dtype.kind not in "iu" or (n < 1).any():
-        raise DomainError(f"n must be positive integers, got {n!r}")
-    ea, er, c = margins(criterion)
-    run, k = np.asarray(run, np.intp), np.asarray(k)
-    relative = [ea is None] * len(runs)
-    if c is not None:
-        # with a crossover, a point (n, k) of each run tells the run's side
-        reps = [(1, 0)] * len(runs)
-        if len(run):
-            first = np.zeros(len(runs), np.intp)
-            first[run[::-1]] = np.arange(len(run) - 1, -1, -1)
-            reps = zip(np.broadcast_to(n, run.shape)[first].tolist(), k[first].tolist())
-        relative = [(m * base + step * j) * c.denominator > c.numerator * m * den
-                    for (base, step, den, *_), (m, j) in zip(runs, reps)]
-    return windows_at(window_table(criterion, estimator, runs, relative), n, run, k)
+    thetas = [exact(t, name="theta") for t in thetas]
+    _check_n(n)
+    runs = [(t.numerator, 0, t.denominator) for t in thetas]
+    table = window_table(criterion, estimator, runs, ())
+    for theta in thetas:
+        if isinstance(criterion, Relative) and theta <= 0:
+            raise DomainError(f"relative coverage needs theta > 0, got {theta}")
+        if table.clamped and not estimator.lower <= theta <= estimator.upper:
+            raise DomainError(f"theta={theta} outside the range-preserving "
+                              f"interval [{estimator.lower}, {estimator.upper}]")
+    return windows_at(table, n, np.arange(len(thetas)), np.zeros(len(thetas), np.int64))
 
 
 def acceptance_window(
@@ -257,10 +245,8 @@ def acceptance_window(
     every outcome is accepted.  The window is purely arithmetic, so it needs
     no distribution family.
     """
-    theta = exact(theta, name="theta")
-    run = (theta.numerator, 0, theta.denominator, range(1))
-    lo, hi, open_lo, open_hi = acceptance_windows(n, criterion, estimator, (run,), [0], [0])
-    return (None if open_lo[0] else int(lo[0]), None if open_hi[0] else int(hi[0]))
+    (lo,), (hi,), (open_lo,), (open_hi,) = acceptance_windows(n, criterion, estimator, [theta])
+    return (None if open_lo else int(lo), None if open_hi else int(hi))
 
 
 # ---------------------------------------------------------------------------
@@ -280,9 +266,7 @@ def coverage(
     """
     fam = resolve_family(family)
     theta = fam.require_theta(theta)
-    lo, hi = acceptance_window(n, criterion, estimator, theta)
-    if lo is None and hi is None:
-        return 1.0
-    if lo is None:
+    (lo,), (hi,), (open_lo,), (open_hi,) = acceptance_windows(n, criterion, estimator, [theta])
+    if open_lo:
         lo, _ = fam.support_bound(n)
-    return prob_range(fam, n, lo, hi, theta)
+    return prob_range(fam, n, int(lo), None if open_hi else int(hi), theta)

@@ -132,6 +132,15 @@ def _int64_ends(*ends: np.ndarray) -> list[np.ndarray]:
     return [np.asarray(x, np.int64) for x in ends]
 
 
+def _support_ends(fam: DistributionFamily, n: int, *ends: np.ndarray) -> list[np.ndarray]:
+    """Window ends clipped to one beyond either edge of the support, where
+    they read as they would farther out, then made int64 by `_int64_ends`:
+    an end past int64 on an unbounded side raises DomainError."""
+    kmin, kmax = fam.support_bound(n)
+    return _int64_ends(*(np.clip(x, kmin - 1, None if kmax is None else kmax + 1)
+                         for x in ends))
+
+
 # ---------------------------------------------------------------------------
 # Bernoulli: Y_n ~ binomial(n, theta)
 
@@ -288,7 +297,7 @@ def prob_ranges(
     Rows flagged in `open_top` have no upper limit; windows are clipped to
     the support, an empty one gives 0.0.  With `cdf_batch` a row is
     F(hi) - F(lo - 1) from `_cdf_ends`, clipped at 0.  Otherwise each row is
-    a compensated sum of the pmf at its n, an open top of unbounded support
+    a compensated sum of the pmf at its n, any top of an unbounded support
     cut at `tail_cutoff`: exactly 1.0 over the whole support and never above
     it.  A NaN CDF value or summed pmf term raises DomainError.  Callers
     validate n and theta.
@@ -417,17 +426,18 @@ def prob_min(fam: DistributionFamily, n: int | np.ndarray, thetas: np.ndarray, l
 def _log_pmf_rows(fam: DistributionFamily, n, thetas, lo, hi, open_top):
     """(n, theta, k, l, whole) per row, as Python scalars, for a family
     without `cdf_batch`: the window [k, l] clipped to the support, an open
-    top cut at its top or `tail_cutoff`; `whole` if that is all of it."""
+    top cut at its top, and any top of an unbounded support at `tail_cutoff`
+    (at k if that is below k); `whole` if that is all of it."""
     kmin, kmax = fam.support_bound(n)
-    lo = np.maximum(lo, kmin)
+    lo, hi = np.maximum(lo, kmin), np.where(open_top, _PAST_TOP, hi)
     if kmax is not None:
         hi = np.minimum(hi, kmax)
     # each row with its own n
     rows = (np.broadcast_to(x, thetas.shape).tolist() for x in (n, kmin, kmax))
     for n, kmin, kmax, theta, k, l, top in zip(*rows, thetas.tolist(), lo.tolist(),
                                                hi.tolist(), open_top.tolist()):
-        if top:
-            l = kmax if kmax is not None else max(fam.tail_cutoff(n, theta), k)
+        if kmax is None:
+            l = min(l, max(fam.tail_cutoff(n, theta), k))
         yield n, theta, k, l, k == kmin and (top or l == kmax)
 
 
@@ -454,11 +464,7 @@ def prob_range(
     _check_int(k, "k")
     if l is not None:
         _check_int(l, "l")
-    # ends clipped to one beyond either edge of the support, where they read
-    # as they would farther out, so that lo - 1 and hi fit in int64
-    kmin, kmax = fam.support_bound(n)
-    cap = _PAST_TOP - 1 if kmax is None else kmax + 1
-    lo, hi = (np.array([min(max(x, kmin - 1), cap)]) for x in (k, k if l is None else l))
+    lo, hi = _support_ends(fam, n, *(np.array([x], object) for x in (k, k if l is None else l)))
     return float(prob_ranges(fam, n, np.array([float(theta)]), lo, hi, np.array([l is None]))[0])
 
 

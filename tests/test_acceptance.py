@@ -165,10 +165,8 @@ def test_criterion_3_window_constant_between_candidates(capsys):
         checked_instances += 1
         gaps = list(zip(cset.thetas, cset.thetas[1:]))
         probes = [left + F(j, 51) * (right - left) for left, right in gaps for j in range(1, 51)]
-        # every probe its own single run, all in one call
-        runs = [(t.numerator, 0, t.denominator, range(1)) for t in probes]
-        lo, hi, open_lo, open_hi = (x.tolist() for x in acceptance_windows(
-            n, crit, est, runs, range(len(runs)), [0] * len(runs)))
+        # every probe in one call
+        lo, hi, open_lo, open_hi = (x.tolist() for x in acceptance_windows(n, crit, est, probes))
         found = [(None if ol else l, None if oh else h)
                  for l, h, ol, oh in zip(lo, hi, open_lo, open_hi)]
         spot = checked_instances * 37 % len(probes)

@@ -117,6 +117,11 @@ def test_mixed_collects_both_lattices_per_side():
     assert TAG_REL_UPPER in point[F(2, 3)]
 
 
+def test_mixed_rejects_negative_a():
+    with pytest.raises(DomainError, match="mixed criterion needs a >= 0"):
+        candidate_set_for(4, Mixed(F(1, 4), F(1, 2)), UNBIASED, F(-1, 4), F(1))
+
+
 def test_mixed_crossover_must_be_interior():
     with pytest.raises(DomainError, match="pure absolute or pure relative"):
         candidate_set_for(4, Mixed(F(1, 2), F(1, 2)), UNBIASED, F(0), F(1))  # crossover 1 == b
@@ -530,6 +535,11 @@ def test_candidate_set_for_requires_matching_clamp():
     est = RangePreserving(F(1, 4), F(3, 4))
     with pytest.raises(DomainError, match="must"):
         candidate_set_for(6, Absolute(F(1, 8)), est, F(1, 8), F(3, 4))
+
+
+def test_candidate_set_for_rejects_an_unknown_estimator():
+    with pytest.raises(DomainError, match="unknown criterion/estimator pair"):
+        candidate_set_for(6, Absolute(F(1, 8)), object(), F(1, 4), F(3, 4))
 
 
 def test_invalid_interval_rejected():

@@ -451,10 +451,18 @@ def test_missing_margin_is_usage_error(capsys):
     assert "--abs-eps" in err and "--rel-eps" in err
 
 
-def test_bad_number_is_argparse_error(capsys):
+@pytest.mark.parametrize("argv, message", [
+    (["candidates", "--n", "5", "--abs-eps", "0.1.2"], "0.1.2"),
+    (["candidates", "--n", "0", "--abs-eps", "1/8"], "expected a positive integer, got 0"),
+    (["verify", "--family", "bernoulli", "--n", "9", "--abs-eps", "1/8", "--tol", "x"],
+     "expected a number, got 'x'"),
+], ids=["margin", "n", "tol"])
+def test_bad_number_is_argparse_error(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
-        main(["candidates", "--n", "5", "--abs-eps", "0.1.2", "--a", "0", "--b", "1"])
+        main([*argv, "--a", "0", "--b", "1"])
     assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
 
 
 def test_domain_errors_exit_3(capsys):
@@ -474,6 +482,19 @@ def test_domain_errors_exit_3(capsys):
         "--a", "1/2", "--b", "1/4", "--delta", "0.05",
     )
     assert code == 3
+
+
+@pytest.mark.parametrize("bounds, message", [
+    (["--a", "1/2", "--b", "1/2"], "need a < b"),
+    (["--a", "1/2", "--b", "1/4"], "need a < b"),
+    (["--a", "0", "--b", "1/2", "--step", "0"], "step must lie in (0, b-a]"),
+    (["--a", "0", "--b", "1/2", "--step", "3/4"], "step must lie in (0, b-a]"),
+])
+def test_coverage_curve_rejects_an_empty_interval_and_a_step_outside_it(capsys, bounds,
+                                                                        message):
+    code, out, err = run_cli(capsys, "coverage-curve", "--family", "bernoulli", "--n", "5",
+                             "--abs-eps", "1/4", *bounds)
+    assert code == 3 and out == "" and message in err
 
 
 def test_output_file(tmp_path, capsys):

@@ -100,18 +100,17 @@ def test_bounds_rel_window_is_exactly_the_strict_event(n, eps, theta):
 # criterion and estimator validation
 
 def test_acceptance_windows_of_no_theta_are_empty_arrays():
-    lo, hi, open_lo, open_hi = acceptance_windows(5, Absolute(F(1, 4)), UNBIASED, (), [], [])
+    lo, hi, open_lo, open_hi = acceptance_windows(5, Absolute(F(1, 4)), UNBIASED, ())
     assert [(x.dtype, x.shape) for x in (lo, hi, open_lo, open_hi)] == [
         (np.int64, (0,)), (np.int64, (0,)), (bool, (0,)), (bool, (0,)),
     ]
 
 
-@pytest.mark.parametrize("n", [np.array([0]), np.array([-5]), np.array([2.5]),
-                               np.array([3, 0]), np.array([True])], ids=repr)
-def test_acceptance_windows_rejects_an_array_n_of_non_positive_or_non_integers(n):
-    runs = [(1, 0, 2)] * len(n)
-    with pytest.raises(DomainError, match="positive integers"):
-        acceptance_windows(n, Absolute(F(1, 4)), UNBIASED, runs, range(len(n)), [0] * len(n))
+def test_acceptance_windows_rejects_an_array_n():
+    # one int n for every theta; a candidate set's rows with an n each read
+    # the query's table through `windows_at`
+    with pytest.raises(DomainError, match="positive integer"):
+        acceptance_windows(np.array([3]), Absolute(F(1, 4)), UNBIASED, [F(1, 2)])
 
 
 @pytest.mark.parametrize("entry", [acceptance_window, coverage, indicator_coverage])
@@ -176,6 +175,13 @@ def test_float_inputs_rejected():
         RangePreserving(0.1, 0.9)
     with pytest.raises(DomainError, match="binary float"):
         coverage("bernoulli", 5, Absolute(F(1, 4)), UNBIASED, 0.5)
+    with pytest.raises(DomainError, match="theta: got a binary float"):
+        acceptance_windows(5, Absolute(F(1, 4)), UNBIASED, [F(1, 2), 0.5])
+
+
+def test_an_unsupported_type_is_a_domain_error():
+    with pytest.raises(DomainError, match="theta: unsupported type object"):
+        exact(object(), name="theta")
 
 
 # ---------------------------------------------------------------------------
@@ -337,6 +343,9 @@ def test_theta_outside_clamp_interval_rejected():
     est = RangePreserving(F(1, 4), F(3, 4))
     with pytest.raises(DomainError):
         coverage("bernoulli", 5, Absolute(F(1, 8)), est, F(9, 10))
+    # the oracle checks its thetas against the clamp itself
+    with pytest.raises(DomainError, match="theta=1/8 outside the range-preserving interval"):
+        indicator_coverage("bernoulli", 5, Absolute(F(1, 8)), est, F(1, 8))
 
 
 def test_relative_coverage_needs_positive_theta():

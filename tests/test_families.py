@@ -98,14 +98,48 @@ def test_prob_range_clips_to_support():
 @pytest.mark.parametrize("fam", [BERNOULLI, POISSON, PLAIN_BERNOULLI])
 def test_prob_range_ends_past_int64_read_as_clipped(fam):
     # ends far outside the support read what the support's edges do; as an
-    # int64 row, k = -2**63 would wrap lo - 1 to 2**63 - 1 and read nothing
+    # int64 row, k = -2**63 would wrap lo - 1 to 2**63 - 1 and read nothing.
+    # An unbounded support has no top edge to clip to: an end past int64
+    # there is a DomainError, never a window cut short at 2**63
     theta, huge = Fraction(2, 5), 10**30
     whole = prob_range(fam, 6, 0, None, theta)
     assert prob_range(fam, 6, -2**63, None, theta) == whole
-    assert prob_range(fam, 6, -huge, huge, theta) == whole
     assert prob_range(fam, 6, -huge, 3, theta) == prob_range(fam, 6, 0, 3, theta)
-    assert prob_range(fam, 6, 2, huge, theta) == prob_range(fam, 6, 2, None, theta)
-    assert prob_range(fam, 6, huge, None, theta) == prob_range(fam, 6, 4, -huge, theta) == 0.0
+    assert prob_range(fam, 6, 4, -huge, theta) == 0.0
+    if fam is POISSON:
+        for n, k, l, mean in ((6, -huge, huge, theta), (6, 2, huge, theta), (6, huge, None, theta),
+                              # holds nearly all the mass, and read 0.0 once
+                              (10, 10**31 - 10**29, 10**31 + 10**29, Fraction(10**30))):
+            with pytest.raises(DomainError, match="does not fit in int64"):
+                prob_range(fam, n, k, l, mean)
+    else:
+        assert prob_range(fam, 6, -huge, huge, theta) == whole
+        assert prob_range(fam, 6, 2, huge, theta) == prob_range(fam, 6, 2, None, theta)
+        assert prob_range(fam, 6, huge, None, theta) == 0.0
+
+
+def test_a_closed_log_pmf_window_of_an_unbounded_support_stops_at_the_tail_cutoff():
+    # summed to its end, a window to 10**7 took seconds and one to 10**18
+    # never returned; past tail_cutoff(6, 2/5) = 105 the mass is negligible
+    calls = 0
+
+    def log_pmf(n, theta, k):
+        nonlocal calls
+        calls += 1
+        return POISSON.log_pmf(n, theta, k)
+
+    fam = dataclasses.replace(POISSON, cdf_batch=None, log_pmf=log_pmf)
+    theta = Fraction(2, 5)
+    cutoff = POISSON.tail_cutoff(6, float(theta))
+    for top in (10**7, 10**18):
+        calls = 0
+        assert prob_range(fam, 6, 2, top, theta) == prob_range(fam, 6, 2, cutoff, theta)
+        assert calls == 2 * (cutoff - 2 + 1)
+    # a window above the cutoff keeps its first term
+    calls = 0
+    assert prob_range(fam, 6, cutoff + 5, 10**18, theta) == math.exp(
+        POISSON.log_pmf(6, float(theta), cutoff + 5))
+    assert calls == 1
 
 
 def test_prob_range_unbounded_upper():
@@ -499,6 +533,11 @@ def test_poisson_requires_positive_theta():
 def test_param_space_describe():
     assert BERNOULLI.param_space.describe() == "[0, 1]"
     assert POISSON.param_space.describe() == "(0, inf)"
+
+
+def test_a_family_needs_a_name():
+    with pytest.raises(DomainError, match="family name must be nonempty"):
+        dataclasses.replace(BERNOULLI, name="")
 
 
 def test_theta_outside_space_rejected():

@@ -25,7 +25,7 @@ from covsize import (
     grid_min_coverage,
     min_coverage,
 )
-from covsize.coverage import acceptance_windows
+from covsize.coverage import windows_at
 from covsize.families import prob_ranges
 from covsize.minimize import CoverageReport, resolve_threads, witness_minima
 
@@ -234,7 +234,7 @@ def test_a_log_pmf_minimum_is_the_first_minimum_of_its_full_sums():
     report = min_coverage(clone, *args)
     assert "values" not in vars(report)
     cset = report.candidate_set
-    lo, hi, open_lo, open_hi = acceptance_windows(101, *args[1:3], cset.runs, cset.run, cset.k)
+    lo, hi, open_lo, open_hi = windows_at(cset.spec.windows, 101, cset.run, cset.k)
     eager = prob_ranges(clone, 101, cset.floats, np.where(open_lo, 0, lo), hi, open_hi).tolist()
     assert report.values == tuple(eager)
     assert report.min_coverage == min(eager)
@@ -251,7 +251,7 @@ def test_a_builtin_report_evaluates_its_values_on_first_read(family):
     report = min_coverage(family, *args)
     assert "values" not in vars(report)
     cset = report.candidate_set
-    lo, hi, open_lo, open_hi = acceptance_windows(101, *args[1:3], cset.runs, cset.run, cset.k)
+    lo, hi, open_lo, open_hi = windows_at(cset.spec.windows, 101, cset.run, cset.k)
     eager = prob_ranges(report.family, 101, cset.floats, np.where(open_lo, 0, lo), hi,
                         open_hi).tolist()
     assert report.values == tuple(eager)

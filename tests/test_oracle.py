@@ -262,6 +262,11 @@ def test_grid_min_validation():
         grid_min_coverage(
             "bernoulli", 5, Absolute(F(1, 4)), UNBIASED, F(1, 2), F(3, 2), spec
         )
+    # without candidates, whose builder rejects it first, the grid rows'
+    # own sign test finds the relative theta 0
+    with pytest.raises(DomainError, match="relative coverage needs theta > 0, got 0"):
+        grid_min_coverage("bernoulli", 5, Relative(F(1, 4)), UNBIASED, F(0), F(1),
+                          GridSpec(step=F(1, 100), include_candidates=False))
     with pytest.raises(DomainError, match="clamp"):
         grid_min_coverage(
             "bernoulli",

@@ -1,8 +1,9 @@
 """Integer candidate sets against their definitions.
 
-The windows `acceptance_windows` computes along each run of a candidate set
-must equal the window found from the definition by bisection on k in Fractions
-(`_reference.reference_window`), the float of each theta must be
+The windows a candidate set reads from its query's table along each of its
+runs (`windows_at` of `spec.windows`) must equal the window found from the
+definition by bisection on k in Fractions (`_reference.reference_window`) and
+`acceptance_windows` at each theta alone, the float of each theta must be
 `float(theta)` to the last bit, and the points, tags and evaluations made on
 first access must equal the reference candidates in order.
 """
@@ -48,10 +49,13 @@ def query_of(kind, args):
 
 
 def check_windows_and_floats(cset, n, criterion, estimator):
-    lo, hi, open_lo, open_hi = acceptance_windows(n, criterion, estimator, cset.runs,
-                                                  cset.run, cset.k)
-    got = list(zip(lo.tolist(), hi.tolist(), open_lo.tolist(), open_hi.tolist()))
+    table = windows_at(cset.spec.windows, n, cset.run, cset.k)
+    got = list(zip(*(w.tolist() for w in table)))
     assert got == [reference_window(n, criterion, estimator, t) for t in cset.thetas]
+    # the side of each single theta (above the crossover) and of each
+    # lattice (by its tag) agree
+    alone = acceptance_windows(n, criterion, estimator, cset.thetas)
+    assert [w.tolist() for w in alone] == [w.tolist() for w in table]
     assert [x.hex() for x in cset.floats.tolist()] == [float(t).hex() for t in cset.thetas]
 
 
@@ -141,15 +145,15 @@ ROW_BLOCKS = [
 ]
 
 
-def per_n_and_per_row(fam, ns, criterion, estimator, runs, run, k, floats):
+def per_n_and_per_row(fam, ns, table, run, k, floats):
     """(windows, probabilities) of one call with an n per row, and of one call per n."""
-    windows = acceptance_windows(ns, criterion, estimator, runs, run, k)
+    windows = windows_at(table, ns, run, k)
     lo = np.where(windows[2], 0, windows[0])
     probs = prob_ranges(fam, ns, floats, lo, windows[1], windows[3])
     each_windows, each_probs = [], []
     for n in sorted(set(ns.tolist())):
         rows = ns == n
-        w = acceptance_windows(n, criterion, estimator, runs, run[rows], k[rows])
+        w = windows_at(table, n, run[rows], k[rows])
         each_windows.append(w)
         lo_n = np.where(w[2], 0, w[0])
         each_probs.append(prob_ranges(fam, n, floats[rows], lo_n, w[1], w[3]))
@@ -164,7 +168,7 @@ def test_rows_with_one_n_each_equal_per_n_calls(fam, n0, count, criterion, estim
                                                 near):
     block = candidate_block(n0, count, criterion, estimator, a, b, near, 3)
     (windows, probs), (each_windows, each_probs) = per_n_and_per_row(
-        fam, block.n, criterion, estimator, block.spec.runs, block.run, block.k, block.floats)
+        fam, block.n, block.spec.windows, block.run, block.k, block.floats)
     for got, expected in zip(windows, each_windows):
         assert got.tolist() == expected.tolist()
     assert [x.hex() for x in probs.tolist()] == [x.hex() for x in each_probs.tolist()]
@@ -181,14 +185,15 @@ def test_rows_with_one_n_each_equal_per_n_calls(fam, n0, count, criterion, estim
 def test_rows_with_one_n_each_cross_into_python_ints():
     # t = n * theta * den reaches 2**40 * n, so the window integers exceed
     # 2**62 between n = 400000 and n = 500000: the per-n calls take int64 and
-    # then Python ints, the call with both n takes Python ints throughout
+    # then Python ints, the call with both n takes Python ints throughout;
+    # theta is the endpoint b of a query's table, its run 1
     theta, criterion = F(2**40 - 1, 2**40), Absolute(F(1, 8))
-    runs = ((theta.numerator, 0, theta.denominator, range(1)),)
+    table = candidate_set_for(1, criterion, UNBIASED, F(1, 2), theta).spec.windows
     ns = np.array([400_000, 400_000, 500_000, 500_000])
-    run, k = np.zeros(4, np.intp), np.zeros(4, np.int64)
+    run, k = np.ones(4, np.intp), np.zeros(4, np.int64)
     floats = np.full(4, float(theta))
     (windows, probs), (each_windows, each_probs) = per_n_and_per_row(
-        BERNOULLI, ns, criterion, UNBIASED, runs, run, k, floats)
+        BERNOULLI, ns, table, run, k, floats)
     for got, expected in zip(windows, each_windows):
         assert got.tolist() == expected.tolist()
     assert probs.tolist() == each_probs.tolist()
