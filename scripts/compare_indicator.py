@@ -11,12 +11,14 @@ b + (b - a) / 7, outside it, and records each value (a float as
 `value.hex()`) or the message of its DomainError.  With `--route
 min-coverage` it runs `min_coverage` on every instance and on the
 production shapes (n = 9622 absolute 1/100, n = 892..901
-relative 1/5, n = 96 range-preserving mixed, and the witness sets of the
-last two), and records the rule, the cardinality bound, every candidate's
-theta, tags and value, and the argmin, after asserting that the minimum and
-argmin are the minimum and first index of the report's own `values` (the
-minimum comes from `prob_min`, and `values` are evaluated only when they
-are read).  With `--route grid` it runs `grid_min_coverage` on every
+relative 1/5, n = 96 range-preserving mixed), and records the rule, the
+cardinality bound, every candidate's theta, tags and value, and the argmin,
+after asserting that the minimum and argmin are the minimum and first index
+of the report's own `values` (the minimum comes from `prob_min`, and
+`values` are evaluated only when they are read).  For each production shape
+it also records the witnesses of n + 1 around that argmin, as a search
+evaluates them (`minimize._witness_minima`): every row's theta and value,
+and the argmin.  With `--route grid` it runs `grid_min_coverage` on every
 instance over a grid of `--cells` cells, once without and once with the
 candidate points, and records each value and theta; it reports how many
 differing rows moved a theta, the largest |value difference| and each
@@ -128,11 +130,14 @@ def production_shapes() -> list:
 
 def dump_min_coverage(src: Path, count: int, seed: int) -> list:
     """[label, rule, bound, theta, tags, value.hex()] for every candidate of
-    every report, then [label, "argmin", min.hex(), argmin theta]."""
+    every report and [label, theta, value.hex()] for every witness row, each
+    followed by [label, "argmin", min.hex(), argmin theta]."""
     sys.path[:0] = [str(src), str(ROOT)]
     import covsize
     from covsize import min_coverage
-    from covsize.minimize import witness_minima
+    from covsize.candidates import _spec
+    from covsize.families import resolve_family
+    from covsize.minimize import _witness_minima
 
     if not Path(covsize.__file__).resolve().is_relative_to(src):
         sys.exit(f"covsize was imported from {covsize.__file__}, not {src}")
@@ -156,18 +161,20 @@ def dump_min_coverage(src: Path, count: int, seed: int) -> list:
         first = values.index(min(values))
         assert report.min_coverage == values[first], label
         assert report.argmin_theta == report.candidate_set.thetas[first], label
-        reports = [(label, report.candidate_set, values, report.min_coverage,
-                    report.argmin_theta)]
+        cset = report.candidate_set
+        for point, value_at in zip(cset.points, values):
+            out.append([label, cset.rule, str(cset.cardinality_bound), str(point.theta),
+                        ",".join(point.tags), value_at.hex()])
+        out.append([label, "argmin", report.min_coverage.hex(), str(report.argmin_theta)])
         if label.startswith("production"):
-            block, witness, best = witness_minima(family, n + 1, 1, crit, est, a, b,
-                                                  report.argmin_theta)
-            reports.append((label + " witness", block.candidate_set(0), witness.tolist(),
-                            float(witness[best[0]]), block.thetas(best)[0]))
-        for name, cset, values, value, theta in reports:
-            for point, value_at in zip(cset.points, values):
-                out.append([name, cset.rule, str(cset.cardinality_bound), str(point.theta),
-                            ",".join(point.tags), value_at.hex()])
-            out.append([name, "argmin", value.hex(), str(theta)])
+            name = label + " witness"
+            block, witness, best = _witness_minima(resolve_family(family),
+                                                   _spec(crit, est, a, b), n + 1, 1,
+                                                   report.argmin_theta)
+            for theta, value_at in zip(block.thetas(range(len(witness))), witness.tolist()):
+                out.append([name, str(theta), value_at.hex()])
+            out.append([name, "argmin", float(witness[best[0]]).hex(),
+                        str(block.thetas(best)[0])])
     return out
 
 

@@ -28,8 +28,8 @@ inside that window.
 All arithmetic is exact.  `candidate_set_for` puts every point over one
 common denominator, each lattice one range of integer numerators, and merges
 them as integers; a Fraction is made only when a caller asks for the thetas.
-`candidate_block` cuts each lattice's range to a window around one theta for
-many n at once, so a sample-size search can reject a run of n on the few
+`_block` cuts each lattice's range to a window around one theta for many n
+at once, so a sample-size search can reject a run of n on the few
 candidates near the worst theta of an earlier n in one evaluation.
 """
 
@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import chain, repeat
-from typing import Iterator, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -84,9 +84,8 @@ class CandidateSet:
     of length 1 and step 0 per endpoint or breakpoint.  The points are the
     arrays `numerators` (over `den`, ascending) and each one's `run` index
     and `k`; `floats`, `thetas` and `points` are made from them on first
-    access.  A witness set holds only some of the points of the whole set at
-    n, with the whole set's runs, rule and bound.  `spec` is the query the
-    runs come from, in the same order (see `_Spec`).
+    access.  `spec` is the query the runs come from, in the same order (see
+    `_Spec`).
     """
 
     rule: str
@@ -112,7 +111,7 @@ class CandidateSet:
 
     @cached_property
     def tags(self) -> list[tuple[str, ...]]:
-        """The sorted tags of the runs holding each point, of the whole set."""
+        """The sorted tags of the runs holding each point."""
         code = np.zeros(len(self.numerators), np.int64)
         for i, (base, step, _, ks, _) in enumerate(self.runs):
             if step:
@@ -131,9 +130,6 @@ class CandidateSet:
 
     def __len__(self) -> int:
         return len(self.numerators)
-
-    def __iter__(self) -> Iterator[CandidatePoint]:
-        return iter(self.points)
 
 
 def _floats(numerators: np.ndarray, den, top: Optional[int] = None) -> np.ndarray:
@@ -356,7 +352,6 @@ class CandidateBlock:
     """
 
     spec: _Spec
-    n0: int
     n: np.ndarray = field(repr=False, compare=False)
     run: np.ndarray = field(repr=False, compare=False)
     k: np.ndarray = field(repr=False, compare=False)
@@ -368,42 +363,15 @@ class CandidateBlock:
         return [Fraction(x, n * self.spec.scale)
                 for x, n in zip(self.numerators[rows].tolist(), self.n[rows].tolist())]
 
-    def candidate_set(self, i: int) -> CandidateSet:
-        """The i-th n's rows as a `CandidateSet`, with the whole set's runs,
-        rule and cardinality bound at that n."""
-        n = self.n0 + i
-        den, runs, bound, top = self.spec.frame(n)
-        rows, dtype = slice(*self.starts[i:i + 2]), np.int64 if top < 2**62 else object
-        x = self.numerators[rows].astype(object) // (n * self.spec.scale // den)
-        return CandidateSet(self.spec.rule, bound, n, den, tuple(runs), x.astype(dtype),
-                            self.run[rows], self.k[rows].astype(dtype), self.spec)
 
-
-def candidate_block(
-    n0: int,
-    count: int,
-    criterion: ErrorCriterion,
-    estimator: EstimatorKind,
-    a: Fraction,
-    b: Fraction,
-    near: Fraction,
-    radius: Fraction,
-) -> CandidateBlock:
+def _block(spec: _Spec, n0: int, count: int, near: Fraction,
+           radius: Fraction | int) -> CandidateBlock:
     """The points of `candidate_set_for` at each n = n0, ..., n0 + count - 1
     within radius / n of `near`, and all its endpoints and breakpoints (see
     `CandidateBlock`).  Each lattice's range of k at every n is a floor
     division of integers affine in n, for all n at once; no Fraction is made
-    per n.
+    per n.  The caller passes a validated query and n0, count >= 1.
     """
-    _check_n(n0)
-    _check_n(count, "count")
-    return _block(_spec(criterion, estimator, a, b), n0, count,
-                  exact(near, name="near"), exact(radius, name="radius"))
-
-
-def _block(spec: _Spec, n0: int, count: int, near: Fraction,
-           radius: Fraction | int) -> CandidateBlock:
-    """`candidate_block` of `spec`; only the floors of the window are made here."""
     (rn, rd), (tn, td) = radius.as_integer_ratio(), near.as_integer_ratio()
     # run j's least k at n is the greater of two floors (p * n + c) // q, and
     # its greatest the lesser of two: one each of the whole set and of the
@@ -436,4 +404,4 @@ def _block(spec: _Spec, n0: int, count: int, near: Fraction,
     floats = _floats(numerators, (n if (n0 + count) * scale < 2**62 else n.astype(object)) * scale,
                      max(top, (n0 + count) * scale))
     starts = n.searchsorted(ns)
-    return CandidateBlock(spec, n0, n, run, np.asarray(k, np.int64), numerators, floats, starts)
+    return CandidateBlock(spec, n, run, np.asarray(k, np.int64), numerators, floats, starts)

@@ -132,15 +132,6 @@ def _int64_ends(*ends: np.ndarray) -> list[np.ndarray]:
     return [np.asarray(x, np.int64) for x in ends]
 
 
-def _support_ends(fam: DistributionFamily, n: int, *ends: np.ndarray) -> list[np.ndarray]:
-    """Window ends clipped to one beyond either edge of the support, where
-    they read as they would farther out, then made int64 by `_int64_ends`:
-    an end past int64 on an unbounded side raises DomainError."""
-    kmin, kmax = fam.support_bound(n)
-    return _int64_ends(*(np.clip(x, kmin - 1, None if kmax is None else kmax + 1)
-                         for x in ends))
-
-
 # ---------------------------------------------------------------------------
 # Bernoulli: Y_n ~ binomial(n, theta)
 
@@ -456,7 +447,9 @@ def prob_range(
     """Pr{k <= Y_n <= l | theta}; l=None means no upper limit.
 
     Returns 0.0 when the window is empty.  The window is clipped to the
-    support.  This is one row of `prob_ranges`, after validation.
+    support; on an unbounded one, an end past int64 above `tail_cutoff`
+    reads as 2**63 - 2.  Any other end past int64, or a theta past float
+    range, raises DomainError.  One row of `prob_ranges`, after validation.
     """
     fam = resolve_family(family)
     n = _check_n(n)
@@ -464,8 +457,22 @@ def prob_range(
     _check_int(k, "k")
     if l is not None:
         _check_int(l, "l")
-    lo, hi = _support_ends(fam, n, *(np.array([x], object) for x in (k, k if l is None else l)))
-    return float(prob_ranges(fam, n, np.array([float(theta)]), lo, hi, np.array([l is None]))[0])
+    try:
+        t = float(theta)
+    except OverflowError:
+        raise DomainError(f"theta={theta} does not fit in a float") from None
+    kmin, kmax = fam.support_bound(n)
+    ends = []
+    for name, x in (("k", k), ("l", k if l is None else l)):
+        end = max(x, kmin - 1)
+        if kmax is not None:
+            end = min(end, kmax + 1)
+        elif end >= _PAST_TOP and end > fam.tail_cutoff(n, t):
+            end = _PAST_TOP - 1
+        if not -_PAST_TOP <= end < _PAST_TOP:
+            raise DomainError(f"{name}={x} does not fit in int64")
+        ends.append(np.array([end], np.int64))
+    return float(prob_ranges(fam, n, np.array([t]), *ends, np.array([l is None]))[0])
 
 
 # ---------------------------------------------------------------------------

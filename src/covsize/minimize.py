@@ -11,7 +11,7 @@ from typing import Optional
 import numpy as np
 
 from ._exact import exact
-from .candidates import CandidateBlock, CandidateSet, _block, _spec, _Spec, candidate_set_for
+from .candidates import CandidateBlock, CandidateSet, _block, _Spec, candidate_set_for
 from .coverage import ErrorCriterion, EstimatorKind, windows_at
 # not called here: perfbench's tracer still wraps this name, which it checks exists
 from .coverage import coverage  # noqa: F401
@@ -56,7 +56,7 @@ class CoverageReport:
 
     @cached_property
     def values(self) -> tuple[float, ...]:
-        rows = _rows(self.family, self.n, self.candidate_set.spec, self.candidate_set)
+        rows = _rows(self.family, self.n, self.candidate_set)
         return tuple(prob_ranges(self.family, *rows).tolist())
 
     @cached_property
@@ -91,42 +91,25 @@ def min_coverage(
     fam.require_interval(a, b)
     # every candidate lies in [a, b], inside the family's parameter interval
     cset = candidate_set_for(n, criterion, estimator, a, b)
-    value, argmin = prob_min(fam, *_rows(fam, n, cset.spec, cset))
+    value, argmin = prob_min(fam, *_rows(fam, n, cset))
     return CoverageReport(n=n, min_coverage=value,
                           argmin_theta=Fraction(int(cset.numerators[argmin]), cset.den),
                           candidate_set=cset, family=fam)
 
 
-def witness_minima(
-    family: DistributionFamily | str,
-    n0: int,
-    count: int,
-    criterion: ErrorCriterion,
-    estimator: EstimatorKind,
-    a: Fraction,
-    b: Fraction,
-    near: Fraction,
-) -> tuple[CandidateBlock, np.ndarray, np.ndarray]:
-    """The witnesses of n = n0, ..., n0 + count - 1 in one evaluation.
-
-    Returns the `candidate_block` of the candidates within WITNESS_RADIUS / n
-    of `near`, the coverage at its every row, and each n's argmin row: the
-    smallest theta among float-equal minima, as in `min_coverage`.  The rows
-    go through the windows and probabilities of a full sweep, with one n per
-    row, so every value is bit-equal to the sweep's at that theta.  Only n0,
-    count and what building the candidates checks are checked.
-    """
-    _check_n(n0)
-    _check_n(count, "count")
-    return _witness_minima(resolve_family(family), _spec(criterion, estimator, a, b), n0, count,
-                           exact(near, name="near"))
-
-
 def _witness_minima(fam: DistributionFamily, spec: _Spec, n0: int, count: int,
                     near: Fraction) -> tuple[CandidateBlock, np.ndarray, np.ndarray]:
-    """`witness_minima` of a resolved family and query."""
+    """The witnesses of n = n0, ..., n0 + count - 1 in one evaluation.
+
+    Returns the `_block` of the candidates within WITNESS_RADIUS / n of
+    `near`, the coverage at its every row, and each n's argmin row: the
+    smallest theta among float-equal minima, as in `min_coverage`.  The rows
+    go through the windows and probabilities of a full sweep, with one n per
+    row, so every value is bit-equal to the sweep's at that theta.  The
+    caller passes a resolved family, a validated query and n0, count >= 1.
+    """
     block = _block(spec, n0, count, near, WITNESS_RADIUS)
-    rows = _rows(fam, block.n, spec, block, (n0 + count) * (1 + spec.tables[3]))
+    rows = _rows(fam, block.n, block, (n0 + count) * (1 + spec.tables[3]))
     values = prob_ranges(fam, *rows)
     starts = block.starts
     minima = np.minimum.reduceat(values, starts[:-1])
@@ -134,9 +117,9 @@ def _witness_minima(fam: DistributionFamily, spec: _Spec, n0: int, count: int,
     return block, values, lowest[lowest.searchsorted(starts[:-1])]
 
 
-def _rows(fam: DistributionFamily, n, spec: _Spec, points, nk: Optional[int] = None) -> tuple:
+def _rows(fam: DistributionFamily, n, points, nk: Optional[int] = None) -> tuple:
     """`prob_ranges`' arguments after the family at the points (run, k,
-    floats) of a candidate set or block of `spec`; n is one int or one per
-    point, and nk, when given, bounds n + |k|."""
-    lo, hi, open_lo, open_hi = windows_at(spec.windows, n, points.run, points.k, nk)
+    floats) of a candidate set or block; n is one int or one per point, and
+    nk, when given, bounds n + |k|."""
+    lo, hi, open_lo, open_hi = windows_at(points.spec.windows, n, points.run, points.k, nk)
     return n, points.floats, np.where(open_lo, fam.support_bound(n)[0], lo), hi, open_hi

@@ -66,7 +66,7 @@ from .coverage import (
 )
 from .errors import DomainError
 from .families import (DistributionFamily, _cdf_ends, _cdf_keys, _check_n, _int64_ends,
-                       _support_ends, cdf_error, prob_min, prob_range, resolve_family)
+                       cdf_error, prob_min, prob_range, resolve_family)
 
 # the prune margin of a family whose CDF has no stated error (a custom or a
 # wrapped `cdf_batch`, or n past the measured table): twice the 5e-10
@@ -216,15 +216,16 @@ def _grid_windows(fam: DistributionFamily, n: int, criterion: ErrorCriterion,
     The caller validates the thetas."""
     low, high, q, _ = _edges(criterion, t, den, 2 * n, 1)
     lo, hi = n * low // q + 1, -(-n * high // q) - 1
-    kmin, _ = fam.support_bound(n)
+    kmin, kmax = fam.support_bound(n)
     open_top = np.zeros(len(t), bool)
     if isinstance(estimator, RangePreserving):
         (ln, ld), (un, ud) = estimator.lower.as_integer_ratio(), estimator.upper.as_integer_ratio()
         # low < lower * q and high > upper * q, against integer thresholds
         lo[low < -(-ln * q // ld)] = kmin
         open_top = np.asarray(high > un * q // ud, bool)
-    if lo.dtype == object:
-        lo, hi = _support_ends(fam, n, lo, hi)
+    if lo.dtype == object:  # one beyond an edge of the support reads as farther out
+        lo, hi = _int64_ends(*(np.clip(x, kmin - 1, None if kmax is None else kmax + 1)
+                               for x in (lo, hi)))
     return lo, hi, open_top
 
 

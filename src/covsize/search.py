@@ -91,7 +91,7 @@ def min_sample_size(
 
     Witness first: after n_start, the n are tried in blocks.  A block's n
     are tried together on the candidates within WITNESS_RADIUS / n of the
-    last trace entry's theta (see `witness_minima`), whose values are
+    last trace entry's theta (see `_witness_minima`), whose values are
     bit-equal to the full sweep's at the same thetas, so a witness at or
     below the threshold rejects n exactly as `min_coverage` would.  A block
     ends at its first n that its witness does not reject.  Unless that n was

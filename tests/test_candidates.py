@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from covsize import (
@@ -26,16 +26,17 @@ from covsize import (
 )
 from covsize import candidates
 from covsize.candidates import (
-    CandidatePoint,
     TAG_BREAKPOINT,
     TAG_ENDPOINT,
     TAG_MINUS,
     TAG_PLUS,
     TAG_REL_LOWER,
     TAG_REL_UPPER,
-    candidate_block,
+    _block,
+    _spec,
 )
-from covsize.minimize import witness_minima
+from covsize.families import BERNOULLI
+from covsize.minimize import _witness_minima
 
 from _reference import reference_candidates
 
@@ -400,20 +401,22 @@ def _pair(kind, args):
 
 
 def cut(whole, lo, hi):
-    """The points of `whole` in [lo, hi], and every endpoint and breakpoint."""
+    """The indices of the points of `whole` in [lo, hi], and of every
+    endpoint and breakpoint."""
     singles = {TAG_ENDPOINT, TAG_BREAKPOINT}
-    return tuple(p for p in whole.points if lo <= p.theta <= hi or singles.intersection(p.tags))
+    return [i for i, p in enumerate(whole.points)
+            if lo <= p.theta <= hi or singles.intersection(p.tags)]
 
 
 def assert_window_cuts_whole_set(spec, lo, hi):
     # a one-n block centred on the window, its radius in units of 1/n
     n = spec[0]
     whole = candidate_set_for(*spec)
-    part = candidate_block(n, 1, *spec[1:], (lo + hi) / 2, (hi - lo) / 2 * n).candidate_set(0)
-    assert part.points == cut(whole, lo, hi)
-    assert part.rule == whole.rule
-    assert part.cardinality_bound == whole.cardinality_bound
-    return part
+    block = _block(_spec(*spec[1:]), n, 1, (lo + hi) / 2, (hi - lo) / 2 * n)
+    kept = cut(whole, lo, hi)
+    assert block.thetas(np.arange(len(block.n))) == [whole.thetas[i] for i in kept]
+    assert block.floats.tolist() == whole.floats[kept].tolist()
+    return block
 
 
 @settings(max_examples=300)
@@ -422,6 +425,9 @@ def assert_window_cuts_whole_set(spec, lo, hi):
     centre=st.fractions(min_value=F(-1, 4), max_value=F(5, 4), max_denominator=64),
     radius=st.fractions(min_value=F(-1, 16), max_value=F(1, 2), max_denominator=64),
 )
+# the breakpoint a + eps = 1/5, outside the window, is also the minus-lattice
+# point 3/10 - 1/10
+@example(call=("rp_abs", (10, F(1, 10), F(1, 10), F(9, 10))), centre=F(1, 2), radius=F(1, 20))
 def test_windowed_build_is_the_whole_set_cut_to_the_window(call, centre, radius):
     try:
         spec = _pair(*call)
@@ -431,19 +437,11 @@ def test_windowed_build_is_the_whole_set_cut_to_the_window(call, centre, radius)
     assert_window_cuts_whole_set(spec, centre - radius, centre + radius)
 
 
-def test_windowed_build_keeps_lattice_tags_of_singles_outside_it():
-    # the breakpoint a + eps = 1/5 is also the minus-lattice point 3/10 - 1/10
-    spec = (10, Absolute(F(1, 10)), RangePreserving(F(1, 10), F(9, 10)), F(1, 10), F(9, 10))
-    part = assert_window_cuts_whole_set(spec, F(9, 20), F(11, 20))
-    assert CandidatePoint(F(1, 5), (TAG_BREAKPOINT, TAG_MINUS)) in part.points
-    assert len(part) < len(candidate_set_for(*spec))
-
-
 def test_windowed_build_is_constant_size_at_large_n():
     spec = (9622, Absolute(F(1, 100)), UNBIASED, F(0), F(1))
     r = F(3, 9622)
-    part = assert_window_cuts_whole_set(spec, F(1, 2) - r, F(1, 2) + r)
-    assert len(part) <= 2 + 2 * 7  # endpoints plus at most 7 points per lattice
+    block = assert_window_cuts_whole_set(spec, F(1, 2) - r, F(1, 2) + r)
+    assert len(block.n) <= 2 + 2 * 7  # endpoints plus at most 7 points per lattice
 
 
 @settings(max_examples=200, deadline=None)
@@ -458,18 +456,18 @@ def test_candidate_block_rows_are_each_whole_set_cut_to_its_window(call, count, 
         candidate_set_for(n0, *pair)
     except DomainError:
         return  # drawn configuration violates a precondition; nothing to check
-    block, values, best = witness_minima("bernoulli", n0, count, *pair, near)
+    block, values, best = _witness_minima(BERNOULLI, _spec(*pair), n0, count, near)
     for i, n in enumerate(range(n0, n0 + count)):
         whole = min_coverage("bernoulli", n, *pair)
         rows = range(block.starts[i], block.starts[i + 1])
-        part = block.candidate_set(i)
-        assert part.points == cut(whole.candidate_set, near - F(3, n), near + F(3, n))
-        assert block.thetas(np.array(rows)) == list(part.thetas)
-        assert block.floats[rows].tolist() == part.floats.tolist()
+        kept = cut(whole.candidate_set, near - F(3, n), near + F(3, n))
+        thetas = block.thetas(np.array(rows))
+        assert thetas == [whole.candidate_set.thetas[j] for j in kept]
+        assert block.floats[rows].tolist() == whole.candidate_set.floats[kept].tolist()
         full = dict(whole.evaluations)
-        assert [full[t] for t in part.thetas] == values[rows].tolist()
+        assert [full[t] for t in thetas] == values[rows].tolist()
         assert best[i] in rows and values[best[i]] == min(values[rows])
-        assert block.thetas(best[i:i + 1])[0] == min(t for t in part.thetas
+        assert block.thetas(best[i:i + 1])[0] == min(t for t in thetas
                                                      if full[t] == values[best[i]])
 
 
@@ -618,23 +616,8 @@ def test_float_or_bool_endpoint_rejected_cold_and_warm(a, b, warm):
     for _ in ("cold", "warm"):
         with pytest.raises(DomainError, match="float|bool"):
             candidate_set_for(10, crit, UNBIASED, a, b)
-        with pytest.raises(DomainError, match="float|bool"):
-            candidate_block(10, 2, crit, UNBIASED, a, b, F(1, 2), 3)
-        with pytest.raises(DomainError, match="float|bool"):
-            witness_minima("bernoulli", 10, 2, crit, UNBIASED, a, b, F(1, 2))
         held = candidate_set_for(10, crit, UNBIASED, *warm)
-        candidate_block(10, 2, crit, UNBIASED, *warm, F(1, 2), 3)
     assert held.rule == "absolute/unbiased"  # held: the warm call finds it
-
-
-@pytest.mark.parametrize("count", [0, -2, 2.5, True])
-def test_block_count_must_be_a_positive_integer(count):
-    # count = 2.5 once built a block of 3 n, and 0 or -2 an empty one
-    args = Absolute(F(1, 10)), UNBIASED, F(0), F(1), F(1, 2)
-    with pytest.raises(DomainError, match="count must be a positive integer"):
-        candidate_block(10, count, *args, 3)
-    with pytest.raises(DomainError, match="count must be a positive integer"):
-        witness_minima("bernoulli", 10, count, *args)
 
 
 @pytest.mark.parametrize("build", [

@@ -37,7 +37,8 @@ from covsize import (
     register_family,
 )
 from covsize.families import _BDTR_ERROR, _PDTR_ERROR, _REGISTRY, cdf_error, prob_min, prob_ranges
-from covsize.minimize import witness_minima
+from covsize.candidates import _spec
+from covsize.minimize import _witness_minima
 
 from _reference import (bernoulli_coverage, binom_pmf, binom_range, cdf_draws, cdf_error_of,
                         poisson_pmf_dec)
@@ -100,22 +101,27 @@ def test_prob_range_ends_past_int64_read_as_clipped(fam):
     # ends far outside the support read what the support's edges do; as an
     # int64 row, k = -2**63 would wrap lo - 1 to 2**63 - 1 and read nothing.
     # An unbounded support has no top edge to clip to: an end past int64
-    # there is a DomainError, never a window cut short at 2**63
+    # above its tail cutoff reads as 2**63 - 2 (pdtr(2**63 - 2, 2.4) is
+    # exactly 1.0), and any other one is a DomainError, never a window cut
+    # short at 2**63
     theta, huge = Fraction(2, 5), 10**30
     whole = prob_range(fam, 6, 0, None, theta)
     assert prob_range(fam, 6, -2**63, None, theta) == whole
     assert prob_range(fam, 6, -huge, 3, theta) == prob_range(fam, 6, 0, 3, theta)
     assert prob_range(fam, 6, 4, -huge, theta) == 0.0
+    assert prob_range(fam, 6, -huge, huge, theta) == whole
+    assert prob_range(fam, 6, 2, huge, theta) == prob_range(fam, 6, 2, None, theta)
+    assert prob_range(fam, 6, huge, None, theta) == 0.0
     if fam is POISSON:
-        for n, k, l, mean in ((6, -huge, huge, theta), (6, 2, huge, theta), (6, huge, None, theta),
-                              # holds nearly all the mass, and read 0.0 once
-                              (10, 10**31 - 10**29, 10**31 + 10**29, Fraction(10**30))):
-            with pytest.raises(DomainError, match="does not fit in int64"):
-                prob_range(fam, n, k, l, mean)
-    else:
-        assert prob_range(fam, 6, -huge, huge, theta) == whole
-        assert prob_range(fam, 6, 2, huge, theta) == prob_range(fam, 6, 2, None, theta)
-        assert prob_range(fam, 6, huge, None, theta) == 0.0
+        # below the tail cutoff of a mean of 10**31: the first window holds
+        # nearly all the mass, and read 0.0 once
+        for k, l, name in ((10**31 - 10**29, 10**31 + 10**29, "k"), (0, 10**31 - 10**29, "l")):
+            with pytest.raises(DomainError, match=f"^{name}=9900.* does not fit in int64"):
+                prob_range(fam, 10, k, l, Fraction(10**30))
+        # a mean past float range: no tail cutoff to compare an end with
+        for k, l in ((2, 3), (huge, None)):
+            with pytest.raises(DomainError, match="does not fit in a float"):
+                prob_range(fam, 6, k, l, Fraction(10**400))
 
 
 def test_a_closed_log_pmf_window_of_an_unbounded_support_stops_at_the_tail_cutoff():
@@ -358,7 +364,7 @@ def test_cdf_batch_is_never_asked_for_no_value():
     args = Absolute(Fraction(7, 10)), RangePreserving(a, b), a, b
     assert grid_min_coverage(fam, 11, *args, GridSpec.divide(a, b)) == (1.0, a)
     assert min_coverage(fam, 11, *args).min_coverage == 1.0
-    _, values, _ = witness_minima(fam, 11, 3, *args, Fraction(1, 2))
+    _, values, _ = _witness_minima(fam, _spec(*args), 11, 3, Fraction(1, 2))
     assert len(values) and (values == 1.0).all()
 
 

@@ -26,8 +26,9 @@ from covsize import (
     min_coverage,
 )
 from covsize.coverage import windows_at
-from covsize.families import prob_ranges
-from covsize.minimize import CoverageReport, resolve_threads, witness_minima
+from covsize.candidates import _spec
+from covsize.families import prob_ranges, resolve_family
+from covsize.minimize import _witness_minima, resolve_threads
 
 from _reference import bernoulli_coverage
 
@@ -180,23 +181,6 @@ POISSON_LOG_PMF = DistributionFamily(
 )
 
 
-def witness_min_coverage(family, n, criterion, estimator, a, b, near) -> CoverageReport:
-    """`min_coverage` over the candidates within WITNESS_RADIUS / n of `near`:
-    `witness_minima` for this one n.
-
-    The report's candidate set is `min_coverage`'s restricted to that window,
-    plus every endpoint and breakpoint, so each value equals `min_coverage`'s
-    at that theta bit for bit and the minimum is an upper bound on the whole
-    set's.
-    """
-    block, values, best = witness_minima(family, n, 1, criterion, estimator, a, b, near)
-    report = CoverageReport(n=n, min_coverage=float(values[best[0]]),
-                            argmin_theta=block.thetas(best)[0],
-                            candidate_set=block.candidate_set(0), family=family)
-    vars(report)["values"] = tuple(values.tolist())
-    return report
-
-
 @pytest.mark.parametrize("family, n, criterion, estimator, a, b", [
     ("bernoulli", 101, Absolute(F(1, 10)), UNBIASED, F(0), F(1)),
     ("bernoulli", 96, Mixed(F(1, 10), F(1, 4)), RangePreserving(F(1, 20), F(19, 20)),
@@ -208,17 +192,20 @@ def witness_min_coverage(family, n, criterion, estimator, a, b, near) -> Coverag
         "poisson-absolute", "log-pmf-clone"])
 def test_witness_values_equal_the_full_sweep_bit_for_bit(family, n, criterion, estimator,
                                                           a, b):
+    # the witnesses of this one n: the candidates within WITNESS_RADIUS / n
+    # of `near`, plus every endpoint and breakpoint
     full = min_coverage(family, n, criterion, estimator, a, b)
     values = dict(full.evaluations)
+    spec = _spec(criterion, estimator, a, b)
     for near in (a, full.argmin_theta, (a + b) / 2, (a + 3 * b) / 4, b):
-        witness = witness_min_coverage(family, n, criterion, estimator, a, b, near)
-        assert len(witness.evaluations) < len(full.evaluations)
-        for theta, value in witness.evaluations:
-            assert value == values[theta]
-        assert witness.min_coverage >= full.min_coverage
+        block, witness, best = _witness_minima(resolve_family(family), spec, n, 1, near)
+        thetas = block.thetas(np.arange(len(block.n)))
+        assert len(thetas) < len(full.evaluations)
+        assert witness.tolist() == [values[t] for t in thetas]
+        assert witness[best[0]] >= full.min_coverage
         if near == full.argmin_theta:
-            assert witness.min_coverage == full.min_coverage
-            assert witness.argmin_theta == full.argmin_theta
+            assert witness[best[0]] == full.min_coverage
+            assert block.thetas(best)[0] == full.argmin_theta
 
 
 def test_a_log_pmf_minimum_is_the_first_minimum_of_its_full_sums():

@@ -137,6 +137,16 @@ def test_not_found_within_budget():
     assert result.coverage_at_n_min is None
     assert result.argmin_theta is None
     assert [n for n, _, _ in result.trace] == [2, 3, 4]
+    # witness blocks from n = 3 of 1, 8, 1, 8 and 30 n, the last cut from 64
+    # at n_max: every entry is a rejecting witness, a true coverage
+    query = bernoulli_abs_query(criterion=Absolute(F(1, 10)), delta=F(1, 1000), n_max=50)
+    result = min_sample_size(query)
+    assert not result.found
+    assert [n for n, _, _ in result.trace] == list(range(2, 51))
+    assert result.full_sweeps == (2,)
+    for n, value, theta in result.trace:
+        assert value == coverage("bernoulli", n, query.criterion, UNBIASED, theta)
+        assert value <= float(1 - query.delta)
 
 
 def test_degenerate_clamp_found_immediately():

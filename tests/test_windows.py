@@ -27,10 +27,10 @@ from covsize import (
     min_coverage,
 )
 
-from covsize.candidates import candidate_block
+from covsize.candidates import _block, _spec
 from covsize.coverage import acceptance_windows, windows_at
-from covsize.minimize import witness_minima
-from covsize.families import BERNOULLI, POISSON, prob_ranges
+from covsize.minimize import _witness_minima
+from covsize.families import BERNOULLI, POISSON, prob_ranges, resolve_family
 
 from _reference import reference_candidates, reference_window
 from test_candidates import builder_calls
@@ -48,15 +48,17 @@ def query_of(kind, args):
     return n, criterion(*margins), estimator, a, b
 
 
-def check_windows_and_floats(cset, n, criterion, estimator):
-    table = windows_at(cset.spec.windows, n, cset.run, cset.k)
+def check_windows_and_floats(points, thetas, n, criterion, estimator):
+    """Check the windows and floats at the thetas of a candidate set's or a
+    one-n block's points."""
+    table = windows_at(points.spec.windows, n, points.run, points.k)
     got = list(zip(*(w.tolist() for w in table)))
-    assert got == [reference_window(n, criterion, estimator, t) for t in cset.thetas]
+    assert got == [reference_window(n, criterion, estimator, t) for t in thetas]
     # the side of each single theta (above the crossover) and of each
     # lattice (by its tag) agree
-    alone = acceptance_windows(n, criterion, estimator, cset.thetas)
+    alone = acceptance_windows(n, criterion, estimator, thetas)
     assert [w.tolist() for w in alone] == [w.tolist() for w in table]
-    assert [x.hex() for x in cset.floats.tolist()] == [float(t).hex() for t in cset.thetas]
+    assert [x.hex() for x in points.floats.tolist()] == [float(t).hex() for t in thetas]
 
 
 @settings(max_examples=300)
@@ -68,7 +70,7 @@ def test_affine_windows_match_the_definition_on_builder_calls(call):
         cset = candidate_set_for(n, criterion, estimator, a, b)
     except DomainError:
         return  # drawn configuration violates a precondition; nothing to check
-    check_windows_and_floats(cset, n, criterion, estimator)
+    check_windows_and_floats(cset, cset.thetas, n, criterion, estimator)
     expected, _ = reference_candidates(kind, *args)
     assert [(p.theta, p.tags) for p in cset.points] == expected
 
@@ -86,7 +88,7 @@ def test_affine_windows_and_lazy_fields_on_production_shapes(kind, args):
     n, criterion, estimator, a, b = query_of(kind, args)
     report = min_coverage("bernoulli", n, criterion, estimator, a, b)
     cset = report.candidate_set
-    check_windows_and_floats(cset, n, criterion, estimator)
+    check_windows_and_floats(cset, cset.thetas, n, criterion, estimator)
     expected, _ = reference_candidates(kind, *args)
     assert [(p.theta, p.tags) for p in cset.points] == expected
     assert [t for t, _ in report.evaluations] == [t for t, _ in expected]
@@ -100,16 +102,17 @@ def test_affine_windows_and_lazy_fields_on_production_shapes(kind, args):
     assert report.argmin_theta == next(t for t, v in report.evaluations if v == first)
 
 
+# the last entry is the dtype of the block's numerators (over n * scale)
 LARGE_N = [
     # int64 on every route
     (Relative(F(1, 997)), UNBIASED, F(1, 10), F(9, 10), [F(1, 10), F(1, 2), F(9, 10)], np.int64),
     # awkward denominators on both sides of the crossover, clamped
     (Mixed(F(7, 9973), F(13, 1009)), RangePreserving(F(1, 1000), F(1, 2)), F(1, 1000), F(1, 2),
-     [F(7 * 1009, 9973 * 13), F(1, 1000) + F(7, 9973), F(1, 2) / (1 + F(13, 1009))], np.int64),
-    # a margin denominator near 2**20: the numerators and each window
-    # coefficient fit int64, a coefficient times k does not, so int64 windows
-    # would wrap around silently
-    (Relative(F(1, 2**20 + 7)), UNBIASED, F(1, 10), F(9, 10), [F(1, 2)], np.int64),
+     [F(7 * 1009, 9973 * 13), F(1, 1000) + F(7, 9973), F(1, 2) / (1 + F(13, 1009))], object),
+    # a margin denominator near 2**20: each window coefficient fits int64, a
+    # coefficient times k does not, so int64 windows would wrap around
+    # silently
+    (Relative(F(1, 2**20 + 7)), UNBIASED, F(1, 10), F(9, 10), [F(1, 2)], object),
     # a margin denominator above 2**40: the integers leave int64
     (Relative(F(2**40 + 1, 2**42 + 3)), RangePreserving(F(1, 10), F(9, 10)), F(1, 10), F(9, 10),
      [F(1, 10) / (1 - F(2**40 + 1, 2**42 + 3)), F(1, 2), F(9, 10)], object),
@@ -122,10 +125,11 @@ def test_windows_at_the_default_n_max(criterion, estimator, a, b, nears, dtype):
     n = N_MAX
     for near in nears:
         window = (near - F(3, n), near + F(3, n))
-        cset = candidate_block(n, 1, criterion, estimator, a, b, near, 3).candidate_set(0)
-        assert cset.numerators.dtype == dtype
-        assert any(window[0] <= t <= window[1] for t in cset.thetas)
-        check_windows_and_floats(cset, n, criterion, estimator)
+        block = _block(_spec(criterion, estimator, a, b), n, 1, near, 3)
+        thetas = block.thetas(np.arange(len(block.n)))
+        assert block.numerators.dtype == dtype
+        assert any(window[0] <= t <= window[1] for t in thetas)
+        check_windows_and_floats(block, thetas, n, criterion, estimator)
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +170,7 @@ def per_n_and_per_row(fam, ns, table, run, k, floats):
                               "log-pmf-rp-relative", "log-pmf-absolute"])
 def test_rows_with_one_n_each_equal_per_n_calls(fam, n0, count, criterion, estimator, a, b,
                                                 near):
-    block = candidate_block(n0, count, criterion, estimator, a, b, near, 3)
+    block = _block(_spec(criterion, estimator, a, b), n0, count, near, 3)
     (windows, probs), (each_windows, each_probs) = per_n_and_per_row(
         fam, block.n, block.spec.windows, block.run, block.k, block.floats)
     for got, expected in zip(windows, each_windows):
@@ -228,8 +232,9 @@ def test_interleaved_queries_keep_their_own_tables(family, criterion, queries):
     for n0, count in ((3, 4), (17, 3), (40, 2)):
         for estimator, a, b in queries:
             for near in (a + (b - a) / 5, b - (b - a) / 5):
-                block, values, _ = witness_minima(family, n0, count, criterion, estimator, a,
-                                                  b, near)
+                block, values, _ = _witness_minima(resolve_family(family),
+                                                   _spec(criterion, estimator, a, b), n0, count,
+                                                   near)
                 windows = windows_at(block.spec.windows, block.n, block.run, block.k)
                 thetas = block.thetas(np.arange(len(block.n)))
                 rows = list(zip(block.n.tolist(), thetas))
@@ -246,7 +251,7 @@ def test_witness_blocks_cross_into_python_ints_within_one_query():
     a, b = F(1, 2), F(2**39 + 2**22 + 1, 2**40)
     query = (Absolute(F(1, 8)), UNBIASED, a, b)
     for n0 in (20, 3_000_000, 28):
-        block, values, best = witness_minima("bernoulli", n0, 3, *query, (a + b) / 2)
+        block, values, best = _witness_minima(BERNOULLI, _spec(*query), n0, 3, (a + b) / 2)
         assert block.numerators.dtype == (object if n0 > 2**21 else np.int64)
         windows = windows_at(block.spec.windows, block.n, block.run, block.k)
         for i, n in enumerate(range(n0, n0 + 3)):
