@@ -174,7 +174,7 @@ def _candidate_columns(cset: CandidateSet) -> tuple[list[str], list[float], list
     thetas = [f"{x}/{d}"
               for x, d in zip((cset.numerators // g).tolist(), (cset.den // g).tolist())]
     joined = {tags: "+".join(tags) for tags in set(cset.tags)}
-    return thetas, cset.floats.tolist(), [joined[p.tags] for p in cset.points]
+    return thetas, cset.floats.tolist(), [joined[tags] for tags in cset.tags]
 
 
 def write(rec: Record, fmt: str, path: str) -> None:
@@ -244,7 +244,7 @@ def _cmd_min_coverage(args: argparse.Namespace, crit: ErrorCriterion,
     # a row per candidate is read only by CSV and --evaluations
     if args.evaluations or args.format == "csv":
         _add_points(rec, "evaluations", *_candidate_columns(cset),
-                    values=[value for _, value in report.evaluations], show=args.evaluations)
+                    values=list(report.values), show=args.evaluations)
     rec.lines.append(f"min coverage: {report.min_coverage!r} at theta = {ratio_str(theta)} "
                      f"({float(theta)!r})")
 
@@ -265,11 +265,9 @@ def _cmd_coverage_curve(args: argparse.Namespace, crit: ErrorCriterion,
     thetas = sorted(marks)
     fam = resolve_family(args.family)
     floats = [float(fam.require_theta(t)) for t in thetas]
-    # each point's coverage: the windows at every theta, then one probability
-    # batch; a window open below starts at the support's least k
-    lo, hi, open_lo, open_hi = acceptance_windows(args.n, crit, est, thetas)
-    lo[open_lo] = fam.support_bound(args.n)[0]
-    values = prob_ranges(fam, args.n, np.array(floats), lo, hi, open_hi)
+    # each point's coverage: the windows at every theta, then one probability batch
+    values = prob_ranges(fam, args.n, np.array(floats),
+                         *acceptance_windows(args.n, crit, est, thetas))
     _add_points(rec, "points", [ratio_str(t) for t in thetas], floats,
                 ["+".join(marks[t]) for t in thetas], values=values.tolist(),
                 candidate=[bool(marks[t]) for t in thetas])

@@ -24,7 +24,8 @@ import numpy as np
 
 from ._exact import exact
 from .errors import DomainError
-from .families import DistributionFamily, _check_n, _int64_ends, prob_range, resolve_family
+from .families import (_PAST_TOP, DistributionFamily, _check_n, _int64_ends, prob_range,
+                       resolve_family)
 
 
 # ---------------------------------------------------------------------------
@@ -183,10 +184,10 @@ def window_table(criterion: ErrorCriterion, estimator: EstimatorKind, runs: Sequ
 
 
 def windows_at(table: WindowTable, n: Union[int, np.ndarray], run: np.ndarray, k: np.ndarray,
-               nk: Optional[int] = None) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The windows (lo, hi, open_lo, open_hi), as `acceptance_windows` gives
-    them, at the points (run, k) of the table's runs, n one int or one per
-    point; `nk`, when given, bounds n + |k| at every point."""
+               nk: Optional[int] = None) -> tuple[np.ndarray, np.ndarray]:
+    """The windows (lo, hi), as `acceptance_windows` gives them, at the
+    points (run, k) of the table's runs, n one int or one per point; `nk`,
+    when given, bounds n + |k| at every point."""
     k = np.asarray(k)
     if nk is None:
         nk = int(np.max(n, initial=1)) + int(np.abs(k).max(initial=0))
@@ -198,10 +199,10 @@ def windows_at(table: WindowTable, n: Union[int, np.ndarray], run: np.ndarray, k
     lo, hi = x_lo // r, x_hi // r
     if dtype is object:
         lo, hi = _int64_ends(lo, hi)
-    if not table.clamped:
-        return lo, hi, lo != lo, lo != lo
-    return (lo, hi, np.asarray(x_lo < r - n * a_lo // table.ad, bool),
-            np.asarray(x_hi >= n * a_hi // table.bd, bool))
+    if table.clamped:  # a side that cannot miss is open: an end past the support
+        lo[x_lo < r - n * a_lo // table.ad] = -_PAST_TOP
+        hi[x_hi >= n * a_hi // table.bd] = _PAST_TOP
+    return lo, hi
 
 
 def acceptance_windows(
@@ -209,15 +210,16 @@ def acceptance_windows(
     criterion: ErrorCriterion,
     estimator: EstimatorKind,
     thetas: Sequence[Fraction],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Acceptance windows at the thetas (exact numbers), for one sample size n.
 
-    Returns int64 arrays lo, hi and boolean masks open_lo, open_hi; an open
-    side (a clamped side that cannot miss) runs through that end of the
-    support.  Each theta is a run of one in a `window_table`.  This is where
-    thetas from outside are checked: a relative one must be positive, a
-    clamped one inside the clamp.  A candidate set reads its windows from the
-    table cached with its query instead (`candidates._Spec`, by `windows_at`).
+    Returns int64 arrays lo and hi.  An open side (a clamped side that
+    cannot miss) runs through that end of the support: its end is past
+    every support, lo = -`_PAST_TOP` or hi = `_PAST_TOP`.  Each theta is a
+    run of one in a `window_table`.  This is where thetas from outside are
+    checked: a relative one must be positive, a clamped one inside the
+    clamp.  A candidate set reads its windows from the table cached with its
+    query instead (`candidates._Spec`, by `windows_at`).
     """
     thetas = [exact(t, name="theta") for t in thetas]
     _check_n(n)
@@ -245,8 +247,8 @@ def acceptance_window(
     every outcome is accepted.  The window is purely arithmetic, so it needs
     no distribution family.
     """
-    (lo,), (hi,), (open_lo,), (open_hi,) = acceptance_windows(n, criterion, estimator, [theta])
-    return (None if open_lo else int(lo), None if open_hi else int(hi))
+    (lo,), (hi,) = acceptance_windows(n, criterion, estimator, [theta])
+    return (None if lo == -_PAST_TOP else int(lo), None if hi == _PAST_TOP else int(hi))
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +268,5 @@ def coverage(
     """
     fam = resolve_family(family)
     theta = fam.require_theta(theta)
-    (lo,), (hi,), (open_lo,), (open_hi,) = acceptance_windows(n, criterion, estimator, [theta])
-    if open_lo:
-        lo, _ = fam.support_bound(n)
-    return prob_range(fam, n, int(lo), None if open_hi else int(hi), theta)
+    (lo,), (hi,) = acceptance_windows(n, criterion, estimator, [theta])
+    return prob_range(fam, n, int(lo), None if hi == _PAST_TOP else int(hi), theta)

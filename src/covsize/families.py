@@ -125,9 +125,10 @@ def _check_int(value: int, name: str) -> None:
 
 def _int64_ends(*ends: np.ndarray) -> list[np.ndarray]:
     """Integer window ends as int64 arrays; a Python-int end that leaves no
-    room in int64 for lo - 1 and `_PAST_TOP` raises DomainError."""
+    room in int64 for lo - 1 or that reads as an open side, +-`_PAST_TOP`,
+    raises DomainError."""
     for end in (f(x) for x in ends if x.dtype == object and x.size for f in (np.min, np.max)):
-        if not -_PAST_TOP <= end < _PAST_TOP:
+        if not -_PAST_TOP < end < _PAST_TOP:
             raise DomainError(f"window end {end} does not fit in int64: n * theta is too large")
     return [np.asarray(x, np.int64) for x in ends]
 
@@ -252,6 +253,8 @@ def available_families() -> tuple[str, ...]:
 def resolve_family(family: DistributionFamily | str) -> DistributionFamily:
     if isinstance(family, str):
         return get_family(family)
+    if not isinstance(family, DistributionFamily):
+        raise DomainError(f"family must be a name or a DistributionFamily, got {family!r}")
     return family
 
 
@@ -270,23 +273,19 @@ def pmf(family: DistributionFamily | str, n: int, theta: Fraction, k: int) -> fl
     return math.exp(fam.log_pmf(n, float(theta), k))
 
 
-# the upper k of an open window: beyond the top of any support
+# the upper k of an open window, beyond the top of any support; its negative
+# is the lower k of a window open below (lo - 1 is then the least int64)
 _PAST_TOP = np.iinfo(np.int64).max
 _TWO_ONES = np.ones((2, 1), np.int64)  # lo - _TWO_ONES: lo - 1 in both of two rows
 
 
-def prob_ranges(
-    fam: DistributionFamily,
-    n: int | np.ndarray,
-    thetas: np.ndarray,
-    lo: np.ndarray,
-    hi: np.ndarray,
-    open_top: np.ndarray,
-) -> np.ndarray:
+def prob_ranges(fam: DistributionFamily, n: int | np.ndarray, thetas: np.ndarray, lo: np.ndarray,
+                hi: np.ndarray) -> np.ndarray:
     """Pr{lo <= Y_n <= hi | theta} per float theta, n one int or one per row.
 
-    Rows flagged in `open_top` have no upper limit; windows are clipped to
-    the support, an empty one gives 0.0.  With `cdf_batch` a row is
+    An open side is an end past every support, hi = `_PAST_TOP` above and
+    lo = -`_PAST_TOP` below; windows are clipped to the support, an empty
+    one gives 0.0.  With `cdf_batch` a row is
     F(hi) - F(lo - 1) from `_cdf_ends`, clipped at 0.  Otherwise each row is
     a compensated sum of the pmf at its n, any top of an unbounded support
     cut at `tail_cutoff`: exactly 1.0 over the whole support and never above
@@ -294,7 +293,7 @@ def prob_ranges(
     validate n and theta.
     """
     if fam.cdf_batch is None:
-        rows = list(_log_pmf_rows(fam, n, thetas, lo, hi, open_top))
+        rows = list(_log_pmf_rows(fam, n, thetas, lo, hi))
         out = np.array([1.0 if whole else min(math.fsum(
             math.exp(fam.log_pmf(n, theta, j)) for j in range(k, l + 1)), 1.0)
             for n, theta, k, l, whole in rows], dtype=np.float64)
@@ -303,44 +302,31 @@ def prob_ranges(
             raise _nan_error(fam, n, theta, next(
                 j for j in range(k, l + 1) if math.isnan(fam.log_pmf(n, theta, j))))
         return out
-    c = _cdf_ends(fam, n, thetas, lo, hi, open_top)
+    c = _cdf_ends(fam, n, thetas, lo, hi)
     # a difference of two CDFs in [0, 1] is at most 1; only a negative can need clipping
     return np.maximum(c[1] - c[0], 0.0)
 
 
-def _cdf_keys(
-    fam: DistributionFamily,
-    n: int | np.ndarray,
-    lo: np.ndarray,
-    hi: np.ndarray,
-    open_top: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The ks (2, N) at which a row of `prob_ranges` reads F: lo - 1, and hi
-    or, for an open top, a k past any top; an empty window reads F(lo - 1)
-    twice.  Also the masks of the ks at or above the support's least k and
-    of those `cdf_batch` is asked for: F is 0 below the support, 1 from its
-    top on, and asked for nowhere else."""
+def _cdf_keys(fam: DistributionFamily, n: int | np.ndarray, lo: np.ndarray,
+              hi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ks (2, N) at which a row of `prob_ranges` reads F: lo - 1 and hi,
+    an open side's past the support; an empty window reads F(lo - 1) twice.
+    Also the masks of the ks at or above the support's least k and of those
+    `cdf_batch` is asked for: F is 0 below the support, 1 from its top on,
+    and asked for nowhere else."""
     kmin, kmax = fam.support_bound(n)
     ks = lo - _TWO_ONES
-    upper = ks[1]
-    np.maximum(upper, hi, out=upper)
-    np.copyto(upper, _PAST_TOP, where=open_top)
+    np.maximum(ks[1], hi, out=ks[1])
     known = ks >= kmin
     return ks, known, known & (ks < (_PAST_TOP if kmax is None else kmax))
 
 
-def _cdf_ends(
-    fam: DistributionFamily,
-    n: int | np.ndarray,
-    thetas: np.ndarray,
-    lo: np.ndarray,
-    hi: np.ndarray,
-    open_top: np.ndarray,
-) -> np.ndarray:
+def _cdf_ends(fam: DistributionFamily, n: int | np.ndarray, thetas: np.ndarray, lo: np.ndarray,
+              hi: np.ndarray) -> np.ndarray:
     """F(lo - 1) and F(hi) per row, (2, N), as `prob_ranges` reads them from
     `cdf_batch`, in one call made only when some value is asked.  A NaN
     raises DomainError."""
-    ks, known, ask = _cdf_keys(fam, n, lo, hi, open_top)
+    ks, known, ask = _cdf_keys(fam, n, lo, hi)
     cdf = known.astype(np.float64)
     asked = ks[ask]
     if len(asked):
@@ -355,7 +341,7 @@ def _cdf_ends(
 
 
 def prob_min(fam: DistributionFamily, n: int | np.ndarray, thetas: np.ndarray, lo: np.ndarray,
-             hi: np.ndarray, open_top: np.ndarray) -> tuple[float, int]:
+             hi: np.ndarray) -> tuple[float, int]:
     """`min` of `prob_ranges(...)` and the first row that attains it, bit for
     bit; (inf, -1) for no rows.  With `cdf_batch` that is one `prob_ranges`
     call; without it, a branch and bound over the rows.
@@ -370,7 +356,7 @@ def prob_min(fam: DistributionFamily, n: int | np.ndarray, thetas: np.ndarray, l
     standard deviations, which changes the work, never the answer.
     """
     if fam.cdf_batch is not None:
-        values = prob_ranges(fam, n, thetas, lo, hi, open_top)
+        values = prob_ranges(fam, n, thetas, lo, hi)
         if not len(values):
             return math.inf, -1
         i = int(values.argmin())  # the first of equal values
@@ -384,7 +370,7 @@ def prob_min(fam: DistributionFamily, n: int | np.ndarray, thetas: np.ndarray, l
         return p
 
     best, best_row, queue = math.inf, -1, []
-    for i, (n, theta, k, l, whole) in enumerate(_log_pmf_rows(fam, n, thetas, lo, hi, open_top)):
+    for i, (n, theta, k, l, whole) in enumerate(_log_pmf_rows(fam, n, thetas, lo, hi)):
         if whole or l < k:  # exactly 1.0 or 0.0; on equal values the first row wins
             best, best_row = min((best, best_row), (float(whole), i))
         else:
@@ -414,22 +400,21 @@ def prob_min(fam: DistributionFamily, n: int | np.ndarray, thetas: np.ndarray, l
     return best, best_row
 
 
-def _log_pmf_rows(fam: DistributionFamily, n, thetas, lo, hi, open_top):
+def _log_pmf_rows(fam: DistributionFamily, n, thetas, lo, hi):
     """(n, theta, k, l, whole) per row, as Python scalars, for a family
-    without `cdf_batch`: the window [k, l] clipped to the support, an open
-    top cut at its top, and any top of an unbounded support at `tail_cutoff`
-    (at k if that is below k); `whole` if that is all of it."""
+    without `cdf_batch`: the window [k, l] clipped to the support, and any
+    top of an unbounded support cut at `tail_cutoff` (at k if that is below
+    k); `whole` if the clipped window, before that cut, is all of it."""
     kmin, kmax = fam.support_bound(n)
-    lo, hi = np.maximum(lo, kmin), np.where(open_top, _PAST_TOP, hi)
-    if kmax is not None:
-        hi = np.minimum(hi, kmax)
+    top = _PAST_TOP if kmax is None else kmax
+    lo, hi = np.maximum(lo, kmin), np.minimum(hi, top)
     # each row with its own n
-    rows = (np.broadcast_to(x, thetas.shape).tolist() for x in (n, kmin, kmax))
-    for n, kmin, kmax, theta, k, l, top in zip(*rows, thetas.tolist(), lo.tolist(),
-                                               hi.tolist(), open_top.tolist()):
+    rows = (np.broadcast_to(x, thetas.shape).tolist() for x in (n, kmin, top))
+    for n, kmin, top, theta, k, l in zip(*rows, thetas.tolist(), lo.tolist(), hi.tolist()):
+        whole = k == kmin and l == top
         if kmax is None:
             l = min(l, max(fam.tail_cutoff(n, theta), k))
-        yield n, theta, k, l, k == kmin and (top or l == kmax)
+        yield n, theta, k, l, whole
 
 
 def _nan_error(fam: DistributionFamily, n: int, theta: float, k: int) -> DomainError:
@@ -463,16 +448,19 @@ def prob_range(
         raise DomainError(f"theta={theta} does not fit in a float") from None
     kmin, kmax = fam.support_bound(n)
     ends = []
-    for name, x in (("k", k), ("l", k if l is None else l)):
+    for name, x in (("k", k), ("l", l)):
+        if x is None:  # no upper limit: past the top of any support
+            ends.append(_PAST_TOP)
+            continue
         end = max(x, kmin - 1)
         if kmax is not None:
             end = min(end, kmax + 1)
         elif end >= _PAST_TOP and end > fam.tail_cutoff(n, t):
             end = _PAST_TOP - 1
-        if not -_PAST_TOP <= end < _PAST_TOP:
+        if not -_PAST_TOP < end < _PAST_TOP:
             raise DomainError(f"{name}={x} does not fit in int64")
-        ends.append(np.array([end], np.int64))
-    return float(prob_ranges(fam, n, np.array([t]), *ends, np.array([l is None]))[0])
+        ends.append(end)
+    return float(prob_ranges(fam, n, np.array([t]), *np.array(ends, np.int64).reshape(2, 1))[0])
 
 
 # ---------------------------------------------------------------------------

@@ -56,7 +56,7 @@ class CoverageReport:
 
     @cached_property
     def values(self) -> tuple[float, ...]:
-        rows = _rows(self.family, self.n, self.candidate_set)
+        rows = _rows(self.n, self.candidate_set)
         return tuple(prob_ranges(self.family, *rows).tolist())
 
     @cached_property
@@ -91,7 +91,7 @@ def min_coverage(
     fam.require_interval(a, b)
     # every candidate lies in [a, b], inside the family's parameter interval
     cset = candidate_set_for(n, criterion, estimator, a, b)
-    value, argmin = prob_min(fam, *_rows(fam, n, cset))
+    value, argmin = prob_min(fam, *_rows(n, cset))
     return CoverageReport(n=n, min_coverage=value,
                           argmin_theta=Fraction(int(cset.numerators[argmin]), cset.den),
                           candidate_set=cset, family=fam)
@@ -109,7 +109,7 @@ def _witness_minima(fam: DistributionFamily, spec: _Spec, n0: int, count: int,
     caller passes a resolved family, a validated query and n0, count >= 1.
     """
     block = _block(spec, n0, count, near, WITNESS_RADIUS)
-    rows = _rows(fam, block.n, block, (n0 + count) * (1 + spec.tables[3]))
+    rows = _rows(block.n, block, (n0 + count) * (1 + spec.tables[3]))
     values = prob_ranges(fam, *rows)
     starts = block.starts
     minima = np.minimum.reduceat(values, starts[:-1])
@@ -117,9 +117,8 @@ def _witness_minima(fam: DistributionFamily, spec: _Spec, n0: int, count: int,
     return block, values, lowest[lowest.searchsorted(starts[:-1])]
 
 
-def _rows(fam: DistributionFamily, n, points, nk: Optional[int] = None) -> tuple:
+def _rows(n, points, nk: Optional[int] = None) -> tuple:
     """`prob_ranges`' arguments after the family at the points (run, k,
     floats) of a candidate set or block; n is one int or one per point, and
     nk, when given, bounds n + |k|."""
-    lo, hi, open_lo, open_hi = windows_at(points.spec.windows, n, points.run, points.k, nk)
-    return n, points.floats, np.where(open_lo, fam.support_bound(n)[0], lo), hi, open_hi
+    return n, points.floats, *windows_at(points.spec.windows, n, points.run, points.k, nk)

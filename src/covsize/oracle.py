@@ -25,12 +25,13 @@ for the others the candidates are read in the scan's first CDF call, and
 their least value seeds a branch and bound.
 
 Not every grid row is read.  The rows fall into maximal runs with one
-window [k, l], whose two end rows are evaluated, and every evaluated row
-keeps the two CDF values it read, F(k - 1; theta) and F(l; theta).  The
-family promises that F(l; theta) = Pr{Y_n <= l | theta} does not increase in
-theta, so on a run from theta_s to theta_e every row's coverage is at least
-F(l; theta_e) - F(k - 1; theta_s) (an interval bound, Moore 1966), from
-values already in hand.  A run whose window reads no CDF value (the whole
+window [k, l], its two ends as they are (an open top is l = `_PAST_TOP`,
+whatever the arithmetic top), whose two end rows are evaluated, and every
+evaluated row keeps the two CDF values it read, F(k - 1; theta) and
+F(l; theta).  The family promises that F(l; theta) = Pr{Y_n <= l | theta}
+does not increase in theta, so on a run from theta_s to theta_e every row's
+coverage is at least F(l; theta_e) - F(k - 1; theta_s) (an interval bound,
+Moore 1966), from values already in hand.  A run whose window reads no CDF value (the whole
 support, or a window outside it) or one value twice (an empty window) holds
 its start row's value on every row, bit for bit, and is dropped.  A run
 whose bound exceeds the best value by more than a margin is dropped; one
@@ -63,10 +64,11 @@ from .coverage import (
     Mixed,
     RangePreserving,
     Relative,
+    Unbiased,
 )
 from .errors import DomainError
-from .families import (DistributionFamily, _cdf_ends, _cdf_keys, _check_n, _int64_ends,
-                       cdf_error, prob_min, prob_range, resolve_family)
+from .families import (_PAST_TOP, DistributionFamily, _cdf_ends, _cdf_keys, _check_n,
+                       _int64_ends, cdf_error, prob_min, prob_range, resolve_family)
 
 # the prune margin of a family whose CDF has no stated error (a custom or a
 # wrapped `cdf_batch`, or n past the measured table): twice the 5e-10
@@ -149,14 +151,16 @@ def _windows(
     estimator: EstimatorKind,
     t: np.ndarray,
     den: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Accepted outcomes at the thetas t / den (integers over one positive
-    denominator) as int64 arrays (lo, hi) and a mask open_top, where the
-    window runs through the top of the support; one that accepts nothing is
-    lo .. lo - 1, never open.  The thetas are validated by their least and
-    greatest."""
+    denominator) as int64 arrays (lo, hi), hi = `_PAST_TOP` where the window
+    runs through the top of the support; one that accepts nothing is lo ..
+    lo - 1, never open.  The thetas are validated by their least and
+    greatest, the estimator by its type."""
     kmin, kmax = fam.support_bound(n)
     rp = isinstance(estimator, RangePreserving)
+    if not rp and not isinstance(estimator, Unbiased):
+        raise DomainError(f"unknown estimator {estimator!r}")
     tmin, tmax = int(t.min()), int(t.max())
     lowest = fam.require_theta(Fraction(tmin, den))
     highest = lowest if tmax == tmin else fam.require_theta(Fraction(tmax, den))
@@ -201,32 +205,34 @@ def _windows(
         kq = np.where(up < key, up, kq)
     first, stop = np.minimum(kq // q + 1, end)
     lo, hi = _int64_ends(first, stop - 1)
-    return lo, hi, (stop == end) & (stop > first)
+    hi[(stop == end) & (stop > first)] = _PAST_TOP
+    return lo, hi
 
 
 def _grid_windows(fam: DistributionFamily, n: int, criterion: ErrorCriterion,
                   estimator: EstimatorKind, t: np.ndarray,
-                  den: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                  den: int) -> tuple[np.ndarray, np.ndarray]:
     """The outcomes `_windows` accepts at the grid rows t / den, without a
     bisection and not clipped to the support: the k with k / n strictly
     inside (theta - m, theta + m) run from lo = floor(n (theta - m)) + 1 to
     hi = ceil(n (theta + m)) - 1.  A clamped estimate takes every k from the
     support's least where theta - m is below the lower clamp, and every k
-    above the window, an open top, where theta + m is above the upper one.
-    The caller validates the thetas."""
+    above the window, hi = `_PAST_TOP`, where theta + m is above the upper
+    one.  The caller validates the thetas; the estimator is checked here."""
     low, high, q, _ = _edges(criterion, t, den, 2 * n, 1)
     lo, hi = n * low // q + 1, -(-n * high // q) - 1
     kmin, kmax = fam.support_bound(n)
-    open_top = np.zeros(len(t), bool)
+    if lo.dtype == object:  # one beyond an edge of the support reads as farther out
+        lo, hi = _int64_ends(*(np.clip(x, kmin - 1, None if kmax is None else kmax + 1)
+                               for x in (lo, hi)))
     if isinstance(estimator, RangePreserving):
         (ln, ld), (un, ud) = estimator.lower.as_integer_ratio(), estimator.upper.as_integer_ratio()
         # low < lower * q and high > upper * q, against integer thresholds
         lo[low < -(-ln * q // ld)] = kmin
-        open_top = np.asarray(high > un * q // ud, bool)
-    if lo.dtype == object:  # one beyond an edge of the support reads as farther out
-        lo, hi = _int64_ends(*(np.clip(x, kmin - 1, None if kmax is None else kmax + 1)
-                               for x in (lo, hi)))
-    return lo, hi, open_top
+        hi[high > un * q // ud] = _PAST_TOP
+    elif not isinstance(estimator, Unbiased):
+        raise DomainError(f"unknown estimator {estimator!r}")
+    return lo, hi
 
 
 def grid_rows(a: Fraction, b: Fraction, step: Fraction) -> int:
@@ -248,9 +254,9 @@ def indicator_coverage(
     fam = resolve_family(family)
     _check_n(n)
     theta = exact(theta, name="theta")
-    lo, hi, open_top = _windows(fam, n, criterion, estimator,
-                                np.array([theta.numerator]), theta.denominator)
-    return prob_range(fam, n, int(lo[0]), None if open_top[0] else int(hi[0]), theta)
+    (lo,), (hi,) = _windows(fam, n, criterion, estimator,
+                            np.array([theta.numerator]), theta.denominator)
+    return prob_range(fam, n, int(lo), None if hi == _PAST_TOP else int(hi), theta)
 
 
 def _prune_margin(fam: DistributionFamily, n: int, theta: float) -> float:
@@ -268,7 +274,7 @@ def _prune_margin(fam: DistributionFamily, n: int, theta: float) -> float:
 
 
 def _scan_runs(fam: DistributionFamily, n: int, t: np.ndarray, den: int, lo: np.ndarray,
-               hi: np.ndarray, open_top: np.ndarray,
+               hi: np.ndarray,
                cand: tuple[np.ndarray, ...]) -> tuple[tuple[float, int], tuple[float, int]]:
     """The least float coverage of the grid rows t / den and the first row
     that has it, by branch and bound over the runs of rows with one window,
@@ -289,7 +295,7 @@ def _scan_runs(fam: DistributionFamily, n: int, t: np.ndarray, den: int, lo: np.
         nonlocal found
         if not len(rows):
             return np.empty(0)
-        read = _floats(t[rows], den), lo[rows], hi[rows], open_top[rows]
+        read = _floats(t[rows], den), lo[rows], hi[rows]
         if ahead:
             read = [np.concatenate(x) for x in zip(ahead, read)]
         c = _cdf_ends(fam, n, *read)
@@ -315,7 +321,7 @@ def _scan_runs(fam: DistributionFamily, n: int, t: np.ndarray, den: int, lo: np.
 
     # maximal runs: a row opens one unless the row before has its window,
     # and closes one unless the row after opens one
-    joins = (lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1]) & (open_top[1:] == open_top[:-1])
+    joins = (lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1])
     s = np.append(True, ~joins).nonzero()[0]
     e = np.append(~joins, True).nonzero()[0]
     values = evaluate(np.union1d(s, e), cand)
@@ -323,7 +329,7 @@ def _scan_runs(fam: DistributionFamily, n: int, t: np.ndarray, den: int, lo: np.
     # a window that reads no CDF value, or F(k - 1) twice (an empty one),
     # gives every row of its run the start row's value bit for bit, at the
     # run's least theta
-    ks, _, ask = _cdf_keys(fam, n, lo[s], hi[s], open_top[s])
+    ks, _, ask = _cdf_keys(fam, n, lo[s], hi[s])
     varies = ask.any(axis=0) & (ks[0] != ks[1])
     s, e = live(s[varies], e[varies])
     # a run of more than _LEAF_ROWS interior rows is cut at every

@@ -143,6 +143,17 @@ def reference_window(n: int, criterion, estimator, theta: Fraction):
     return lo, hi, theta - m < estimator.lower, theta + m > estimator.upper
 
 
+# an open side's end, past every support: hi = PAST_TOP above, lo = -PAST_TOP below
+PAST_TOP = 2**63 - 1
+
+
+def reference_ends(n: int, criterion, estimator, theta: Fraction):
+    """`reference_window` as (lo, hi), an open side as its end past every
+    support, the form the windows of the package take."""
+    lo, hi, open_lo, open_hi = reference_window(n, criterion, estimator, theta)
+    return (-PAST_TOP if open_lo else lo, PAST_TOP if open_hi else hi)
+
+
 def bernoulli_coverage(n: int, criterion, estimator, theta: Fraction) -> Fraction:
     """Exact rational coverage for the Bernoulli family by full enumeration.
 

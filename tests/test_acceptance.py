@@ -34,6 +34,8 @@ from covsize import (
 )
 from covsize.coverage import acceptance_windows
 
+from tests._reference import PAST_TOP
+
 F = Fraction
 
 PAIRS = [
@@ -166,9 +168,9 @@ def test_criterion_3_window_constant_between_candidates(capsys):
         gaps = list(zip(cset.thetas, cset.thetas[1:]))
         probes = [left + F(j, 51) * (right - left) for left, right in gaps for j in range(1, 51)]
         # every probe in one call
-        lo, hi, open_lo, open_hi = (x.tolist() for x in acceptance_windows(n, crit, est, probes))
-        found = [(None if ol else l, None if oh else h)
-                 for l, h, ol, oh in zip(lo, hi, open_lo, open_hi)]
+        lo, hi = (x.tolist() for x in acceptance_windows(n, crit, est, probes))
+        found = [(None if l == -PAST_TOP else l, None if h == PAST_TOP else h)
+                 for l, h in zip(lo, hi)]
         spot = checked_instances * 37 % len(probes)
         assert found[spot] == acceptance_window(n, crit, est, probes[spot])
         checked_points += len(probes)

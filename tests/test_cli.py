@@ -255,7 +255,8 @@ def test_min_coverage_json_matches_library(capsys):
 def test_min_coverage_builds_candidate_rows_only_when_printed(capsys, monkeypatch, fmt,
                                                               evaluations, built):
     # text and JSON print one line per candidate only with --evaluations, so
-    # without it the report's lazy per-candidate fields stay uncomputed
+    # without it the report's lazy per-candidate fields stay uncomputed; the
+    # rows read values and tags, and no Fraction is made per candidate
     import covsize.cli as cli
 
     reports = []
@@ -270,9 +271,11 @@ def test_min_coverage_builds_candidate_rows_only_when_printed(capsys, monkeypatc
     code, out, _ = run_cli(capsys, *argv, *(["--evaluations"] if evaluations else []))
     assert code == 0 and out
     (report,) = reports
-    assert ("evaluations" in report.__dict__) is built
-    assert ("points" in report.candidate_set.__dict__) is built
-    assert ("thetas" in report.candidate_set.__dict__) is built
+    assert ("values" in report.__dict__) is built
+    assert ("tags" in report.candidate_set.__dict__) is built
+    assert "evaluations" not in report.__dict__
+    assert "points" not in report.candidate_set.__dict__
+    assert "thetas" not in report.candidate_set.__dict__
 
 
 def test_min_coverage_csv_header(capsys):

@@ -23,7 +23,7 @@ from covsize import (
 from covsize._exact import exact
 from covsize.coverage import acceptance_windows
 
-from _reference import bernoulli_coverage
+from _reference import PAST_TOP, bernoulli_coverage
 
 F = Fraction
 
@@ -100,10 +100,21 @@ def test_bounds_rel_window_is_exactly_the_strict_event(n, eps, theta):
 # criterion and estimator validation
 
 def test_acceptance_windows_of_no_theta_are_empty_arrays():
-    lo, hi, open_lo, open_hi = acceptance_windows(5, Absolute(F(1, 4)), UNBIASED, ())
-    assert [(x.dtype, x.shape) for x in (lo, hi, open_lo, open_hi)] == [
-        (np.int64, (0,)), (np.int64, (0,)), (bool, (0,)), (bool, (0,)),
-    ]
+    lo, hi = acceptance_windows(5, Absolute(F(1, 4)), UNBIASED, ())
+    assert [(x.dtype, x.shape) for x in (lo, hi)] == [(np.int64, (0,)), (np.int64, (0,))]
+
+
+@pytest.mark.parametrize("crit", [Absolute(F(1, 10)), Relative(F(1, 4)), Mixed(F(1, 10), F(1, 4))])
+@pytest.mark.parametrize("est", [UNBIASED, RangePreserving(F(1, 20), F(19, 20))])
+def test_acceptance_window_is_none_exactly_where_the_end_is_past_the_support(crit, est):
+    n, thetas = 30, [F(1, 20) + F(9, 10) * F(j, 200) for j in range(201)]
+    lo, hi = (x.tolist() for x in acceptance_windows(n, crit, est, thetas))
+    expected = [(None if l == -PAST_TOP else l, None if h == PAST_TOP else h)
+                for l, h in zip(lo, hi)]
+    assert [acceptance_window(n, crit, est, t) for t in thetas] == expected
+    # both sides open somewhere under the clamp, never without it
+    clamped = isinstance(est, RangePreserving)
+    assert (-PAST_TOP in lo, PAST_TOP in hi) == (clamped, clamped)
 
 
 def test_acceptance_windows_rejects_an_array_n():

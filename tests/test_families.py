@@ -36,12 +36,13 @@ from covsize import (
     prob_range,
     register_family,
 )
-from covsize.families import _BDTR_ERROR, _PDTR_ERROR, _REGISTRY, cdf_error, prob_min, prob_ranges
+from covsize.families import (_BDTR_ERROR, _PDTR_ERROR, _REGISTRY, _int64_ends, cdf_error,
+                               prob_min, prob_ranges)
 from covsize.candidates import _spec
 from covsize.minimize import _witness_minima
 
-from _reference import (bernoulli_coverage, binom_pmf, binom_range, cdf_draws, cdf_error_of,
-                        poisson_pmf_dec)
+from _reference import (PAST_TOP, bernoulli_coverage, binom_pmf, binom_range, cdf_draws,
+                        cdf_error_of, poisson_pmf_dec)
 
 # log-pmf-only copies of the built-in families: every range probability is a pmf sum
 PLAIN_BERNOULLI = dataclasses.replace(BERNOULLI, cdf_batch=None)
@@ -269,34 +270,33 @@ BIMODAL = DistributionFamily(name="bimodal", param_space=BERNOULLI.param_space,
 
 @st.composite
 def prob_rows(draw):
-    """(family, n, thetas, lo, hi, open_top) of either kind of family with
-    empty windows, whole-support rows, open tops and duplicated rows, or no
-    rows at all, n one int or one per row."""
+    """(family, n, thetas, lo, hi) of either kind of family with empty
+    windows, whole-support rows, open sides (ends -PAST_TOP and PAST_TOP)
+    and duplicated rows, or no rows at all, n one int or one per row."""
     fam = draw(st.sampled_from([PLAIN_BERNOULLI, PLAIN_POISSON, BIMODAL, BERNOULLI, POISSON]))
     top_theta = 4 if fam.name == "poisson" else 1
     rows = draw(st.lists(st.tuples(
         st.integers(1, 60),
         st.integers(0 if top_theta == 1 else 1, 40 * top_theta).map(lambda x: x / 40),
-        st.integers(-3, 70), st.integers(-4, 70), st.booleans()), max_size=12))
+        st.integers(-3, 70) | st.just(-PAST_TOP), st.integers(-4, 70) | st.just(PAST_TOP)),
+        max_size=12))
     if not rows:
         empty = np.zeros(0, int)
-        return fam, empty, np.zeros(0), empty, empty, np.zeros(0, bool)
+        return fam, empty, np.zeros(0), empty, empty
     rows += draw(st.lists(st.sampled_from(rows), max_size=6))  # ties
     rows = draw(st.permutations(rows))
-    n, thetas, lo, hi, top = (np.array(x) for x in zip(*rows))
-    return fam, n if draw(st.booleans()) else int(n[0]), thetas, lo, hi, top
+    n, thetas, lo, hi = (np.array(x) for x in zip(*rows))
+    return fam, n if draw(st.booleans()) else int(n[0]), thetas, lo, hi
 
 
 @settings(max_examples=400, deadline=None)
 @given(prob_rows())
 # the rows sum to the same float, the later rows, nearer their window's lower
 # end, are visited first, and a naive sum of each overshoots its fsum
-@example((PLAIN_POISSON, 20, np.full(3, 3.575), np.array([1, 2, 3]), np.zeros(3, int),
-          np.ones(3, bool)))
+@example((PLAIN_POISSON, 20, np.full(3, 3.575), np.array([1, 2, 3]), np.full(3, PAST_TOP)))
 # no rows, for both kinds, with one n and with one per row
-@example((POISSON, 20, np.zeros(0), np.zeros(0, int), np.zeros(0, int), np.zeros(0, bool)))
-@example((PLAIN_POISSON, np.zeros(0, int), np.zeros(0), np.zeros(0, int), np.zeros(0, int),
-          np.zeros(0, bool)))
+@example((POISSON, 20, np.zeros(0), np.zeros(0, int), np.zeros(0, int)))
+@example((PLAIN_POISSON, np.zeros(0, int), np.zeros(0), np.zeros(0, int), np.zeros(0, int)))
 def test_prob_min_is_the_first_minimum_of_the_full_sums(args):
     values = prob_ranges(*args).tolist()
     expected = (min(values), values.index(min(values))) if values else (math.inf, -1)
@@ -310,7 +310,7 @@ NAN_AT_HALF = dataclasses.replace(
 
 def test_a_nan_probability_raises_domain_error_naming_where():
     half = np.array([0.5])
-    rows = np.array([3]), np.array([9]), np.array([False])
+    rows = np.array([3]), np.array([9])
     with pytest.raises(DomainError, match=r"'nan-at-half' gave a NaN probability at "
                                           r"n=12, theta=0\.5, k=6"):
         prob_ranges(NAN_AT_HALF, 12, half, *rows)
@@ -356,7 +356,7 @@ def _no_empty_ask(n, theta, k):
 
 def test_cdf_batch_is_never_asked_for_no_value():
     fam = dataclasses.replace(BERNOULLI, name="no-empty-ask", cdf_batch=_no_empty_ask)
-    whole = np.array([0]), np.array([12]), np.array([False])
+    whole = np.array([0]), np.array([12])
     assert prob_ranges(fam, 12, np.array([0.5]), *whole).tolist() == [1.0]
     # every clamped estimate at n = 11 to 13 is within 3/5 of theta: every
     # window is the whole support, and no CDF value is read
@@ -390,16 +390,47 @@ def test_prob_range_is_bit_equal_to_a_prob_ranges_row(fam):
     rows = [(t, k, l) for t in thetas for k, l in windows]
     batch = prob_ranges(
         fam, n, np.array([float(t) for t, _, _ in rows]),
-        np.array([k for _, k, _ in rows]), np.array([k if l is None else l for _, k, l in rows]),
-        np.array([l is None for _, _, l in rows]),
+        np.array([k for _, k, _ in rows]),
+        np.array([PAST_TOP if l is None else l for _, _, l in rows]),
     )
     scalar = [prob_range(fam, n, k, l, t) for t, k, l in rows]
     assert scalar == batch.tolist()
 
 
+@pytest.mark.parametrize("fam", [BERNOULLI, POISSON, PLAIN_BERNOULLI, PLAIN_POISSON],
+                         ids=["bernoulli", "poisson", "log-pmf-bernoulli", "log-pmf-poisson"])
+def test_an_open_side_reads_as_its_end_past_the_support(fam):
+    # hi = PAST_TOP is prob_range's l=None and, on a bounded support, hi =
+    # kmax; lo = -PAST_TOP is lo = kmin: the same float, bit for bit
+    n = 37
+    thetas = [Fraction(j, 46) for j in range(47)] if fam.name == "bernoulli" else [
+        Fraction(j, 23) for j in range(1, 70)]
+    floats = np.array([float(t) for t in thetas])
+    kmin, kmax = fam.support_bound(n)
+
+    def hexes(lo, hi):
+        ends = (np.full(len(thetas), x) for x in (lo, hi))
+        return [x.hex() for x in prob_ranges(fam, n, floats, *ends).tolist()]
+
+    for k in (-PAST_TOP, *range(-3, 45, 4)):
+        open_top = hexes(k, PAST_TOP)
+        assert open_top == [prob_range(fam, n, max(k, kmin), None, t).hex() for t in thetas]
+        if kmax is not None:
+            assert open_top == hexes(k, kmax)
+    for l in (PAST_TOP, *range(-3, 60, 4)):
+        assert hexes(-PAST_TOP, l) == hexes(kmin, l)
+    assert set(hexes(-PAST_TOP, PAST_TOP)) == {(1.0).hex()}
+    # a closed end can never read as an open side
+    with pytest.raises(DomainError, match="does not fit in int64"):
+        _int64_ends(np.array([0, -PAST_TOP], object))
+    assert _int64_ends(np.array([1 - PAST_TOP, PAST_TOP - 1], object))[0].tolist() == [
+        1 - PAST_TOP, PAST_TOP - 1]
+
+
 def two_cdf(fam, n, theta, lo, hi, top):
     """A prob_ranges row as F(min(hi, kmax)) - F(max(lo, kmin) - 1), read from
-    the library CDF at every k up to kmax, F(k < 0) = 0, an open top as 1."""
+    the library CDF at every k up to kmax, F(k < 0) = 0, an open top as 1
+    (lo may be -PAST_TOP, an open bottom)."""
     cdf = ((lambda k: _sps.bdtr(min(k, n), n, theta)) if fam.name == "bernoulli"
            else (lambda k: _sps.pdtr(k, n * theta)))
     lo, hi = max(lo, 0), min(hi, n) if fam.name == "bernoulli" else hi
@@ -410,9 +441,9 @@ def two_cdf(fam, n, theta, lo, hi, top):
 
 @pytest.mark.parametrize("fam", [BERNOULLI, POISSON])
 def test_prob_ranges_asks_cdf_batch_only_for_values_it_reads(fam):
-    # rows with lo <= kmin, hi >= kmax, an open top or an empty window, one n
-    # per row: F(k < kmin) is 0 and F(k >= kmax) is 1 without asking, and an
-    # open top's upper value is never asked for
+    # rows with lo <= kmin, hi >= kmax, an open side or an empty window, one
+    # n per row: F(k < kmin) is 0 and F(k >= kmax) is 1 without asking, and
+    # an open side's value is never asked for
     asked = []
 
     def recording(n, thetas, ks):
@@ -424,10 +455,12 @@ def test_prob_ranges_asks_cdf_batch_only_for_values_it_reads(fam):
     for _ in range(600):
         n = rng.randint(1, 40)
         lo = rng.randint(-3, n + 3)
+        hi = rng.randint(lo - 3, n + 3)
         rows.append((n, rng.uniform(0.01, 0.99) * (1 if fam.name == "bernoulli" else 4),
-                     lo, rng.randint(lo - 3, n + 3), rng.random() < 0.25))
+                     -PAST_TOP if rng.random() < 0.1 else lo, hi, rng.random() < 0.25))
     n, thetas, lo, hi, top = map(np.array, zip(*rows))
-    got = prob_ranges(dataclasses.replace(fam, cdf_batch=recording), n, thetas, lo, hi, top)
+    ends = lo, np.where(top, PAST_TOP, hi)
+    got = prob_ranges(dataclasses.replace(fam, cdf_batch=recording), n, thetas, *ends)
     assert got.tolist() == [two_cdf(fam, *row) for row in rows]
     ns, ks = map(np.concatenate, zip(*asked))
     bounded = fam.name == "bernoulli"
@@ -435,13 +468,12 @@ def test_prob_ranges_asks_cdf_batch_only_for_values_it_reads(fam):
     kmax = n if bounded else np.inf
     # at most one value per CDF read: F(lo - 1) inside the support, F(hi) of a closed row
     assert len(ks) <= ((lo >= 1) & (lo - 1 < kmax)).sum() + (~top & (hi < kmax)).sum()
-    kinds = [lo <= 0, ~top & (hi >= n), top, ~top & (hi < lo)]
+    kinds = [lo <= 0, ~top & (hi >= n), top, lo == -PAST_TOP, ~top & (hi < lo)]
     assert all(kind.sum() >= 50 for kind in kinds)
     # an empty window is 0.0 even where the CDF's floats are not monotone
     empty = kinds[-1]
     falling = dataclasses.replace(fam, cdf_batch=lambda n, thetas, ks: 1.0 - ks / 100.0)
-    assert not prob_ranges(falling, n[empty], thetas[empty], lo[empty], hi[empty],
-                           top[empty]).any()
+    assert not prob_ranges(falling, n[empty], thetas[empty], lo[empty], hi[empty]).any()
 
 
 def test_large_n_bernoulli_coverage_matches_exact_rational():
@@ -592,6 +624,21 @@ def test_get_family_by_name():
 def test_unknown_family_lists_known_names():
     with pytest.raises(DomainError, match="bernoulli"):
         get_family("geometric")
+
+
+@pytest.mark.parametrize("family", [123, BERNOULLI.param_space], ids=["int", "param-space"])
+@pytest.mark.parametrize("entry", [
+    lambda fam, crit: min_coverage(fam, 10, crit, UNBIASED, 0, 1),
+    lambda fam, crit: coverage(fam, 10, crit, UNBIASED, Fraction(1, 2)),
+    lambda fam, crit: grid_min_coverage(fam, 10, crit, UNBIASED, Fraction(0), Fraction(1),
+                                        GridSpec(Fraction(1, 100))),
+    lambda fam, crit: prob_range(fam, 10, 2, 5, Fraction(1, 2)),
+    lambda fam, crit: min_sample_size(SampleSizeQuery(fam, crit, UNBIASED, Fraction(0),
+                                                      Fraction(1), Fraction(1, 20))),
+], ids=["min_coverage", "coverage", "grid_min_coverage", "prob_range", "min_sample_size"])
+def test_an_object_that_is_not_a_family_is_a_domain_error(entry, family):
+    with pytest.raises(DomainError, match="family must be a name or a DistributionFamily"):
+        entry(family, Absolute(Fraction(1, 10)))
 
 
 def test_register_custom_family(registry_snapshot):

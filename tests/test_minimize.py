@@ -221,8 +221,8 @@ def test_a_log_pmf_minimum_is_the_first_minimum_of_its_full_sums():
     report = min_coverage(clone, *args)
     assert "values" not in vars(report)
     cset = report.candidate_set
-    lo, hi, open_lo, open_hi = windows_at(cset.spec.windows, 101, cset.run, cset.k)
-    eager = prob_ranges(clone, 101, cset.floats, np.where(open_lo, 0, lo), hi, open_hi).tolist()
+    windows = windows_at(cset.spec.windows, 101, cset.run, cset.k)
+    eager = prob_ranges(clone, 101, cset.floats, *windows).tolist()
     assert report.values == tuple(eager)
     assert report.min_coverage == min(eager)
     assert report.argmin_theta == cset.thetas[eager.index(min(eager))]
@@ -238,9 +238,8 @@ def test_a_builtin_report_evaluates_its_values_on_first_read(family):
     report = min_coverage(family, *args)
     assert "values" not in vars(report)
     cset = report.candidate_set
-    lo, hi, open_lo, open_hi = windows_at(cset.spec.windows, 101, cset.run, cset.k)
-    eager = prob_ranges(report.family, 101, cset.floats, np.where(open_lo, 0, lo), hi,
-                        open_hi).tolist()
+    windows = windows_at(cset.spec.windows, 101, cset.run, cset.k)
+    eager = prob_ranges(report.family, 101, cset.floats, *windows).tolist()
     assert report.values == tuple(eager)
     assert "values" in vars(report)
     assert report.min_coverage == min(eager)

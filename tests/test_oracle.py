@@ -30,7 +30,8 @@ from covsize import (
 from covsize import families, oracle
 from covsize.candidates import _floats
 from covsize.families import BERNOULLI, POISSON, DistributionFamily, cdf_error, prob_ranges
-from tests._reference import bernoulli_coverage, estimate_of, margin_at, poisson_pmf_dec
+from tests._reference import (PAST_TOP, bernoulli_coverage, estimate_of, margin_at,
+                              poisson_pmf_dec)
 from tests.test_acceptance import PAIRS, random_instance
 
 F = Fraction
@@ -503,8 +504,8 @@ def test_batched_exact_rows_equal_per_row_indicator_coverage(monkeypatch):
         t, den = over_one_denominator(list(cands))
         assert exact_values(fam, n, crit, est, t, den).tolist() == cand_values
         t, den = over_one_denominator(rows + list(cands))
-        lo, hi, open_top = oracle._windows(fam, n, crit, est, t, den)
-        for top, empty in zip(open_top.tolist(), (hi < lo).tolist()):
+        lo, hi = oracle._windows(fam, n, crit, est, t, den)
+        for top, empty in zip((hi == PAST_TOP).tolist(), (hi < lo).tolist()):
             shapes["empty" if empty else "open" if top else "closed"] += 1
     assert min(shapes.values()) > 0, shapes
 
@@ -768,8 +769,8 @@ def test_a_nan_on_the_scan_path_raises_domain_error(where):
     grid_min_coverage(_cdf_only("recording", recording), n, crit, est, a, b, grid)
     t, den = grid_over_one_denominator(a, grid.step, 10_001)
     tf = t / den
-    lo, hi, open_top = oracle._grid_windows(TWO_PEAKED, n, crit, est, t, den)
-    same = (lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1]) & (open_top[1:] == open_top[:-1])
+    lo, hi = oracle._grid_windows(TWO_PEAKED, n, crit, est, t, den)
+    same = (lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1])
     inside = np.append(False, same) & np.append(same, False)
     start = ~np.append(False, same) & np.append(same, False)
     j = next(j for j in (inside if where == "inside" else start).nonzero()[0]
@@ -875,7 +876,8 @@ def test_batched_windows_equal_indicator_and_brute_force(label, family, n, crit,
     t, den = over_one_denominator(thetas)
     if label == "past 2**62":
         assert int(max(t)) * n * 97 > 2**62
-    lo, hi, open_top = oracle._windows(fam, n, crit, est, t, den)
+    lo, hi = oracle._windows(fam, n, crit, est, t, den)
+    open_top = hi == PAST_TOP
     values = exact_values(fam, n, crit, est, t, den).tolist()
     assert values == [indicator_coverage(fam, n, crit, est, theta) for theta in thetas]
     for j, theta in enumerate(thetas):
@@ -890,26 +892,38 @@ def test_batched_windows_equal_indicator_and_brute_force(label, family, n, crit,
         assert (hi < lo).any()
 
 
+@pytest.mark.parametrize("estimator", ["x", object(), None])
+def test_the_oracle_rejects_an_unknown_estimator(estimator):
+    # as coverage and min_coverage do, rather than read it as unbiased
+    crit = Absolute(F(1, 10))
+    with pytest.raises(DomainError, match="unknown estimator"):
+        indicator_coverage("bernoulli", 10, crit, estimator, F(1, 2))
+    for include in (False, True):
+        with pytest.raises(DomainError, match="unknown estimator"):
+            grid_min_coverage("bernoulli", 10, crit, estimator, F(0), F(1),
+                              GridSpec(F(1, 100), include_candidates=include))
+
+
 def test_a_window_past_the_top_of_the_support_is_empty_and_closed():
     # every accepted outcome lies above a support cut at n / 2: the bisection
     # stops at the support's end with nothing accepted
     half = dataclasses.replace(BERNOULLI, name="half", support_bound=lambda n: (0, n // 2))
     t, den = over_one_denominator([F(9, 10), F(1)])
-    lo, hi, open_top = oracle._windows(half, 10, Absolute(F(1, 10)), UNBIASED, t, den)
-    assert lo.tolist() == [6, 6] and hi.tolist() == [5, 5] and not open_top.any()
+    lo, hi = oracle._windows(half, 10, Absolute(F(1, 10)), UNBIASED, t, den)
+    assert lo.tolist() == [6, 6] and hi.tolist() == [5, 5]
 
 
 # ---------------------------------------------------------------------------
 # the grid's integer windows against the bisection
 
-def accepted_ranges(fam, n, lo, hi, open_top):
+def accepted_ranges(fam, n, lo, hi):
     """Each window clipped to the support: (least, greatest) accepted k, the
-    greatest None for a top without end, or None for a window that accepts
-    nothing."""
+    greatest None for a top without end (hi = PAST_TOP), or None for a
+    window that accepts nothing."""
     kmin, kmax = fam.support_bound(n)
     out = []
-    for k, l, top in zip(lo.tolist(), hi.tolist(), open_top.tolist()):
-        k, l = max(k, kmin), kmax if top else l if kmax is None else min(l, kmax)
+    for k, l in zip(lo.tolist(), hi.tolist()):
+        k, l = max(k, kmin), kmax if l == PAST_TOP else l if kmax is None else min(l, kmax)
         out.append(None if l is not None and l < k else (k, l))
     return out
 

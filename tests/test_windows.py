@@ -2,7 +2,7 @@
 
 The windows a candidate set reads from its query's table along each of its
 runs (`windows_at` of `spec.windows`) must equal the window found from the
-definition by bisection on k in Fractions (`_reference.reference_window`) and
+definition by bisection on k in Fractions (`_reference.reference_ends`) and
 `acceptance_windows` at each theta alone, the float of each theta must be
 `float(theta)` to the last bit, and the points, tags and evaluations made on
 first access must equal the reference candidates in order.
@@ -32,7 +32,7 @@ from covsize.coverage import acceptance_windows, windows_at
 from covsize.minimize import _witness_minima
 from covsize.families import BERNOULLI, POISSON, prob_ranges, resolve_family
 
-from _reference import reference_candidates, reference_window
+from _reference import PAST_TOP, reference_candidates, reference_ends
 from test_candidates import builder_calls
 
 F = Fraction
@@ -53,7 +53,7 @@ def check_windows_and_floats(points, thetas, n, criterion, estimator):
     one-n block's points."""
     table = windows_at(points.spec.windows, n, points.run, points.k)
     got = list(zip(*(w.tolist() for w in table)))
-    assert got == [reference_window(n, criterion, estimator, t) for t in thetas]
+    assert got == [reference_ends(n, criterion, estimator, t) for t in thetas]
     # the side of each single theta (above the crossover) and of each
     # lattice (by its tag) agree
     alone = acceptance_windows(n, criterion, estimator, thetas)
@@ -152,15 +152,13 @@ ROW_BLOCKS = [
 def per_n_and_per_row(fam, ns, table, run, k, floats):
     """(windows, probabilities) of one call with an n per row, and of one call per n."""
     windows = windows_at(table, ns, run, k)
-    lo = np.where(windows[2], 0, windows[0])
-    probs = prob_ranges(fam, ns, floats, lo, windows[1], windows[3])
+    probs = prob_ranges(fam, ns, floats, *windows)
     each_windows, each_probs = [], []
     for n in sorted(set(ns.tolist())):
         rows = ns == n
         w = windows_at(table, n, run[rows], k[rows])
         each_windows.append(w)
-        lo_n = np.where(w[2], 0, w[0])
-        each_probs.append(prob_ranges(fam, n, floats[rows], lo_n, w[1], w[3]))
+        each_probs.append(prob_ranges(fam, n, floats[rows], *w))
     each_windows = [np.concatenate(parts) for parts in zip(*each_windows)]
     return (windows, probs), (each_windows, np.concatenate(each_probs))
 
@@ -178,10 +176,11 @@ def test_rows_with_one_n_each_equal_per_n_calls(fam, n0, count, criterion, estim
     assert [x.hex() for x in probs.tolist()] == [x.hex() for x in each_probs.tolist()]
     got = list(zip(*(w.tolist() for w in windows)))
     thetas = block.thetas(np.arange(len(block.n)))
-    assert got == [reference_window(n, criterion, estimator, t)
+    assert got == [reference_ends(n, criterion, estimator, t)
                    for n, t in zip(block.n.tolist(), thetas)]
     if isinstance(estimator, RangePreserving):
-        assert windows[2].any() and windows[3].any()  # open sides
+        # open sides
+        assert (windows[0] == -PAST_TOP).any() and (windows[1] == PAST_TOP).any()
     if fam is BERNOULLI:
         assert (windows[1] < windows[0]).any()  # empty windows, at small n
 
@@ -202,7 +201,7 @@ def test_rows_with_one_n_each_cross_into_python_ints():
         assert got.tolist() == expected.tolist()
     assert probs.tolist() == each_probs.tolist()
     assert list(zip(*(w.tolist() for w in windows)))[::2] == [
-        reference_window(n, criterion, UNBIASED, theta) for n in (400_000, 500_000)]
+        reference_ends(n, criterion, UNBIASED, theta) for n in (400_000, 500_000)]
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +238,7 @@ def test_interleaved_queries_keep_their_own_tables(family, criterion, queries):
                 thetas = block.thetas(np.arange(len(block.n)))
                 rows = list(zip(block.n.tolist(), thetas))
                 assert list(zip(*(w.tolist() for w in windows))) == [
-                    reference_window(n, criterion, estimator, t) for n, t in rows]
+                    reference_ends(n, criterion, estimator, t) for n, t in rows]
                 assert values.tolist() == [coverage(family, n, criterion, estimator, t)
                                            for n, t in rows]
 
@@ -258,7 +257,7 @@ def test_witness_blocks_cross_into_python_ints_within_one_query():
             rows = np.arange(block.starts[i], block.starts[i + 1])
             thetas = block.thetas(rows)
             assert list(zip(*(w[rows].tolist() for w in windows))) == [
-                reference_window(n, *query[:2], t) for t in thetas]
+                reference_ends(n, *query[:2], t) for t in thetas]
             full = dict(min_coverage("bernoulli", n, *query).evaluations)
             assert [full[t].hex() for t in thetas] == [x.hex() for x in values[rows].tolist()]
         if n0 > 2**21:
