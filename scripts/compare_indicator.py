@@ -2,7 +2,7 @@
 `min_coverage` or `min_sample_size` of two checkouts value for value.
 
 Draws criterion-1-style instances (both families, all six criterion/
-estimator pairs, with the instance generator of tests/test_acceptance.py).
+estimator pairs, with the instance generator of tests/_reference.py).
 With `--route indicator` (the default) it evaluates `indicator_coverage`,
 `coverage` and `acceptance_window` at a random sample of each instance's
 candidate points (where the acceptance window changes, so lattice theta are
@@ -93,7 +93,7 @@ def dump(src: Path, count: int, seed: int, candidates: int, grid_rows: int) -> l
 
     if not Path(covsize.__file__).resolve().is_relative_to(src):
         sys.exit(f"covsize was imported from {covsize.__file__}, not {src}")
-    from tests.test_acceptance import PAIRS, random_instance
+    from tests._reference import PAIRS, random_instance
 
     rng = random.Random(seed)
     out = []
@@ -141,7 +141,7 @@ def dump_min_coverage(src: Path, count: int, seed: int) -> list:
 
     if not Path(covsize.__file__).resolve().is_relative_to(src):
         sys.exit(f"covsize was imported from {covsize.__file__}, not {src}")
-    from tests.test_acceptance import PAIRS, random_instance
+    from tests._reference import PAIRS, random_instance
 
     rng = random.Random(seed)
     calls = []
@@ -189,7 +189,7 @@ def dump_grid(src: Path, count: int, seed: int, cells: int) -> list:
 
     if not Path(covsize.__file__).resolve().is_relative_to(src):
         sys.exit(f"covsize was imported from {covsize.__file__}, not {src}")
-    from tests.test_acceptance import PAIRS, random_instance
+    from tests._reference import PAIRS, random_instance
 
     rng = random.Random(seed)
     out = []

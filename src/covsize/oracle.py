@@ -24,20 +24,29 @@ the bisection accepts, so every value is bit-equal to `indicator_coverage`
 for the others the candidates are read in the scan's first CDF call, and
 their least value seeds a branch and bound.
 
-Not every grid row is read.  The rows fall into maximal runs with one
-window [k, l], its two ends as they are (an open top is l = `_PAST_TOP`,
-whatever the arithmetic top), whose two end rows are evaluated, and every
-evaluated row keeps the two CDF values it read, F(k - 1; theta) and
+Not every grid row is read, nor is every row's window made.  The rows fall
+into maximal runs with one window [k, l], its two ends as they are (an open
+top is l = `_PAST_TOP`, whatever the arithmetic top).  Both ends do not
+decrease in theta and move only where n (theta - m) or n (theta + m)
+crosses an integer, or theta -+ m a clamp, so the runs come from those edge
+crossings: each is mapped to its first grid row by one integer ceiling
+division, the windows are made at those rows only, and neighbours with one
+window are joined.  Only a grid with more crossings than rows (say a
+Poisson grid at large n (b - a)) makes every row's window and joins those.
+A family without `cdf_batch` repeats each run's window over its rows for
+`prob_min`.  For the others the two end rows of each run are evaluated, and
+every evaluated row keeps the two CDF values it read, F(k - 1; theta) and
 F(l; theta).  The family promises that F(l; theta) = Pr{Y_n <= l | theta}
 does not increase in theta, so on a run from theta_s to theta_e every row's
 coverage is at least F(l; theta_e) - F(k - 1; theta_s) (an interval bound,
-Moore 1966), from values already in hand.  A run whose window reads no CDF value (the whole
-support, or a window outside it) or one value twice (an empty window) holds
-its start row's value on every row, bit for bit, and is dropped.  A run
-whose bound exceeds the best value by more than a margin is dropped; one
-with more than `_LEAF_ROWS` interior rows is cut at every (`_LEAF_ROWS` +
-1)-th row, all cuts in one call, into pieces that are bounded by their ends
-in turn; what is left is evaluated row by row.  So there are at most three
+Moore 1966), from values already in hand.  A run whose window reads no CDF
+value (the whole support, or a window outside it) or one value twice (an
+empty window) holds its start row's value on every row, bit for bit, and is
+dropped.  A run whose bound exceeds the best value by more than a margin is
+dropped; one with more than `_LEAF_ROWS` interior rows is cut at every
+(`_LEAF_ROWS` + 1)-th row, all cuts in one call, into pieces that are
+bounded by their ends in turn; what is left is evaluated row by row.  The
+runs are made before any CDF value is read, so there are at most three
 `cdf_batch` calls per grid: the candidates with the ends of the runs, the
 cuts, the leaves.  A grid row's float is made only when the row is read.
 The margin is 4 * `cdf_error` + 2**-52 where the family's CDF has a
@@ -113,6 +122,20 @@ class GridSpec:
         return cls(step=(b - a) / cells, include_candidates=include_candidates)
 
 
+def _margin(criterion: ErrorCriterion) -> tuple[int, int, int, int]:
+    """(e, d, f, g) of the margin m = max(e / d, f * theta / g): eps_abs =
+    e / d up to the crossover, eps_rel * theta beyond it, the wider where
+    both apply; e = 0 for a relative criterion, f = 0 for an absolute one."""
+    match criterion:
+        case Absolute(eps=eps):
+            return (*eps.as_integer_ratio(), 0, 1)
+        case Relative(eps=eps):
+            return (0, 1, *eps.as_integer_ratio())
+        case Mixed(eps_abs=eps_abs, eps_rel=eps_rel):
+            return (*eps_abs.as_integer_ratio(), *eps_rel.as_integer_ratio())
+    raise DomainError(f"unknown criterion {criterion!r}")
+
+
 def _edges(criterion: ErrorCriterion, t: np.ndarray, den: int, per_edge: int,
            per_q: int) -> tuple[np.ndarray, np.ndarray, int, int]:
     """theta - m and theta + m at the thetas t / den (integers over one
@@ -122,20 +145,10 @@ def _edges(criterion: ErrorCriterion, t: np.ndarray, den: int, per_edge: int,
     2**62, else Python ints, which never wrap.  The caller validates the
     thetas; a relative criterion's theta > 0 is a sign test here."""
     tmin, tmax = int(t.min()), int(t.max())
-    # over q = den * d * g, theta is t * d * g and its margin m: eps_abs =
-    # e / d up to the crossover, eps_rel * theta = f * theta / g beyond it,
-    # the wider where both apply
-    match criterion:
-        case Absolute(eps=eps):
-            (e, d), (f, g) = eps.as_integer_ratio(), (0, 1)
-        case Relative(eps=eps):
-            if tmin <= 0:
-                raise DomainError(f"relative coverage needs theta > 0, got {Fraction(tmin, den)}")
-            (e, d), (f, g) = (0, 1), eps.as_integer_ratio()
-        case Mixed(eps_abs=eps_abs, eps_rel=eps_rel):
-            (e, d), (f, g) = eps_abs.as_integer_ratio(), eps_rel.as_integer_ratio()
-        case _:
-            raise DomainError(f"unknown criterion {criterion!r}")
+    # over q = den * d * g, theta is t * d * g and its margin m
+    e, d, f, g = _margin(criterion)
+    if not e and tmin <= 0:
+        raise DomainError(f"relative coverage needs theta > 0, got {Fraction(tmin, den)}")
     q = den * d * g
     edge = max(abs(tmin), abs(tmax)) * (d * g + f * d) + e * g * den
     bound = per_edge * edge + per_q * q
@@ -235,6 +248,78 @@ def _grid_windows(fam: DistributionFamily, n: int, criterion: ErrorCriterion,
     return lo, hi
 
 
+@dataclass(frozen=True)
+class _Rows:
+    """The grid rows (an + j * sn) / den, j < count, for integers an and sn > 0."""
+
+    an: int
+    sn: int
+    den: int
+    count: int
+
+    def t(self, j: np.ndarray) -> np.ndarray:
+        """The numerators of the rows j, in Python ints where int64 could wrap."""
+        wide = abs(self.an) + self.count * self.sn >= 2**62
+        return self.an + j.astype(object if wide else np.int64) * self.sn
+
+
+def _run_starts(criterion: ErrorCriterion, estimator: EstimatorKind, n: int,
+                rows: _Rows) -> np.ndarray:
+    """Ascending grid rows, among them every row whose window in
+    `_grid_windows` differs from the row before: row 0 and, as both ends do
+    not decrease in theta, the first row with lo >= v for each v up to the
+    last row's lo, the first with hi >= v likewise, and the first past each
+    clamp, each one integer ceiling division; every row where these
+    crossings outnumber the rows.  The caller validates the thetas."""
+    an, sn, den, count = rows.an, rows.sn, rows.den, rows.count
+    low, high, q, _ = _edges(criterion, rows.t(np.array([0, count - 1])), den, 2 * n, 1)
+    (lo0, lo1), (hi0, hi1) = (n * low // q + 1).tolist(), (-(-n * high // q) - 1).tolist()
+    if lo1 - lo0 + hi1 - hi0 >= count:
+        return np.arange(count)
+    e, d, f, g = _margin(criterion)
+    rp = isinstance(estimator, RangePreserving)
+    (ln, ld), (un, ud) = ((estimator.lower.as_integer_ratio(), estimator.upper.as_integer_ratio())
+                          if rp else ((0, 1), (0, 1)))
+
+    # lo >= v where n (theta - m) >= v - 1, hi >= v where n (theta + m) > v,
+    # and a clamp ends where theta - m >= lower and where theta + m > upper.
+    # Over q, as in `_edges`, r (theta - m) >= x holds where both
+    # r (t d g - e g den) and r t d (g - f) are at least x q, and
+    # r (theta + m) > x where either r (t d g + e g den) or r t d (g + f) is
+    # at least x q + 1.  Each is c (an + j sn) >= y, which holds from row
+    # j = ceil((y - c an) / (c sn)) on
+    def first(xq, r, side, pick):
+        # the first rows where r (theta + side * m) >= x (> x if side = 1),
+        # at xq = x * q
+        c, w, k = r * d * g, r * d * (g + side * f), side > 0
+        return pick((xq + (k - side * r * e * g * den - c * an + c * sn - 1)) // (c * sn),
+                    (xq + (k - w * an + w * sn - 1)) // (w * sn))
+
+    # a bound on every integer of `first`, for int64 below 2**62
+    top = max(abs(lo0), abs(lo1), abs(hi0), abs(hi1), abs(ln), abs(un)) + 1
+    reach = max(n, ld, ud) * (e * g * den + d * (g + f) * (abs(an) + sn)) + top * q
+    steps = np.arange(max(lo1 - lo0, hi1 - hi0), dtype=np.int64 if reach < 2**62 else object) * q
+    js = [first(steps[:lo1 - lo0] + lo0 * q, n, -1, np.maximum),
+          first(steps[:hi1 - hi0] + (hi0 + 1) * q, n, 1, np.minimum)]
+    if rp:
+        js.append([min(max(j, 0), count - 1)
+                   for j in (first(ln * q, ld, -1, max), first(un * q, ud, 1, min))])
+    return np.sort(np.concatenate(([0], *js)).astype(np.int64))
+
+
+def _grid_runs(fam: DistributionFamily, n: int, criterion: ErrorCriterion,
+               estimator: EstimatorKind, rows: _Rows) -> tuple[np.ndarray, ...]:
+    """The maximal runs of grid rows with one window: arrays (s, e, lo, hi)
+    of each run's first and last row and its window, the windows of
+    `_grid_windows` at the rows `_run_starts` gives, neighbours with one
+    window joined."""
+    starts = _run_starts(criterion, estimator, n, rows)
+    lo, hi = _grid_windows(fam, n, criterion, estimator, rows.t(starts), rows.den)
+    new = np.append(True, (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1]))
+    s = starts[new]
+    return s, np.append(s[1:] - 1, rows.count - 1), lo[new], hi[new]
+
+
 def grid_rows(a: Fraction, b: Fraction, step: Fraction) -> int:
     """The number of thetas a + j * step in [a, b], at most MAX_GRID_ROWS."""
     if (rows := (b - a) // step + 1) > MAX_GRID_ROWS:
@@ -273,37 +358,40 @@ def _prune_margin(fam: DistributionFamily, n: int, theta: float) -> float:
     return _PRUNE_MARGIN if error is None else math.nextafter(4.0 * error + 2.0**-52, 1.0)
 
 
-def _scan_runs(fam: DistributionFamily, n: int, t: np.ndarray, den: int, lo: np.ndarray,
-               hi: np.ndarray,
+def _scan_runs(fam: DistributionFamily, n: int, rows: _Rows, s: np.ndarray, e: np.ndarray,
+               lo: np.ndarray, hi: np.ndarray,
                cand: tuple[np.ndarray, ...]) -> tuple[tuple[float, int], tuple[float, int]]:
-    """The least float coverage of the grid rows t / den and the first row
-    that has it, by branch and bound over the runs of rows with one window,
-    or some row strictly above the least value of the candidates; and that
-    least value with the first candidate that has it, (inf, -1) for none.
-    `cand` holds the candidates' float thetas and windows, or nothing.  At
-    most three `cdf_batch` calls: the candidates with the ends of the runs,
-    the cuts of the long runs, the interior rows of what is left.  A row's
-    float is made only when the row is read."""
-    margin = _prune_margin(fam, n, float(_floats(t[-1:], den)[0]))
+    """The least float coverage of the grid rows and the first row that has
+    it, by branch and bound over their maximal runs of one window (rows s to
+    e, window lo .. hi), or some row strictly above the least value of the
+    candidates; and that least value with the first candidate that has it,
+    (inf, -1) for none.  `cand` holds the candidates' float thetas and
+    windows, or nothing.  At most three `cdf_batch` calls: the candidates
+    with the ends of the runs, the cuts of the long runs, the interior rows
+    of what is left.  A row's float is made only when the row is read, and
+    its window is its run's."""
+    starts = s  # the runs' first rows; s and e are narrowed below
+    margin = _prune_margin(fam, n, float(_floats(rows.t(e[-1:]), rows.den)[0]))
     # F(lo - 1) and F(hi) of each evaluated row, as prob_ranges reads them
-    cdf = np.empty((2, len(t)))
+    cdf = np.empty((2, rows.count))
     found = (math.inf, -1)
 
-    def evaluate(rows: np.ndarray, ahead: tuple[np.ndarray, ...] = ()) -> np.ndarray:
-        # the rows, after the points `ahead` (float thetas and windows) if
+    def evaluate(js: np.ndarray, ahead: tuple[np.ndarray, ...] = ()) -> np.ndarray:
+        # the rows js, after the points `ahead` (float thetas and windows) if
         # any, in one call; returns the values of those points
         nonlocal found
-        if not len(rows):
+        if not len(js):
             return np.empty(0)
-        read = _floats(t[rows], den), lo[rows], hi[rows]
+        run = np.searchsorted(starts, js, side="right") - 1
+        read = _floats(rows.t(js), rows.den), lo[run], hi[run]
         if ahead:
             read = [np.concatenate(x) for x in zip(ahead, read)]
         c = _cdf_ends(fam, n, *read)
         got = np.maximum(c[1] - c[0], 0.0)
-        m = len(got) - len(rows)
-        cdf[:, rows] = c[:, m:]
+        m = len(got) - len(js)
+        cdf[:, js] = c[:, m:]
         if (low := float(got[m:].min())) <= found[0]:
-            found = min(found, (low, int(rows[got[m:] == low].min())))
+            found = min(found, (low, int(js[got[m:] == low].min())))
         return got[:m]
 
     def live(s: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -319,17 +407,12 @@ def _scan_runs(fam: DistributionFamily, n: int, t: np.ndarray, den: int, lo: np.
         steps = np.arange(1, counts.sum() + 1) - np.repeat(np.cumsum(counts) - counts, counts)
         return np.repeat(s, counts) + stride * steps
 
-    # maximal runs: a row opens one unless the row before has its window,
-    # and closes one unless the row after opens one
-    joins = (lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1])
-    s = np.append(True, ~joins).nonzero()[0]
-    e = np.append(~joins, True).nonzero()[0]
     values = evaluate(np.union1d(s, e), cand)
     least = (float(values.min()), int(values.argmin())) if len(values) else (math.inf, -1)
     # a window that reads no CDF value, or F(k - 1) twice (an empty one),
     # gives every row of its run the start row's value bit for bit, at the
     # run's least theta
-    ks, _, ask = _cdf_keys(fam, n, lo[s], hi[s])
+    ks, _, ask = _cdf_keys(fam, n, lo, hi)
     varies = ask.any(axis=0) & (ks[0] != ks[1])
     s, e = live(s[varies], e[varies])
     # a run of more than _LEAF_ROWS interior rows is cut at every
@@ -375,14 +458,12 @@ def grid_min_coverage(
     if grid.step > (b - a) / 10:
         raise DomainError(f"grid step {grid.step} too coarse for [{a}, {b}]; need at most (b-a)/10")
 
-    rows = grid_rows(a, b, grid.step)
-    # the rows a + j * step over their own denominator, in Python ints where
-    # int64 could wrap
+    # the rows a + j * step over their own denominator, in their runs of one
+    # window
     (an, ad), (sn, sd) = a.as_integer_ratio(), grid.step.as_integer_ratio()
     den = math.lcm(ad, sd)
-    an, sn = an * (den // ad), sn * (den // sd)
-    t = an + np.arange(rows).astype(np.int64 if abs(an) + rows * sn < 2**62 else object) * sn
-    window = _grid_windows(fam, n, criterion, estimator, t, den)
+    rows = _Rows(an * (den // ad), sn * (den // sd), den, grid_rows(a, b, grid.step))
+    s, e, lo, hi = _grid_runs(fam, n, criterion, estimator, rows)
     # the candidates, over theirs, sorted by theta, in windows of the same
     # formula
     cset = candidate_set_for(n, criterion, estimator, a, b) if grid.include_candidates else None
@@ -390,11 +471,12 @@ def grid_min_coverage(
             (cset.floats, *_grid_windows(fam, n, criterion, estimator, cset.numerators, cset.den)))
     if fam.cdf_batch is not None:
         # CDF values bound the rows a run of one window holds
-        (best, j), (least, i) = _scan_runs(fam, n, t, den, *window, cand)
+        (best, j), (least, i) = _scan_runs(fam, n, rows, s, e, lo, hi, cand)
     else:
         # log-pmf sums do not: every row is summed until it exceeds the least
         least, i = prob_min(fam, n, *cand) if cand else (math.inf, -1)
-        best, j = prob_min(fam, n, _floats(t, den), *window)
+        best, j = prob_min(fam, n, _floats(rows.t(np.arange(rows.count)), den),
+                           *(np.repeat(x, e - s + 1) for x in (lo, hi)))
     theta = a + j * grid.step
     if least <= best:
         tied = Fraction(int(cset.numerators[i]), cset.den)

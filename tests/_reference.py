@@ -5,6 +5,8 @@ masses as exact rationals via comb, Poisson masses through high-precision
 Decimal arithmetic, and coverage by directly classifying every outcome.
 Nothing in this module touches the package's log-gamma numerics, window
 formulas, or candidate machinery, so agreement is evidence, not tautology.
+The instance generator of the acceptance criteria is here too, for the
+tests and for scripts/compare_indicator.py.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from bisect import bisect_left
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
-from covsize import Absolute, Mixed, RangePreserving, Relative
+from covsize import UNBIASED, Absolute, Mixed, RangePreserving, Relative
 
 
 def binom_pmf(n: int, k: int, theta: Fraction) -> Fraction:
@@ -266,3 +268,45 @@ def reference_candidates(kind: str, *args):
     else:
         raise ValueError(f"unknown builder kind {kind!r}")
     return [(theta, tuple(sorted(tags[theta]))) for theta in sorted(tags)], bound
+
+
+# the criterion/estimator pairs of the acceptance criteria
+PAIRS = [
+    ("absolute", "unbiased"),
+    ("relative", "unbiased"),
+    ("mixed", "unbiased"),
+    ("absolute", "range-preserving"),
+    ("relative", "range-preserving"),
+    ("mixed", "range-preserving"),
+]
+
+
+def random_instance(rng, pair, family):
+    """One (n, criterion, estimator, a, b) instance for a criterion/estimator pair."""
+    crit_kind, est_kind = pair
+    n = rng.randint(2, 60)
+    if family == "bernoulli":
+        den = 40
+        needs_positive_a = crit_kind != "absolute" or est_kind == "range-preserving"
+        lo_min = 1 if needs_positive_a else 0
+        lo = rng.randint(lo_min, den - 2)
+        hi = rng.randint(lo + 1, den)
+        a, b = Fraction(lo, den), Fraction(hi, den)
+        eps_abs = Fraction(rng.randint(1, 30), den)
+    else:
+        den = 8
+        lo = rng.randint(4, 100)  # theta range inside [1/2, 20]
+        hi = rng.randint(lo + 2, min(lo + 48, 160))
+        a, b = Fraction(lo, den), Fraction(hi, den)
+        eps_abs = Fraction(rng.randint(2, 16), den)
+    eps_rel = Fraction(rng.randint(2, 36), 40)
+    if crit_kind == "absolute":
+        crit = Absolute(eps_abs)
+    elif crit_kind == "relative":
+        crit = Relative(eps_rel)
+    else:
+        # place the crossover strictly inside (a, b)
+        c = a + Fraction(rng.randint(1, 15), 16) * (b - a)
+        crit = Mixed(c * eps_rel, eps_rel)
+    est = RangePreserving(a, b) if est_kind == "range-preserving" else UNBIASED
+    return n, crit, est, a, b

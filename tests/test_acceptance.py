@@ -34,54 +34,14 @@ from covsize import (
 )
 from covsize.coverage import acceptance_windows
 
-from tests._reference import PAST_TOP
+from tests._reference import PAIRS, PAST_TOP, random_instance
 
 F = Fraction
-
-PAIRS = [
-    ("absolute", "unbiased"),
-    ("relative", "unbiased"),
-    ("mixed", "unbiased"),
-    ("absolute", "range-preserving"),
-    ("relative", "range-preserving"),
-    ("mixed", "range-preserving"),
-]
 
 
 def announce(capsys, line):
     with capsys.disabled():
         print(f"\n{line}")
-
-
-def random_instance(rng, pair, family):
-    """One (n, criterion, estimator, a, b) instance for a criterion/estimator pair."""
-    crit_kind, est_kind = pair
-    n = rng.randint(2, 60)
-    if family == "bernoulli":
-        den = 40
-        needs_positive_a = crit_kind != "absolute" or est_kind == "range-preserving"
-        lo_min = 1 if needs_positive_a else 0
-        lo = rng.randint(lo_min, den - 2)
-        hi = rng.randint(lo + 1, den)
-        a, b = F(lo, den), F(hi, den)
-        eps_abs = F(rng.randint(1, 30), den)
-    else:
-        den = 8
-        lo = rng.randint(4, 100)  # theta range inside [1/2, 20]
-        hi = rng.randint(lo + 2, min(lo + 48, 160))
-        a, b = F(lo, den), F(hi, den)
-        eps_abs = F(rng.randint(2, 16), den)
-    eps_rel = F(rng.randint(2, 36), 40)
-    if crit_kind == "absolute":
-        crit = Absolute(eps_abs)
-    elif crit_kind == "relative":
-        crit = Relative(eps_rel)
-    else:
-        # place the crossover strictly inside (a, b)
-        c = a + F(rng.randint(1, 15), 16) * (b - a)
-        crit = Mixed(c * eps_rel, eps_rel)
-    est = RangePreserving(a, b) if est_kind == "range-preserving" else UNBIASED
-    return n, crit, est, a, b
 
 
 @pytest.mark.slow

@@ -30,9 +30,8 @@ from covsize import (
 from covsize import families, oracle
 from covsize.candidates import _floats
 from covsize.families import BERNOULLI, POISSON, DistributionFamily, cdf_error, prob_ranges
-from tests._reference import (PAST_TOP, bernoulli_coverage, estimate_of, margin_at,
-                              poisson_pmf_dec)
-from tests.test_acceptance import PAIRS, random_instance
+from tests._reference import (PAIRS, PAST_TOP, bernoulli_coverage, estimate_of, margin_at,
+                              poisson_pmf_dec, random_instance)
 
 F = Fraction
 
@@ -1039,6 +1038,63 @@ def test_grid_windows_equal_the_bisection_on_fixed_grids(label, fam, n, crit, es
         # the rows straddle an outcome edge: the windows below the middle row
         # differ from those above it
         assert got[0] != got[-1]
+
+
+def run_grid_cases():
+    """(label, family, n, criterion, estimator, a, step, rows): grids whose
+    runs of one window come from the edge crossings, and one whose
+    crossings outnumber its rows"""
+    tiny = F(1, 10**11)
+    cases = [
+        # the "tiny step" grids of fixed_grid_cases: 4001 rows across an
+        # outcome edge
+        ("tiny step", BERNOULLI, 10, Absolute(F(1, 10)), UNBIASED, F(1, 2) - 2000 * tiny, tiny,
+         4001),
+        ("tiny step", POISSON, 4, Relative(F(1, 4)), UNBIASED, F(2) - 2000 * tiny, tiny, 4001),
+        # Mixed grids across their crossover eps_abs / eps_rel, 1/5 and 3
+        ("crossover", BERNOULLI, 40, Mixed(F(1, 20), F(1, 4)), UNBIASED, F(0), F(1, 10_000),
+         10_001),
+        ("crossover", POISSON, 6, Mixed(F(3, 4), F(1, 4)), RangePreserving(F(1, 2), F(8)),
+         F(1, 2), F(15, 2) / 10_000, 10_001),
+        # numerators over a denominator near 2**81
+        ("python ints", BERNOULLI, *BIG_DENOMINATOR, 2001),
+        # about 2 * 39,000 crossings on 1001 rows
+        ("per row", POISSON, 2000, Absolute(F(1, 2)), UNBIASED, F(1, 2), F(39, 2000), 1001),
+    ]
+    # the instances of fixed_grid_cases drawn again from its seed: the
+    # clamp-edge range-preserving ones, then criterion 1's, on their
+    # 10^4-cell grids
+    rng = random.Random(20261020)
+    for label, pairs in (("clamp edges", PAIRS[3:]), ("criterion 1", PAIRS)):
+        for family in (BERNOULLI, POISSON):
+            for pair in pairs:
+                n, crit, est, a, b = random_instance(rng, pair, family.name)
+                cases.append((label, family, n, crit, est, a, (b - a) / 10_000, 10_001))
+    return cases
+
+
+@pytest.mark.parametrize("label,fam,n,crit,est,a,step,rows", run_grid_cases())
+def test_runs_from_edge_crossings_equal_the_per_row_windows(label, fam, n, crit, est, a, step,
+                                                            rows):
+    t, den = over_one_denominator([a, a + step])
+    grid = oracle._Rows(int(t[0]), int(t[1] - t[0]), den, rows)
+    s, e, lo, hi = oracle._grid_runs(fam, n, crit, est, grid)
+    every = oracle._grid_windows(fam, n, crit, est, grid.t(np.arange(rows)), den)
+    # the runs tile the rows, and each row's window read from its run is
+    # its own
+    assert s[0] == 0 and e[-1] == rows - 1 and (s[1:] == e[:-1] + 1).all()
+    run = np.repeat(np.arange(len(s)), e - s + 1)
+    assert lo[run].tolist() == every[0].tolist() and hi[run].tolist() == every[1].tolist()
+    # the runs are maximal: they start where a row's window differs from
+    # the row before's
+    joins = (every[0][1:] == every[0][:-1]) & (every[1][1:] == every[1][:-1])
+    assert s.tolist() == np.append(True, ~joins).nonzero()[0].tolist()
+    starts = oracle._run_starts(crit, est, n, grid)
+    assert (len(starts) == rows) == (label == "per row"), len(starts)
+    if label == "python ints":
+        assert grid.t(s).dtype == object
+    if label in ("tiny step", "crossover"):
+        assert len(s) > 1
 
 
 def test_grid_values_equal_indicator_coverage_at_their_theta():
