@@ -9,10 +9,14 @@ candidate points (where the acceptance window changes, so lattice theta are
 included), at a few random grid rows of [a, b] and at a - (b - a) / 7 and
 b + (b - a) / 7, outside it, and records each value (a float as
 `value.hex()`) or the message of its DomainError.  With `--route
-min-coverage` it runs `min_coverage` on every instance and on the
+min-coverage` it runs `min_coverage` on every instance, on the
 production shapes (n = 9622 absolute 1/100, n = 892..901
-relative 1/5, n = 96 range-preserving mixed), and records the rule, the
-cardinality bound, every candidate's theta, tags and value, and the argmin,
+relative 1/5, n = 96 range-preserving mixed) and on large shapes (two
+seeded draws per family and pair with 1024 to about 30,000 candidates, at
+n up to 20,000, and absolute 1/300 on [0, 1] at n = 86,550 and 86,551),
+and records the rule, the
+cardinality bound, every candidate's theta, tags and value (of a large
+shape, their SHA-256), and the argmin,
 after asserting that the minimum and argmin are the minimum and first index
 of the report's own `values` (the minimum comes from `prob_min`, and
 `values` are evaluated only when they are read).  For each production shape
@@ -128,10 +132,36 @@ def production_shapes() -> list:
     return shapes
 
 
+def large_shapes(seed: int) -> list:
+    """(family, n, criterion, estimator, a, b) of full sweeps with 1024 to
+    about 30,000 candidates, where `prob_min` bounds blocks of rows: two
+    draws per family and pair, criterion-1-style but at an n up to 20,000,
+    and the absolute 1/300 query on [0, 1] at n_min - 1 and n_min (about
+    173,000 candidates each)."""
+    from covsize import UNBIASED, Absolute, candidate_set_for
+    from tests._reference import PAIRS, random_instance
+
+    rng = random.Random(seed)
+    shapes = []
+    for family in ("bernoulli", "poisson"):
+        for pair in PAIRS * 2:
+            _, *query = random_instance(rng, pair, family)
+            per_100 = len(candidate_set_for(100, *query))
+            n = min(max(rng.randint(1024, 30_000) * 100 // per_100, 2), 20_000)
+            shapes.append((family, n, *query))
+    shapes += [("bernoulli", n, Absolute(Fraction(1, 300)), UNBIASED, Fraction(0), Fraction(1))
+               for n in (86_550, 86_551)]
+    return shapes
+
+
 def dump_min_coverage(src: Path, count: int, seed: int) -> list:
     """[label, rule, bound, theta, tags, value.hex()] for every candidate of
     every report and [label, theta, value.hex()] for every witness row, each
-    followed by [label, "argmin", min.hex(), argmin theta]."""
+    followed by [label, "argmin", min.hex(), argmin theta]; for a large
+    shape, [label, rule, bound, size, SHA-256 of its candidates' rows] in
+    place of the candidates' rows."""
+    import hashlib
+
     sys.path[:0] = [str(src), str(ROOT)]
     import covsize
     from covsize import min_coverage
@@ -152,6 +182,7 @@ def dump_min_coverage(src: Path, count: int, seed: int) -> list:
         calls += [(f"{label} {'/'.join(pair)} {i}", fam, n, crit, est, a, b)
                   for label, fam in with_log_pmf_copy(family)]
     calls += [(f"production {j}", *shape) for j, shape in enumerate(production_shapes())]
+    calls += [(f"large {j}", *shape) for j, shape in enumerate(large_shapes(seed))]
     out = []
     for label, family, n, crit, est, a, b in calls:
         report = min_coverage(family, n, crit, est, a, b)
@@ -162,9 +193,13 @@ def dump_min_coverage(src: Path, count: int, seed: int) -> list:
         assert report.min_coverage == values[first], label
         assert report.argmin_theta == report.candidate_set.thetas[first], label
         cset = report.candidate_set
-        for point, value_at in zip(cset.points, values):
-            out.append([label, cset.rule, str(cset.cardinality_bound), str(point.theta),
-                        ",".join(point.tags), value_at.hex()])
+        rows = [[label, cset.rule, str(cset.cardinality_bound), str(point.theta),
+                 ",".join(point.tags), value_at.hex()]
+                for point, value_at in zip(cset.points, values)]
+        if label.startswith("large"):
+            digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+            rows = [[label, cset.rule, str(cset.cardinality_bound), len(cset), digest]]
+        out += rows
         out.append([label, "argmin", report.min_coverage.hex(), str(report.argmin_theta)])
         if label.startswith("production"):
             name = label + " witness"
@@ -341,7 +376,8 @@ def main() -> int:
         if len(mine) != len(theirs):
             diffs.append((f"{len(mine)} rows", f"{len(theirs)} rows"))
         print(f"{len(mine)} rows (candidates and argmins) on {args.instances} instances, "
-              f"their log-pmf copies and the production shapes: {len(diffs)} differ")
+              f"their log-pmf copies, the production shapes and the large shapes: "
+              f"{len(diffs)} differ")
         print(log_pmf_summary(diffs))
     elif args.route == "grid":
         # the last field is the CPU time, which is reported, not compared

@@ -184,14 +184,15 @@ class _Spec:
         return den, runs, Fraction(*bound), top
 
     @cached_property
-    def tables(self) -> tuple[np.ndarray, np.ndarray, int, int]:
-        """(kbounds, coef, top, kratio) of `_block`, made when first asked for
-        (a search asks on its first sweep): the rows of `edges` and of a
-        window (see `_block`); each run's base and step over `scale`, so that
-        n * scale * theta = n * base + step * k; a bound on their entries and
-        |scale * theta| on [a, b]; and a bound on |k| / n at every candidate.
-        From the bounds and its n each call picks int64 (the arrays as
-        cached) or Python ints."""
+    def tables(self) -> tuple[np.ndarray, np.ndarray, int, int, int]:
+        """(kbounds, coef, top, kratio, reach) of `_block`, made when first
+        asked for (a search asks on its first sweep): the rows of `edges` and
+        of a window (see `_block`); each run's base and step over `scale`, so
+        that n * scale * theta = n * base + step * k; a bound on their entries
+        and |scale * theta| on [a, b]; a bound on |k| / n at every candidate;
+        and a bound on |n * base|, |step * k| and their sum over n at every
+        candidate.  From the bounds and its n each call picks int64 (the
+        arrays as cached) or Python ints."""
         runs, scale = self.runs, self.scale
         # kbounds[i, :, :, j]: the i-th of (1, tn * rd, td * rd, rn * td) times
         # run j's rows (p, c, q) of its least and greatest k, of the whole set
@@ -215,10 +216,14 @@ class _Spec:
         # theta in [a, b] bounds |step * k / n| = |theta * den - base|
         kratio = max(-(-(top * den + abs(base) * scale) // (step * scale)) if step else 0
                      for base, step, den, *_ in runs)
+        # a point's |scale * theta| is at most the largest of a point run's
+        # (a and b are two), and |step * k| = |n * (scale * theta - base)|
+        widest = max(abs(base) for base, step in coef.T if not step)
+        reach = max(2 * abs(base) + widest if step else abs(base) for base, step in coef.T)
         kbounds, coef = (x.astype(np.int64 if top < 2**62 else object) for x in (kbounds, coef))
         for x in (kbounds, coef):  # shared by every block of the query
             x.flags.writeable = False
-        return kbounds.reshape(4, -1), coef, top, kratio
+        return kbounds.reshape(4, -1), coef, top, kratio, reach
 
 
 # typed: a float or a bool equals and hashes like the number it stands for,
@@ -377,7 +382,7 @@ def _block(spec: _Spec, n0: int, count: int, near: Fraction,
     # its greatest the lesser of two: one each of the whole set and of the
     # window (see `_Spec`)
     scalars = (1, tn * rd, td * rd, rn * td)
-    kbounds, coef, top, _ = spec.tables
+    kbounds, coef, top, _, reach = spec.tables
     dtype = np.int64 if top * sum(map(abs, scalars)) * (n0 + count + 1) < 2**62 else object
     p, c, q = np.dot(np.array(scalars, dtype), kbounds.astype(dtype, copy=False)).reshape(
         3, 4, -1, 1)
@@ -388,10 +393,10 @@ def _block(spec: _Spec, n0: int, count: int, near: Fraction,
     width = kmax - kmin + 1
     i, run, j = (np.arange(width.max(initial=0)) < width[..., None]).nonzero()
     n, k = ns[i], kmin[i, run] + j
-    # theta times n * scale, exact, to sort by and for the thetas; |k * step|
-    # is at most n * (|theta| * scale + |base|), below 2 * n * top
-    top = 2 * top * (n0 + count)
-    dtype = np.int64 if top < 2**62 else object
+    # theta times n * scale, exact, to sort by and for the thetas: int64 when
+    # neither product nor the sum can reach 2**63 at the block's largest n
+    top = reach * (n0 + count - 1)
+    dtype = np.int64 if top < 2**63 else object
     base, step = coef.astype(dtype, copy=False).take(run, axis=1)
     numerators = n * base + step * k.astype(dtype, copy=False)
     order = np.lexsort((numerators, n))  # n stays sorted

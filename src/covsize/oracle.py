@@ -49,11 +49,11 @@ bounded by their ends in turn; what is left is evaluated row by row.  The
 runs are made before any CDF value is read, so there are at most three
 `cdf_batch` calls per grid: the candidates with the ends of the runs, the
 cuts, the leaves.  A grid row's float is made only when the row is read.
-The margin is 4 * `cdf_error` + 2**-52 where the family's CDF has a
-measured error bound (`_prune_margin` derives it), `_PRUNE_MARGIN`
-otherwise.  A dropped row is strictly above the result or equal to an
-evaluated row of smaller theta, so the scan's (value, theta) is that of
-evaluating every row.
+The margin is `families._prune_margin`, the rule `prob_min` prunes by
+too: 4 * `cdf_error` + 2**-52 where the family's CDF has a measured error
+bound, 1e-9 otherwise.  A dropped row is strictly above the result or equal
+to an evaluated row of smaller theta, so the scan's (value, theta) is that
+of evaluating every row.
 """
 
 from __future__ import annotations
@@ -77,13 +77,8 @@ from .coverage import (
 )
 from .errors import DomainError
 from .families import (_PAST_TOP, DistributionFamily, _cdf_ends, _cdf_keys, _check_n,
-                       _int64_ends, cdf_error, prob_min, prob_range, resolve_family)
+                       _int64_ends, _prune_margin, prob_min, prob_range, resolve_family)
 
-# the prune margin of a family whose CDF has no stated error (a custom or a
-# wrapped `cdf_batch`, or n past the measured table): twice the 5e-10
-# cross-check tolerance.  The built-in CDFs take 4 * cdf_error + 2**-52
-# (`_prune_margin`), 1.6e-13 for the Bernoulli at n <= 64
-_PRUNE_MARGIN = 1e-9
 # runs with at most this many interior rows are evaluated whole; longer ones
 # are cut into pieces of this many first
 _LEAF_ROWS = 16
@@ -342,20 +337,6 @@ def indicator_coverage(
     (lo,), (hi,) = _windows(fam, n, criterion, estimator,
                             np.array([theta.numerator]), theta.denominator)
     return prob_range(fam, n, int(lo), None if hi == _PAST_TOP else int(hi), theta)
-
-
-def _prune_margin(fam: DistributionFamily, n: int, theta: float) -> float:
-    """How far a run's bound must exceed the best value for the run to be
-    dropped, at rows of float theta up to `theta`: 4 * cdf_error + 2**-52,
-    rounded up, where the family's CDF has a stated error, else
-    `_PRUNE_MARGIN`.  A row of a run is at least its bound less 4 * error:
-    F(l) and F(k - 1) at the row are each off by at most error, and so are
-    the ends' values that bound them, F not increasing in theta.  Rounding
-    the row's difference, the bound's and best + margin costs at most 2**-52
-    more, so a run whose bound is above best + margin, as rounded, has every
-    row strictly above best."""
-    error = cdf_error(fam, n, theta)
-    return _PRUNE_MARGIN if error is None else math.nextafter(4.0 * error + 2.0**-52, 1.0)
 
 
 def _scan_runs(fam: DistributionFamily, n: int, rows: _Rows, s: np.ndarray, e: np.ndarray,

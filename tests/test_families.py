@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import special as _sps
 
@@ -36,13 +36,14 @@ from covsize import (
     prob_range,
     register_family,
 )
-from covsize.families import (_BDTR_ERROR, _PDTR_ERROR, _REGISTRY, _int64_ends, cdf_error,
-                               prob_min, prob_ranges)
-from covsize.candidates import _spec
-from covsize.minimize import _witness_minima
+from covsize import families
+from covsize.families import (_BDTR_ERROR, _BOUND_ROWS, _PDTR_ERROR, _REGISTRY, _int64_ends,
+                              cdf_error, prob_min, prob_ranges)
+from covsize.candidates import _spec, candidate_set_for
+from covsize.minimize import _rows, _witness_minima
 
-from _reference import (PAST_TOP, bernoulli_coverage, binom_pmf, binom_range, cdf_draws,
-                        cdf_error_of, poisson_pmf_dec)
+from _reference import (PAIRS, PAST_TOP, bernoulli_coverage, binom_pmf, binom_range, cdf_draws,
+                        cdf_error_of, poisson_pmf_dec, random_instance)
 
 # log-pmf-only copies of the built-in families: every range probability is a pmf sum
 PLAIN_BERNOULLI = dataclasses.replace(BERNOULLI, cdf_batch=None)
@@ -301,6 +302,100 @@ def test_prob_min_is_the_first_minimum_of_the_full_sums(args):
     values = prob_ranges(*args).tolist()
     expected = (min(values), values.index(min(values))) if values else (math.inf, -1)
     assert prob_min(*args) == expected
+
+
+# ---------------------------------------------------------------------------
+# the branch and bound of `prob_min` over the rows of a full sweep
+
+
+def first_minimum(fam, rows):
+    """min(prob_ranges(...)) as hex and the first row that has it."""
+    values = prob_ranges(fam, *rows)
+    return values.min().hex(), int(values.argmin())
+
+
+def counted_cdf_values(monkeypatch):
+    """The sizes of the CDF blocks that `families._cdf_ends` reads, call by call."""
+    sizes = []
+    real = families._cdf_ends
+
+    def counting(*args, **kwargs):
+        cdf = real(*args, **kwargs)
+        sizes.append(cdf.size)
+        return cdf
+
+    monkeypatch.setattr(families, "_cdf_ends", counting)
+    return sizes
+
+
+def sweep_rows(family, n, criterion, estimator, a, b):
+    """The family and `prob_ranges`' arguments of the full sweep at n."""
+    return get_family(family), _rows(n, candidate_set_for(n, criterion, estimator, a, b))
+
+
+SWEEPS = [
+    # golden 901 and golden 156 at n_min - 1 and n_min
+    *(("bernoulli", n, Relative(Fraction(1, 5)), UNBIASED, Fraction(1, 10), Fraction(9, 10))
+      for n in (900, 901)),
+    *(("poisson", n, Absolute(Fraction(1, 2)), UNBIASED, Fraction(1), Fraction(10))
+      for n in (155, 156)),
+    ("bernoulli", 9622, Absolute(Fraction(1, 100)), UNBIASED, Fraction(0), Fraction(1)),
+]
+
+
+@pytest.mark.parametrize("sweep", SWEEPS, ids=["901-at-900", "901", "156-at-155", "156",
+                                               "absolute-1/100-at-9622"])
+def test_bounded_minimum_is_the_first_minimum_of_every_row(monkeypatch, sweep):
+    fam, rows = sweep_rows(*sweep)
+    assert len(rows[1]) >= _BOUND_ROWS
+    expected = first_minimum(fam, rows)
+    sizes = counted_cdf_values(monkeypatch)
+    value, row = prob_min(fam, *rows)
+    assert (value.hex(), row) == expected
+    # by levels, and fewer CDF values than the two of every row
+    assert len(sizes) > 1 and sum(sizes) < 2 * len(rows[1])
+
+
+@st.composite
+def large_sweeps(draw):
+    """A full sweep of either family and any of the six pairs, drawn as
+    criterion 1 draws its instances but at an n that gives 1024 to about
+    30,000 candidates."""
+    family = draw(st.sampled_from(["bernoulli", "poisson"]))
+    pair = draw(st.sampled_from(PAIRS))
+    _, *query = random_instance(random.Random(draw(st.integers(0, 2**32))), pair, family)
+    per_100 = len(candidate_set_for(100, *query))
+    n = min(max(draw(st.integers(_BOUND_ROWS, 30_000)) * 100 // per_100, 2), 20_000)
+    return (family, n, *query)
+
+
+@settings(max_examples=60, deadline=None)
+@given(large_sweeps())
+def test_bounded_minimum_equals_every_row_on_large_sweeps(sweep):
+    fam, rows = sweep_rows(*sweep)
+    assume(len(rows[1]) >= _BOUND_ROWS)
+    # a candidate set's windows do not decrease in theta: the bound applies
+    for x in rows[1:]:
+        assert (x[1:] >= x[:-1]).all()
+    value, row = prob_min(fam, *rows)
+    assert (value.hex(), row) == first_minimum(fam, rows)
+
+
+def test_rows_out_of_order_are_all_evaluated(monkeypatch):
+    fam, (n, thetas, lo, hi) = sweep_rows(*SWEEPS[1])
+    shuffled = np.random.default_rng(7).permutation(len(thetas))
+    # thetas ascending, but two windows swapped: their ends decrease somewhere
+    swapped = np.arange(len(thetas))
+    swapped[[100, 700]] = 700, 100
+    cases = [(thetas[shuffled], lo[shuffled], hi[shuffled]),
+             (thetas[::-1], lo[::-1], hi[::-1]),
+             (thetas, lo[swapped], hi[swapped])]
+    for rows in cases:
+        expected = first_minimum(fam, (n, *rows))
+        sizes = counted_cdf_values(monkeypatch)
+        value, row = prob_min(fam, n, *rows)
+        assert (value.hex(), row) == expected
+        assert sizes == [2 * len(thetas)]
 
 
 NAN_AT_HALF = dataclasses.replace(

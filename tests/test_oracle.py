@@ -730,17 +730,19 @@ def test_a_grid_minimum_just_below_one_is_found_from_few_rows(instance, monkeypa
 
 
 def test_the_prune_margin_covers_the_stated_cdf_error():
+    # one rule, for the grid scan and for `prob_min`
+    assert oracle._prune_margin is families._prune_margin
     wrapped = dataclasses.replace(BERNOULLI, cdf_batch=lambda n, t, k: BERNOULLI.cdf_batch(n, t, k))
     for fam, n, theta in ((BERNOULLI, 2, 1.0), (BERNOULLI, 64, 0.5), (BERNOULLI, 256, 1.0),
                           (POISSON, 1, 1e-9), (POISSON, 60, 20.0), (POISSON, 1, 4096.0)):
         error = cdf_error(fam, n, theta)
         assert error is not None, (fam.name, n, theta)
-        assert 4 * F(error) + F(1, 2**52) <= oracle._prune_margin(fam, n, theta) < 1e-11
+        assert 4 * F(error) + F(1, 2**52) <= families._prune_margin(fam, n, theta) < 1e-11
     # past the table, and for any cdf_batch but the built-in ones themselves
     for fam, n, theta in ((BERNOULLI, 257, 0.5), (POISSON, 60, 4097 / 60),
                           (wrapped, 37, 0.5), (TWO_PEAKED, 9, 0.5), (STAIRCASE, 9, 0.5)):
         assert cdf_error(fam, n, theta) is None
-        assert oracle._prune_margin(fam, n, theta) == 1e-9
+        assert families._prune_margin(fam, n, theta) == 1e-9
 
 
 @pytest.mark.parametrize("instance, expected, most", CONSTANT_RUNS)

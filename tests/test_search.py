@@ -1,5 +1,6 @@
 """Sample-size search: strictness, trace integrity, guard band, validation."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from covsize import (
     Absolute,
     DomainError,
+    Mixed,
     RangePreserving,
     Relative,
     SampleSizeQuery,
@@ -16,6 +18,8 @@ from covsize import (
     min_coverage,
     min_sample_size,
 )
+from covsize import search
+from covsize.search import BLOCK_GROWTH, BLOCK_MAX
 
 F = Fraction
 
@@ -258,3 +262,79 @@ def test_relative_search_on_poisson_interval():
         "poisson", result.n_min - 1, Relative(F(1, 2)), UNBIASED, F(1, 2), F(2)
     )
     assert before.min_coverage <= 0.75
+
+
+# ---------------------------------------------------------------------------
+# witness blocks of more than BLOCK_GROWTH**2 n, tried in two slices
+
+GOLDEN_101 = SampleSizeQuery(family="bernoulli", criterion=Absolute(F(1, 10)), estimator=UNBIASED,
+                             a=F(0), b=F(1), delta=F(1, 20))
+MIXED_96 = SampleSizeQuery(family="bernoulli", criterion=Mixed(F(1, 10), F(1, 4)),
+                           estimator=RangePreserving(F(1, 20), F(19, 20)), a=F(1, 20),
+                           b=F(19, 20), delta=F(1, 20))
+# n_min, argmin, full sweeps and the SHA-256 of the trace lines
+# "n value.hex() theta", as the search made them when it evaluated every
+# block whole
+SLICED = [
+    (GOLDEN_101, 101, F(499, 1010), (2, 100, 101),
+     "8a2654ef630173a55cfc5fcef129cb67b22dc5f366e8e84ee44c8ab9bf7d179c"),
+    (MIXED_96, 96, F(5, 12), (2, 95, 96),
+     "b24130d22a58645133e94496090dcf0b7cfdf988f2e0ee65a31b2cb52a28fd90"),
+]
+
+
+def recorded_blocks(monkeypatch, threshold):
+    """Record (n0, count, how many of its n are rejected) of every witness block."""
+    calls = []
+    real = search._witness_minima
+
+    def recording(fam, spec, n0, count, near):
+        block, values, best = real(fam, spec, n0, count, near)
+        calls.append((n0, count, sum(v <= threshold for v in values[best].tolist())))
+        return block, values, best
+
+    monkeypatch.setattr(search, "_witness_minima", recording)
+    return calls
+
+
+def check_slices(calls):
+    """A block with an unrejected n holds at most BLOCK_MAX // BLOCK_GROWTH n,
+    and one of more than BLOCK_GROWTH**2 n follows its first slice, all of
+    whose n were rejected."""
+    for i, (n0, count, rejected) in enumerate(calls):
+        if rejected < count:
+            assert count <= BLOCK_MAX // BLOCK_GROWTH
+        if count > BLOCK_GROWTH**2:
+            m0, head, all_of = calls[i - 1]
+            assert (m0 + head, all_of, head) == (n0, head, (head + count) // BLOCK_GROWTH)
+
+
+@pytest.mark.parametrize("query, n_min, argmin, sweeps, digest", SLICED,
+                         ids=["golden-101", "rp-mixed-96"])
+def test_sliced_blocks_keep_every_trace_entry(monkeypatch, query, n_min, argmin, sweeps, digest):
+    calls = recorded_blocks(monkeypatch, float(1 - query.delta))
+    result = min_sample_size(query)
+    assert (result.n_min, result.argmin_theta, result.full_sweeps) == (n_min, argmin, sweeps)
+    trace = "".join(f"{n} {value.hex()} {theta}\n" for n, value, theta in result.trace)
+    assert hashlib.sha256(trace.encode()).hexdigest() == digest
+    check_slices(calls)
+    # a block of 512 n from n = 85 stopped at its first slice: no row past
+    # it, where the whole block reached n = 596
+    assert (85, 64) in [call[:2] for call in calls]
+    assert max(n0 + count for n0, count, _ in calls) - 1 < n_min + BLOCK_MAX // BLOCK_GROWTH
+
+
+def test_a_wholly_rejected_sliced_block_keeps_true_witnesses(monkeypatch):
+    query = bernoulli_abs_query(criterion=Absolute(F(1, 10)), delta=F(1, 10**9), n_max=700)
+    threshold = float(1 - query.delta)
+    calls = recorded_blocks(monkeypatch, threshold)
+    result = min_sample_size(query)
+    assert not result.found and result.full_sweeps == (2,)
+    assert [n for n, _, _ in result.trace] == list(range(2, 701))
+    # the block of 512 n from 85 in slices of 64 and 448; the block of 1024
+    # from 597, cut to 104 n at n_max, in slices of 13 and 91
+    assert [call[:2] for call in calls[-4:]] == [(85, 64), (149, 448), (597, 13), (610, 91)]
+    check_slices(calls)
+    for n, value, theta in result.trace:
+        assert value == coverage("bernoulli", n, query.criterion, UNBIASED, theta)
+        assert value <= threshold

@@ -108,11 +108,11 @@ LARGE_N = [
     (Relative(F(1, 997)), UNBIASED, F(1, 10), F(9, 10), [F(1, 10), F(1, 2), F(9, 10)], np.int64),
     # awkward denominators on both sides of the crossover, clamped
     (Mixed(F(7, 9973), F(13, 1009)), RangePreserving(F(1, 1000), F(1, 2)), F(1, 1000), F(1, 2),
-     [F(7 * 1009, 9973 * 13), F(1, 1000) + F(7, 9973), F(1, 2) / (1 + F(13, 1009))], object),
+     [F(7 * 1009, 9973 * 13), F(1, 1000) + F(7, 9973), F(1, 2) / (1 + F(13, 1009))], np.int64),
     # a margin denominator near 2**20: each window coefficient fits int64, a
     # coefficient times k does not, so int64 windows would wrap around
     # silently
-    (Relative(F(1, 2**20 + 7)), UNBIASED, F(1, 10), F(9, 10), [F(1, 2)], object),
+    (Relative(F(1, 2**20 + 7)), UNBIASED, F(1, 10), F(9, 10), [F(1, 2)], np.int64),
     # a margin denominator above 2**40: the integers leave int64
     (Relative(F(2**40 + 1, 2**42 + 3)), RangePreserving(F(1, 10), F(9, 10)), F(1, 10), F(9, 10),
      [F(1, 10) / (1 - F(2**40 + 1, 2**42 + 3)), F(1, 2), F(9, 10)], object),
@@ -125,9 +125,15 @@ def test_windows_at_the_default_n_max(criterion, estimator, a, b, nears, dtype):
     n = N_MAX
     for near in nears:
         window = (near - F(3, n), near + F(3, n))
-        block = _block(_spec(criterion, estimator, a, b), n, 1, near, 3)
+        spec = _spec(criterion, estimator, a, b)
+        block = _block(spec, n, 1, near, 3)
         thetas = block.thetas(np.arange(len(block.n)))
         assert block.numerators.dtype == dtype
+        # no numerator wrapped around: each is n * base + step * k in Python ints
+        coef = [(base * (spec.scale // d), step * (spec.scale // d))
+                for base, step, d, *_ in spec.runs]
+        assert block.numerators.tolist() == [n * coef[r][0] + coef[r][1] * k for r, k in
+                                             zip(block.run.tolist(), block.k.tolist())]
         assert any(window[0] <= t <= window[1] for t in thetas)
         check_windows_and_floats(block, thetas, n, criterion, estimator)
 
@@ -244,14 +250,15 @@ def test_interleaved_queries_keep_their_own_tables(family, criterion, queries):
 
 
 def test_witness_blocks_cross_into_python_ints_within_one_query():
-    # theta denominators of 2**40: a block's numerators and windows fit int64
-    # at n = 20 but not at n = 3,000,000, and the query's tables are cached
-    # by the first call, so each call must choose its integers itself
+    # theta denominators of 2**40: a block's numerators, n * 2**40 * theta,
+    # fit int64 at n = 20 but not at n = 20,000,000, and the query's tables
+    # are cached by the first call, so each call must choose its integers
+    # itself
     a, b = F(1, 2), F(2**39 + 2**22 + 1, 2**40)
     query = (Absolute(F(1, 8)), UNBIASED, a, b)
-    for n0 in (20, 3_000_000, 28):
+    for n0 in (20, 20_000_000, 28):
         block, values, best = _witness_minima(BERNOULLI, _spec(*query), n0, 3, (a + b) / 2)
-        assert block.numerators.dtype == (object if n0 > 2**21 else np.int64)
+        assert block.numerators.dtype == (object if n0 > 2**24 else np.int64)
         windows = windows_at(block.spec.windows, block.n, block.run, block.k)
         for i, n in enumerate(range(n0, n0 + 3)):
             rows = np.arange(block.starts[i], block.starts[i + 1])
@@ -260,5 +267,5 @@ def test_witness_blocks_cross_into_python_ints_within_one_query():
                 reference_ends(n, *query[:2], t) for t in thetas]
             full = dict(min_coverage("bernoulli", n, *query).evaluations)
             assert [full[t].hex() for t in thetas] == [x.hex() for x in values[rows].tolist()]
-        if n0 > 2**21:
+        if n0 > 2**24:
             assert len(block.n) > 3 * 2  # lattice points beside the endpoints
