@@ -336,7 +336,8 @@ def candidate_set_for(
     dtype = np.int64 if top < 2**62 else object  # else Python ints, which never wrap
     run = np.repeat(np.arange(len(runs)), [len(r[3]) for r in runs])
     k = np.concatenate([np.arange(r[3].start, r[3].stop, dtype=dtype) for r in runs])
-    base, step = np.array([(r[0], r[1] // n) for r in runs], dtype)[run].T
+    # an empty run's coefficients are left out of top and may not fit int64
+    base, step = np.array([(r[0], r[1] // n) if r[3] else (0, 0) for r in runs], dtype)[run].T
     numerators, first = np.unique(base + step * k, return_index=True)
     arrays = numerators, run[first], k[first]
     for x in arrays:
@@ -394,9 +395,11 @@ def _block(spec: _Spec, n0: int, count: int, near: Fraction,
     i, run, j = (np.arange(width.max(initial=0)) < width[..., None]).nonzero()
     n, k = ns[i], kmin[i, run] + j
     # theta times n * scale, exact, to sort by and for the thetas: int64 when
-    # neither product nor the sum can reach 2**63 at the block's largest n
+    # the cached coefficients are int64 (a lattice's step can pass 2**63 when
+    # its rows cannot) and neither product nor the sum can reach 2**63 at the
+    # block's largest n
     top = reach * (n0 + count - 1)
-    dtype = np.int64 if top < 2**63 else object
+    dtype = np.int64 if coef.dtype == np.int64 and top < 2**63 else object
     base, step = coef.astype(dtype, copy=False).take(run, axis=1)
     numerators = n * base + step * k.astype(dtype, copy=False)
     order = np.lexsort((numerators, n))  # n stays sorted

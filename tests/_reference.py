@@ -64,6 +64,35 @@ def poisson_cdf_dec(lam: Fraction, k: int, prec: int = 50) -> Decimal:
         return 1 - total if upper else total
 
 
+def binom_cdf_dec(n: int, k: int, theta: Fraction, prec: int = 50) -> Decimal:
+    """Pr{Y_n <= k | theta} for the Bernoulli in Decimal, as
+    `poisson_cdf_dec` sums: the first mass from math.comb and integer
+    powers, each next from the ratio of neighbouring masses, away from the
+    mode until a term is below 10**-prec.  For n far past what `binom_range`
+    sums in Fractions in a test's time."""
+    if k < 0 or theta == 0 or k >= n:
+        return Decimal(int(k >= 0))
+    if theta == 1:
+        return Decimal(0)
+    with localcontext() as ctx:
+        ctx.prec, ctx.Emin = prec, -10**9  # a far tail's mass stays above 0
+        t = Decimal(theta.numerator) / Decimal(theta.denominator)
+        odds = t / (1 - t)
+        tiny = Decimal(10) ** -prec
+        upper = k >= n * theta
+        j = k + 1 if upper else k
+        term = total = Decimal(math.comb(n, j)) * t**j * (1 - t) ** (n - j)
+        while term > tiny and (j < n if upper else j > 0):
+            if upper:
+                term = term * (n - j) / (j + 1) * odds
+                j += 1
+            else:
+                term = term * j / (n - j + 1) / odds
+                j -= 1
+            total += term
+        return 1 - total if upper else total
+
+
 def cdf_draws(rng, family: str, low: float, top: float, count: int):
     """`count` draws (n, theta, k) of a built-in family's CDF arguments in
     the band its error is tabulated by: low < n <= top for the Bernoulli,
@@ -102,10 +131,12 @@ def cdf_draws(rng, family: str, low: float, top: float, count: int):
 
 def cdf_error_of(family: str, n: int, theta: float, k: int, got: float) -> float:
     """|got - Pr{Y_n <= k | theta}|, with theta the exact value of its float:
-    `binom_range` in Fractions for the Bernoulli, `poisson_cdf_dec` at the
-    exact mean n * theta for the Poisson."""
+    `binom_range` in Fractions for the Bernoulli (`binom_cdf_dec` past
+    n = 256), `poisson_cdf_dec` at the exact mean n * theta for the Poisson."""
     if family == "bernoulli":
-        return float(abs(Fraction(got) - binom_range(n, 0, k, Fraction(theta))))
+        exact = (binom_range(n, 0, k, Fraction(theta)) if n <= 256
+                 else Fraction(binom_cdf_dec(n, k, Fraction(theta))))
+        return float(abs(Fraction(got) - exact))
     return float(abs(Decimal(got) - poisson_cdf_dec(n * Fraction(theta), k)))
 
 

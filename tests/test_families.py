@@ -618,6 +618,22 @@ def test_cdf_error_bounds_the_error_of_the_built_in_cdfs(family, bands):
         low = top
 
 
+# past the table the bounded minimum prunes by the assumed _PRUNE_MARGIN:
+# sound while 4 * error + 2**-52 stays below it.  The n of the large sweeps
+# the tests and searches make, and Poisson means past 4096
+@pytest.mark.parametrize("family, low, top, count", [
+    ("bernoulli", 9621, 9622, 40), ("bernoulli", 86_550, 86_551, 40),
+    ("poisson", 4096, 50_000, 10)])
+def test_the_assumed_prune_margin_covers_the_cdf_error_past_the_table(family, low, top, count):
+    fam = get_family(family)
+    sample = cdf_draws(random.Random(20261022), family, low, top, count)
+    n, theta, k = (np.array(x) for x in zip(*sample))
+    for draw, value in zip(sample, fam.cdf_batch(n, theta, k).tolist()):
+        assert cdf_error(fam, *draw[:2]) is None
+        error = cdf_error_of(family, *draw, value)
+        assert 4 * Fraction(error) + Fraction(1, 2**52) <= families._PRUNE_MARGIN, (draw, value)
+
+
 # ---------------------------------------------------------------------------
 # unimodality diagnostic
 

@@ -70,7 +70,12 @@ def test_trace_matches_direct_minimization():
     bernoulli_abs_query(),
     SampleSizeQuery(family="poisson", criterion=Relative(F(1, 8)), estimator=UNBIASED,
                     a=F(1, 2), b=F(2), delta=F(1, 4), n_start=2, n_max=500),
-], ids=["bernoulli-absolute", "poisson-relative"])
+    # a lattice step near 2**84 that neither the whole set nor a witness
+    # block may put in an int64 array
+    SampleSizeQuery(family="bernoulli", criterion=Relative(1 - F(1, 2**40)),
+                    estimator=UNBIASED, a=F(1, 10), b=F(9, 10), delta=F(1, 10), n_start=2,
+                    n_max=600),
+], ids=["bernoulli-absolute", "poisson-relative", "relative-step-2**84"])
 def test_default_trace_holds_witnesses_bounded_by_full_minima(query):
     result = min_sample_size(query)
     threshold = float(1 - query.delta)

@@ -116,11 +116,17 @@ LARGE_N = [
     # a margin denominator above 2**40: the integers leave int64
     (Relative(F(2**40 + 1, 2**42 + 3)), RangePreserving(F(1, 10), F(9, 10)), F(1, 10), F(9, 10),
      [F(1, 10) / (1 - F(2**40 + 1, 2**42 + 3)), F(1, 2), F(9, 10)], object),
+    # a lattice step near 2**84 with no rows at any practical n: the
+    # numerators would fit int64, the step does not.  candidate_set_for
+    # leaves the empty run out and makes int64; a block reads the query's
+    # cached steps, this one among them, and makes Python ints
+    (Relative(1 - F(1, 2**40)), UNBIASED, F(1, 10), F(9, 10), [F(1, 10), F(1, 2)], object),
 ]
 
 
 @pytest.mark.parametrize("criterion, estimator, a, b, nears, dtype", LARGE_N,
-                         ids=["relative-1/997", "mixed-awkward", "relative-2**20", "relative-2**40"])
+                         ids=["relative-1/997", "mixed-awkward", "relative-2**20", "relative-2**40",
+                              "relative-step-2**84"])
 def test_windows_at_the_default_n_max(criterion, estimator, a, b, nears, dtype):
     n = N_MAX
     for near in nears:
