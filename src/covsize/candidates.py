@@ -25,12 +25,13 @@ whether or not it is kept, plus max(hi - lo, 0) / spacing + 1 per lattice on
 the open window (lo, hi), which exceeds the number of lattice points strictly
 inside that window.
 
-All arithmetic is exact.  `candidate_set_for` puts every point over one
-common denominator, each lattice one range of integer numerators, and merges
-them as integers; a Fraction is made only when a caller asks for the thetas.
-`_block` cuts each lattice's range to a window around one theta for many n
-at once, so a sample-size search can reject a run of n on the few
-candidates near the worst theta of an earlier n in one evaluation.
+All arithmetic is exact.  A point at n is one integer numerator over
+n * scale (see `_Spec.coef`): `candidate_set_for` makes each lattice one
+range of numerators and merges them as integers; a Fraction is made only
+when a caller asks for the thetas.  `_block` cuts each lattice's range to a
+window around one theta for many n at once, so a sample-size search can
+reject a run of n on the few candidates near the worst theta of an earlier
+n in one evaluation.
 """
 
 from __future__ import annotations
@@ -79,20 +80,17 @@ class CandidatePoint(NamedTuple):
 class CandidateSet:
     """Sorted, deduplicated candidate points plus the rule's cardinality bound.
 
-    Each run (base, step, den, ks, tag) holds the thetas
-    (base + step * k / n) / den for k in the range ks: one per lattice, one
-    of length 1 and step 0 per endpoint or breakpoint.  The points are the
-    arrays `numerators` (over `den`, ascending) and each one's `run` index
-    and `k`; `floats`, `thetas` and `points` are made from them on first
-    access.  `spec` is the query the runs come from, in the same order (see
-    `_Spec`).
+    `runs` holds the range of k of each of `spec.runs` at n (see `_Spec`).
+    The points are the arrays `numerators` (over `den` = n * spec.scale,
+    ascending) and each one's `run` index and `k`; `floats`, `thetas` and
+    `points` are made from them on first access.
     """
 
     rule: str
     cardinality_bound: Fraction
     n: int
     den: int
-    runs: tuple[tuple[int, int, int, range, str], ...]
+    runs: tuple[range, ...]
     numerators: np.ndarray = field(repr=False, compare=False)
     run: np.ndarray = field(repr=False, compare=False)
     k: np.ndarray = field(repr=False, compare=False)
@@ -113,14 +111,14 @@ class CandidateSet:
     def tags(self) -> list[tuple[str, ...]]:
         """The sorted tags of the runs holding each point."""
         code = np.zeros(len(self.numerators), np.int64)
-        for i, (base, step, _, ks, _) in enumerate(self.runs):
-            if step:
-                x, s = self.numerators - base, step // self.n
-                hit = (x % s == 0) & (x // s >= ks.start) & (x // s < ks.stop)
-            else:
-                hit = self.numerators == base
+        for i, ((base, step), ks) in enumerate(zip(self.spec.coef[0].T.tolist(), self.runs)):
+            if not ks:  # its coefficients may not fit the numerators' width
+                continue
+            x = self.numerators - self.n * base
+            hit = ((x % step == 0) & (x // step >= ks.start) & (x // step < ks.stop)
+                   if step else x == 0)
             code |= hit.astype(np.int64) << i
-        names = {c: tuple(sorted({run[4] for i, run in enumerate(self.runs) if c >> i & 1}))
+        names = {c: tuple(sorted({run[4] for i, run in enumerate(self.spec.runs) if c >> i & 1}))
                  for c in set(code.tolist())}
         return [names[c] for c in code.tolist()]
 
@@ -148,14 +146,15 @@ class _Spec:
     """The candidates of a (criterion, estimator) pair on [a, b] for every n,
     with the tables that a sweep or a witness block would otherwise rebuild.
 
-    Its runs (see `CandidateSet`) do not depend on n and have their own
-    denominators, which all divide `scale`; a lattice's range is left empty.
-    Each run's rows (p, c, q) in `edges` give its least and greatest k at n
-    as (p * n + c) // q (k = 0 for an endpoint or breakpoint).  The
-    cardinality bound counts one per offered endpoint or breakpoint, kept or
-    not, plus max(hi - lo, 0) / spacing + 1 per lattice on the open window
-    (lo, hi).  `windows` holds each run's window coefficients, its side of a
-    Mixed crossover fixed.
+    Its runs (base, step, den, ks, tag) do not depend on n: each holds the
+    thetas (base + step * k / n) / den, one lattice each, or one endpoint or
+    breakpoint with step 0; their denominators all divide `scale`, and a
+    lattice's range ks is left empty.  Each run's rows (p, c, q) in `edges`
+    give its least and greatest k at n as (p * n + c) // q (k = 0 for an
+    endpoint or breakpoint).  The cardinality bound counts one per offered
+    endpoint or breakpoint, kept or not, plus max(hi - lo, 0) / spacing + 1
+    per lattice on the open window (lo, hi).  `windows` holds each run's
+    window coefficients, its side of a Mixed crossover fixed.
     """
 
     rule: str
@@ -165,42 +164,48 @@ class _Spec:
     offered: int
     windows: WindowTable
 
-    def frame(self, n: int) -> tuple[int, list, Fraction, int]:
-        """(den, runs, cardinality bound, top) of the whole set at n: every
-        point over one common denominator, with 2 * top >= every numerator."""
-        den = math.lcm(*(d // math.gcd(base, d) for base, _, d, *_ in self.runs),
-                       *(d * n // math.gcd(step, d * n) for _, step, d, *_ in self.runs if step))
-        runs, top, bound = [], 0, (self.offered, 1)  # bound as numerator and denominator
-        for (base, step, d, _, tag), ((p0, c0, q0), (p1, c1, q1)) in zip(self.runs, self.edges):
+    def frame(self, n: int) -> tuple[list[range], Fraction]:
+        """(ranges of k, cardinality bound) of the whole set at n."""
+        ranges, bound = [], (self.offered, 1)  # bound as numerator and denominator
+        for (_, step, *_), ((p0, c0, q0), (p1, c1, q1)) in zip(self.runs, self.edges):
             kmin, kmax = (p0 * n + c0) // q0, (p1 * n + c1) // q1
-            base, step = base * (den // d), step * (den // d)
-            runs.append((base, step, den, range(kmin, max(kmin, kmax + 1)), tag))
-            if kmin <= kmax:
-                top = max(top, abs(base), step // n * max(-kmin, kmax + 1))
+            ranges.append(range(kmin, max(kmin, kmax + 1)))
             if step:
                 q = q0 * q1
                 bound = (bound[0] * q + bound[1] * (max(p1 * q0 - p0 * q1, 0) * n + q),
                          bound[1] * q)
-        return den, runs, Fraction(*bound), top
+        return ranges, Fraction(*bound)
 
     @cached_property
-    def tables(self) -> tuple[np.ndarray, np.ndarray, int, int, int]:
-        """(kbounds, coef, top, kratio, reach) of `_block`, made when first
-        asked for (a search asks on its first sweep): the rows of `edges` and
-        of a window (see `_block`); each run's base and step over `scale`, so
-        that n * scale * theta = n * base + step * k; a bound on their entries
-        and |scale * theta| on [a, b]; a bound on |k| / n at every candidate;
-        and a bound on |n * base|, |step * k| and their sum over n at every
-        candidate.  From the bounds and its n each call picks int64 (the
-        arrays as cached) or Python ints."""
-        runs, scale = self.runs, self.scale
+    def coef(self) -> tuple[np.ndarray, int]:
+        """(coef, reach): column j holds run j's base and step over `scale`,
+        so that the point (run, k) at n is theta = (n * base + step * k) /
+        (n * scale), int64 when every entry fits, else Python ints; and a
+        bound on |n * base|, |step * k| and their sum over n at every
+        candidate in [a, b]."""
+        coef = [(base * (self.scale // den), step * (self.scale // den))
+                for base, step, den, *_ in self.runs]
+        # a point's |scale * theta| is at most the largest of a point run's
+        # (a and b are two), and |step * k| = |n * (scale * theta - base)|
+        widest = max(abs(base) for base, step in coef if not step)
+        reach = max(2 * abs(base) + widest if step else abs(base) for base, step in coef)
+        coef = np.array(coef, np.int64 if max(map(abs, chain(*coef))) < 2**63 else object).T
+        coef.flags.writeable = False  # shared by every set and block of the query
+        return coef, reach
+
+    @cached_property
+    def tables(self) -> tuple[np.ndarray, int]:
+        """(kbounds, top) of `_block`, made when first asked for (a search
+        asks on its first sweep): the rows of `edges` and of a window (see
+        `_block`), and a bound on their entries, from which each call picks
+        int64 (the array as cached) or Python ints."""
         # kbounds[i, :, :, j]: the i-th of (1, tn * rd, td * rd, rn * td) times
         # run j's rows (p, c, q) of its least and greatest k, of the whole set
         # and then of the window near -+ radius / n for near tn / td and radius
         # rn / rd: offset + k * s / n is there at k = (p * n -+ x) / q for
         # p = (tn * den - base * td) * rd, x = rn * den * td and q = step * td * rd
-        kbounds = np.zeros((4, 3, 4, len(runs)), object)
-        for j, ((base, step, den, *_), (lo, hi)) in enumerate(zip(runs, self.edges)):
+        kbounds = np.zeros((4, 3, 4, len(self.runs)), object)
+        for j, ((base, step, den, *_), (lo, hi)) in enumerate(zip(self.runs, self.edges)):
             kbounds[0, :, :2, j] = list(zip(lo, hi))
             if step:  # k from (p * n + q - 1 - x) // q to (p * n + x) // q
                 kbounds[1:3, 0, 2:, j] = [[den], [-base]]
@@ -209,21 +214,25 @@ class _Spec:
                 kbounds[2, 2, 2:, j] = step
             else:
                 kbounds[0, 2, 2:, j] = 1
-        coef = np.array([(base * (scale // den), step * (scale // den))
-                         for base, step, den, *_ in runs], object).T
-        # a and b are runs: coef bounds |scale * theta| on [a, b]
-        top = max(map(abs, chain(kbounds.flat, coef.flat)))
-        # theta in [a, b] bounds |step * k / n| = |theta * den - base|
-        kratio = max(-(-(top * den + abs(base) * scale) // (step * scale)) if step else 0
-                     for base, step, den, *_ in runs)
-        # a point's |scale * theta| is at most the largest of a point run's
-        # (a and b are two), and |step * k| = |n * (scale * theta - base)|
-        widest = max(abs(base) for base, step in coef.T if not step)
-        reach = max(2 * abs(base) + widest if step else abs(base) for base, step in coef.T)
-        kbounds, coef = (x.astype(np.int64 if top < 2**62 else object) for x in (kbounds, coef))
-        for x in (kbounds, coef):  # shared by every block of the query
-            x.flags.writeable = False
-        return kbounds.reshape(4, -1), coef, top, kratio, reach
+        top = max(map(abs, kbounds.flat))
+        kbounds = kbounds.astype(np.int64 if top < 2**62 else object)
+        kbounds.flags.writeable = False  # shared by every block of the query
+        return kbounds.reshape(4, -1), top
+
+
+def _numerator_coef(spec: _Spec, live, n_top: int) -> np.ndarray:
+    """The rows (base, step) of `spec.coef` in the width of the numerators
+    n * base + step * k of the points at every n <= n_top: int64 when the
+    coefficients of the runs in `live` (those with points) fit and
+    reach * n_top < 2**63, so that every numerator, product and k fits too,
+    else Python ints, which never wrap.  This is the one rule both builders
+    take their numerators' width from."""
+    coef, reach = spec.coef
+    if coef.dtype == object:  # a run without points reads (0, 0): its own may not fit
+        coef = np.where(live, coef, 0)
+        if max(map(abs, coef.flat)) < 2**63:
+            coef = coef.astype(np.int64)
+    return coef if coef.dtype == np.int64 and reach * n_top < 2**63 else coef.astype(object)
 
 
 # typed: a float or a bool equals and hashes like the number it stands for,
@@ -329,20 +338,18 @@ def candidate_set_for(
     if last_key == key and (cset := last()) is not None:
         return cset
     spec = _spec(*key[1:])
-    den, runs, bound, top = spec.frame(n)
+    ranges, bound = spec.frame(n)
     if bound > MAX_CANDIDATES:
         raise DomainError(f"the candidate set at n={n} has a cardinality bound of "
                           f"{float(bound):.3g}; at most {MAX_CANDIDATES} points are built")
-    dtype = np.int64 if top < 2**62 else object  # else Python ints, which never wrap
-    run = np.repeat(np.arange(len(runs)), [len(r[3]) for r in runs])
-    k = np.concatenate([np.arange(r[3].start, r[3].stop, dtype=dtype) for r in runs])
-    # an empty run's coefficients are left out of top and may not fit int64
-    base, step = np.array([(r[0], r[1] // n) if r[3] else (0, 0) for r in runs], dtype)[run].T
-    numerators, first = np.unique(base + step * k, return_index=True)
+    base, step = _numerator_coef(spec, list(map(bool, ranges)), n)
+    run = np.repeat(np.arange(len(ranges)), list(map(len, ranges)))
+    k = np.concatenate([np.arange(r.start, r.stop, dtype=base.dtype) for r in ranges])
+    numerators, first = np.unique((n * base)[run] + step[run] * k, return_index=True)
     arrays = numerators, run[first], k[first]
     for x in arrays:
         x.flags.writeable = False
-    cset = CandidateSet(spec.rule, bound, n, den, tuple(runs), *arrays, spec)
+    cset = CandidateSet(spec.rule, bound, n, n * spec.scale, tuple(ranges), *arrays, spec)
     _last = key, weakref.ref(cset)
     return cset
 
@@ -352,9 +359,10 @@ class CandidateBlock:
     """Candidates of the sample sizes n0, n0 + 1, ...
 
     Row j is the point k[j] of `spec.runs[run[j]]` (see `_Spec`) at sample size
-    n[j]; its theta is numerators[j] / (n[j] * scale), and floats[j] that
-    theta correctly rounded.  The rows are sorted by n and then theta,
-    without repeats; those of the i-th n are starts[i]:starts[i + 1].
+    n[j]; its theta is numerators[j] / (n[j] * scale), as in a `CandidateSet`
+    of that n, and floats[j] that theta correctly rounded.  The rows are
+    sorted by n and then theta, without repeats; those of the i-th n are
+    starts[i]:starts[i + 1].
     """
 
     spec: _Spec
@@ -383,7 +391,7 @@ def _block(spec: _Spec, n0: int, count: int, near: Fraction,
     # its greatest the lesser of two: one each of the whole set and of the
     # window (see `_Spec`)
     scalars = (1, tn * rd, td * rd, rn * td)
-    kbounds, coef, top, _, reach = spec.tables
+    kbounds, top = spec.tables
     dtype = np.int64 if top * sum(map(abs, scalars)) * (n0 + count + 1) < 2**62 else object
     p, c, q = np.dot(np.array(scalars, dtype), kbounds.astype(dtype, copy=False)).reshape(
         3, 4, -1, 1)
@@ -394,14 +402,9 @@ def _block(spec: _Spec, n0: int, count: int, near: Fraction,
     width = kmax - kmin + 1
     i, run, j = (np.arange(width.max(initial=0)) < width[..., None]).nonzero()
     n, k = ns[i], kmin[i, run] + j
-    # theta times n * scale, exact, to sort by and for the thetas: int64 when
-    # the cached coefficients are int64 (a lattice's step can pass 2**63 when
-    # its rows cannot) and neither product nor the sum can reach 2**63 at the
-    # block's largest n
-    top = reach * (n0 + count - 1)
-    dtype = np.int64 if coef.dtype == np.int64 and top < 2**63 else object
-    base, step = coef.astype(dtype, copy=False).take(run, axis=1)
-    numerators = n * base + step * k.astype(dtype, copy=False)
+    live = (width > 0).any(axis=0)
+    base, step = _numerator_coef(spec, live, n0 + count - 1).take(run, axis=1)
+    numerators = n * base + step * k.astype(base.dtype, copy=False)
     order = np.lexsort((numerators, n))  # n stays sorted
     run, k, numerators = run[order], k[order], numerators[order]
     new = np.empty(len(n), bool)
@@ -410,6 +413,6 @@ def _block(spec: _Spec, n0: int, count: int, near: Fraction,
     n, run, k, numerators = n[new], run[new], k[new], numerators[new]
     scale = spec.scale
     floats = _floats(numerators, (n if (n0 + count) * scale < 2**62 else n.astype(object)) * scale,
-                     max(top, (n0 + count) * scale))
+                     max(spec.coef[1] * (n0 + count - 1), (n0 + count) * scale))
     starts = n.searchsorted(ns)
     return CandidateBlock(spec, n, run, np.asarray(k, np.int64), numerators, floats, starts)

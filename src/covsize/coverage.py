@@ -183,14 +183,12 @@ def window_table(criterion: ErrorCriterion, estimator: EstimatorKind, runs: Sequ
     return WindowTable(coef, top, ad, bd, clamp is not None)
 
 
-def windows_at(table: WindowTable, n: Union[int, np.ndarray], run: np.ndarray, k: np.ndarray,
-               nk: Optional[int] = None) -> tuple[np.ndarray, np.ndarray]:
+def windows_at(table: WindowTable, n: Union[int, np.ndarray], run: np.ndarray,
+               k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The windows (lo, hi), as `acceptance_windows` gives them, at the
-    points (run, k) of the table's runs, n one int or one per point; `nk`,
-    when given, bounds n + |k| at every point."""
+    points (run, k) of the table's runs, n one int or one per point."""
     k = np.asarray(k)
-    if nk is None:
-        nk = int(np.max(n, initial=1)) + int(np.abs(k).max(initial=0))
+    nk = int(np.max(n, initial=1)) + int(np.abs(k).max(initial=0))
     # else Python ints, which never wrap
     dtype = np.int64 if table.top * 4 * (nk + max(table.ad, table.bd)) < 2**62 else object
     n, k = np.asarray(n, dtype), np.asarray(k, dtype)

@@ -109,16 +109,14 @@ def _witness_minima(fam: DistributionFamily, spec: _Spec, n0: int, count: int,
     caller passes a resolved family, a validated query and n0, count >= 1.
     """
     block = _block(spec, n0, count, near, WITNESS_RADIUS)
-    rows = _rows(block.n, block, (n0 + count) * (1 + spec.tables[3]))
-    values = prob_ranges(fam, *rows)
+    values = prob_ranges(fam, *_rows(block.n, block))
     starts = block.starts
     minima = np.minimum.reduceat(values, starts[:-1])
     lowest = (values == minima.repeat(starts[1:] - starts[:-1])).nonzero()[0]
     return block, values, lowest[lowest.searchsorted(starts[:-1])]
 
 
-def _rows(n, points, nk: Optional[int] = None) -> tuple:
+def _rows(n, points) -> tuple:
     """`prob_ranges`' arguments after the family at the points (run, k,
-    floats) of a candidate set or block; n is one int or one per point, and
-    nk, when given, bounds n + |k|."""
-    return n, points.floats, *windows_at(points.spec.windows, n, points.run, points.k, nk)
+    floats) of a candidate set or block; n is one int or one per point."""
+    return n, points.floats, *windows_at(points.spec.windows, n, points.run, points.k)

@@ -35,10 +35,17 @@ def binom_range(n: int, lo: int, hi: int, theta: Fraction) -> Fraction:
 
 
 def poisson_pmf_dec(lam: Fraction, k: int, prec: int = 50) -> Decimal:
+    """exp(-lam) * lam**k / k! in Decimal: exp(-lam) times lam / j for
+    j = 1..k at prec + 10 digits (2k roundings, each at most
+    5 * 10**-(prec + 10) relative), rounded to prec."""
     with localcontext() as ctx:
-        ctx.prec = prec
+        ctx.prec = prec + 10
         lam_d = Decimal(lam.numerator) / Decimal(lam.denominator)
-        return (-lam_d).exp() * lam_d**k / Decimal(math.factorial(k))
+        term = (-lam_d).exp()
+        for j in range(1, k + 1):
+            term = term * lam_d / j
+        ctx.prec = prec
+        return +term
 
 
 def poisson_cdf_dec(lam: Fraction, k: int, prec: int = 50) -> Decimal:

@@ -416,6 +416,10 @@ def assert_window_cuts_whole_set(spec, lo, hi):
     kept = cut(whole, lo, hi)
     assert block.thetas(np.arange(len(block.n))) == [whole.thetas[i] for i in kept]
     assert block.floats.tolist() == whole.floats[kept].tolist()
+    # one encoding: the same numerators over n * scale, from the same (run, k)
+    assert n * block.spec.scale == whole.den
+    for name in ("numerators", "run", "k"):
+        assert getattr(block, name).tolist() == getattr(whole, name)[kept].tolist(), name
     return block
 
 

@@ -623,7 +623,7 @@ def test_cdf_error_bounds_the_error_of_the_built_in_cdfs(family, bands):
 # the tests and searches make, and Poisson means past 4096
 @pytest.mark.parametrize("family, low, top, count", [
     ("bernoulli", 9621, 9622, 40), ("bernoulli", 86_550, 86_551, 40),
-    ("poisson", 4096, 50_000, 10)])
+    ("poisson", 4096, 50_000, 40)])
 def test_the_assumed_prune_margin_covers_the_cdf_error_past_the_table(family, low, top, count):
     fam = get_family(family)
     sample = cdf_draws(random.Random(20261022), family, low, top, count)

@@ -116,10 +116,10 @@ LARGE_N = [
     # a margin denominator above 2**40: the integers leave int64
     (Relative(F(2**40 + 1, 2**42 + 3)), RangePreserving(F(1, 10), F(9, 10)), F(1, 10), F(9, 10),
      [F(1, 10) / (1 - F(2**40 + 1, 2**42 + 3)), F(1, 2), F(9, 10)], object),
-    # a lattice step near 2**84 with no rows at any practical n: the
-    # numerators would fit int64, the step does not.  candidate_set_for
-    # leaves the empty run out and makes int64; a block reads the query's
-    # cached steps, this one among them, and makes Python ints
+    # a lattice step near 2**84 with no rows at any practical n: that step
+    # is left out of the width rule, but over n * scale the endpoint 9/10
+    # alone is about 1.98e19 at this n, past int64 (at n = 10**5 it fits:
+    # see the next test)
     (Relative(1 - F(1, 2**40)), UNBIASED, F(1, 10), F(9, 10), [F(1, 10), F(1, 2)], object),
 ]
 
@@ -135,13 +135,30 @@ def test_windows_at_the_default_n_max(criterion, estimator, a, b, nears, dtype):
         block = _block(spec, n, 1, near, 3)
         thetas = block.thetas(np.arange(len(block.n)))
         assert block.numerators.dtype == dtype
-        # no numerator wrapped around: each is n * base + step * k in Python ints
-        coef = [(base * (spec.scale // d), step * (spec.scale // d))
-                for base, step, d, *_ in spec.runs]
-        assert block.numerators.tolist() == [n * coef[r][0] + coef[r][1] * k for r, k in
-                                             zip(block.run.tolist(), block.k.tolist())]
+        assert_exact_numerators(spec, block, n)
         assert any(window[0] <= t <= window[1] for t in thetas)
         check_windows_and_floats(block, thetas, n, criterion, estimator)
+
+
+def assert_exact_numerators(spec, points, n):
+    """No numerator wrapped around: each is n * base + step * k in Python ints."""
+    coef = [(base * (spec.scale // d), step * (spec.scale // d))
+            for base, step, d, *_ in spec.runs]
+    assert points.numerators.tolist() == [n * coef[r][0] + coef[r][1] * k for r, k in
+                                          zip(points.run.tolist(), points.k.tolist())]
+
+
+def test_a_run_without_points_leaves_the_numerators_int64():
+    # the rel-lower lattice of Relative(1 - 2**-40) on [1/10, 9/10] has a
+    # step near 2**84 over n * scale and no points below n = 2**40: both
+    # builders leave it out of their one width rule, so at n = 10**5 the
+    # whole set and a one-n block are int64 alike
+    query = (Relative(1 - F(1, 2**40)), UNBIASED, F(1, 10), F(9, 10))
+    n, spec = 10**5, _spec(*query)
+    whole, block = candidate_set_for(n, *query), _block(spec, n, 1, F(1, 2), 3)
+    assert whole.numerators.dtype == block.numerators.dtype == np.int64
+    for points in (whole, block):
+        assert_exact_numerators(spec, points, n)
 
 
 # ---------------------------------------------------------------------------
