@@ -48,13 +48,14 @@ Run from the repository root:
     python3 scripts/compare_indicator.py --other ../old-checkout/src --route grid --cells 2000
     python3 scripts/compare_indicator.py --other ../old-checkout/src --route search
 
-The grid route's time is almost all the log-pmf copies' (97 % of the CPU
-time at `--instances 120 --cells 1000`): `prob_min` stops a row's pmf sum
-once it exceeds the least whole row, but every row is started.  CPU time of
-the grid calls per checkout, measured on two shared Xeon cores (a
-comparison runs two checkouts): `--instances 120 --cells 40`, a quick run,
-0.7 s; `--instances 120 --cells 1000` 4.6 s; `--instances 30` (10⁴ cells)
-16 s; the defaults (1800 instances, 10⁴ cells) 13 min.
+The grid route's time is almost all the log-pmf copies' (a built-in
+family's 10⁴-cell grid takes under a millisecond): `prob_min` drops blocks
+of rows by pmf sums and stops a row's pmf sum once it exceeds the least
+whole row, but a grid whose rows all lie near its minimum starts nearly
+every row.  CPU time of the grid calls per checkout, measured on two shared
+Xeon cores (a comparison runs two checkouts): `--instances 120 --cells 40`,
+a quick run, 0.8-1.0 s; `--instances 120 --cells 1000` 4.6 s; `--instances
+30` (10⁴ cells) 11.5 s; the defaults (1800 instances, 10⁴ cells) 8.8 min.
 """
 
 import argparse

@@ -12,12 +12,14 @@ row is a difference of two CDF values, evaluated for many thetas in one
 call; without one it is a compensated sum of the pmf term by term, at most
 1.0.  `prob_min` gives the least of many rows and the first row that has
 it, for both kinds, bit-equal to `prob_ranges`' without evaluating every
-row where it can: with `cdf_batch`, the sorted rows of a large full sweep
-go through a branch and bound on CDF values, whose bound holds because
-F(k; theta) does not increase in theta.  `cdf_error` bounds the float error
-of the built-in CDFs, from measurements, and `_prune_margin` turns it into
-the one margin by which both that branch and bound and the grid oracle's
-drop rows.  The minimization theory elsewhere in the package
+row where it can: the sorted rows of a large full sweep go through one
+branch and bound over blocks of rows, whose bound holds because F(k; theta)
+does not increase in theta, read from CDF values with `cdf_batch` and from
+pmf sums without; and without `cdf_batch` a row's own sum stops once it
+exceeds the least value.  `cdf_error` bounds the float error of the
+built-in CDFs, from measurements, and `_prune_margin` turns it into the one
+margin by which both that branch and bound and the grid oracle's drop
+rows.  The minimization theory elsewhere in the package
 relies on theta -> Pr{k <= Y_n <= l | theta} having at most one interior
 peak on the parameter interval.  That holds for the built-in families;
 `peak_count` is provided as an empirical diagnostic for custom ones.
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -75,14 +78,18 @@ class DistributionFamily:
     `cdf_batch(n, thetas, ks)`, Pr{Y_n <= k} elementwise, is optional.
     `prob_ranges` serves both kinds of family: with it, one vectorized call;
     without it, a log-pmf sum per theta, whose least value over a candidate
-    set `prob_min` finds by branch and bound from n * theta, the mean (more
-    work, never another answer, when the mass lies elsewhere).  It is never
+    set `prob_min` finds by branch and bound, on blocks of rows from pmf
+    sums and per row from n * theta, the mean, outward (more work, never
+    another answer, when the mass lies elsewhere or the pmf is not
+    log-concave).  It is never
     asked for k < k_min (read as 0) nor for k >= k_max of a bounded support
     (read as 1), so it need not handle them: the built-in ones give NaN below
     the support and above its top.  A family promises that Pr{Y_n <= k |
     theta} does not increase in theta for fixed n and k: a theorem for the
     binomial and the Poisson, on which `prob_min` and the grid oracle rely
-    to skip rows.
+    to skip rows.  Without `cdf_batch`, sums of the pmf stand in for F and
+    make the same promise, to within `_PRUNE_MARGIN` / 4 (see
+    `_prune_margin`).
     There is no batched log-pmf: `log_pmf_batch=` is not accepted.  A search
     evaluates many n at once, so `support_bound` and `cdf_batch` must also
     take an int array n with one n per theta, as the built-in families' do.
@@ -349,7 +356,7 @@ def _cdf_ends(fam: DistributionFamily, n: int | np.ndarray, thetas: np.ndarray, 
 
 
 # the prune margin of a family whose CDF has no stated error (a custom or a
-# wrapped `cdf_batch`, or n past the measured table): twice the 5e-10
+# wrapped `cdf_batch`, none at all, or n past the measured table): twice the 5e-10
 # cross-check tolerance.  The built-in CDFs take 4 * cdf_error + 2**-52
 # (`_prune_margin`), 1.6e-13 for the Bernoulli at n <= 64
 _PRUNE_MARGIN = 1e-9
@@ -365,7 +372,13 @@ def _prune_margin(fam: DistributionFamily, n: int, theta: float) -> float:
     each off by at most error, and so are the values that bound them, F not
     increasing in theta.  Rounding the row's difference, the bound's and
     best + margin costs at most 2**-52 more, so a block whose bound is above
-    best + margin, as rounded, has every row strictly above best."""
+    best + margin, as rounded, has every row strictly above best.  Without
+    `cdf_batch` the bound comes from pmf sums (`_pmf_level`) and the margin
+    is `_PRUNE_MARGIN`, which holds as long as each sum of consecutive pmf
+    terms, as summed in floats and cut at `tail_cutoff`, is within
+    `_PRUNE_MARGIN` / 4 of its F difference: the terms' and the sums'
+    rounding, the mass past the cut and a total mass other than 1 of a
+    custom `log_pmf` all count, as a custom CDF's error does."""
     error = cdf_error(fam, n, theta)
     return _PRUNE_MARGIN if error is None else math.nextafter(4.0 * error + 2.0**-52, 1.0)
 
@@ -373,30 +386,33 @@ def _prune_margin(fam: DistributionFamily, n: int, theta: float) -> float:
 def prob_min(fam: DistributionFamily, n: int | np.ndarray, thetas: np.ndarray, lo: np.ndarray,
              hi: np.ndarray) -> tuple[float, int]:
     """`min` of `prob_ranges(...)` and the first row that attains it, bit for
-    bit; (inf, -1) for no rows.  With `cdf_batch`, at least _BOUND_ROWS rows
-    of one n, ascending in theta, whose window ends do not decrease (a full
-    sweep's: one comparison of neighbours per array checks it) take
-    `_bounded_min`, a branch and bound on CDF values; any other rows, one
-    `prob_ranges` call.  Without `cdf_batch`, a branch and bound on pmf sums:
-    a row sums its pmf outward from the mean of Y_n, c = clamp(floor(n theta),
-    k, l), always the larger neighbour next.  Once the fsum of its terms so
-    far exceeds the least whole row (asked once a naive sum exceeds it by an
-    ulp per term of the row), so does its value, the terms being >= 0 and
-    rounding monotone, and it is dropped.  A whole row's fsum is correctly
-    rounded in any order: `prob_ranges`' value.  Rows are visited in ascending
-    (distance from c to the nearer end + 1/2) * pmf(c), about that distance in
-    standard deviations, which changes the work, never the answer.
+    bit; (inf, -1) for no rows.  Rows of one n, ascending in theta, whose
+    window ends do not decrease (a full sweep's: one comparison of
+    neighbours per array checks it) take `_bounded_min`, a branch and bound
+    over blocks of rows, when there are at least _BOUND_ROWS of them with
+    `cdf_batch` and _PMF_BOUND_ROWS without.  Any other rows take one
+    `prob_ranges` call with `cdf_batch`, and `_pmf_min` without.
     """
-    if fam.cdf_batch is not None:
-        if (np.ndim(n) == 0 and len(thetas) >= _BOUND_ROWS and (thetas[1:] >= thetas[:-1]).all()
-                and (lo[1:] >= lo[:-1]).all() and (hi[1:] >= hi[:-1]).all()):
-            return _bounded_min(fam, n, thetas, lo, hi)
+    pmf_only = fam.cdf_batch is None
+    if not (np.ndim(n) == 0 and len(thetas) >= (_PMF_BOUND_ROWS if pmf_only else _BOUND_ROWS)
+            and (thetas[1:] >= thetas[:-1]).all() and (lo[1:] >= lo[:-1]).all()
+            and (hi[1:] >= hi[:-1]).all()):
+        if pmf_only:
+            return _pmf_min(fam, range(len(thetas)), _log_pmf_rows(fam, n, thetas, lo, hi),
+                            (math.inf, -1))
         values = prob_ranges(fam, n, thetas, lo, hi)
         if not len(values):
             return math.inf, -1
         i = int(values.argmin())  # the first of equal values
         return float(values[i]), i
-    log_pmf, exp, fsum = fam.log_pmf, math.exp, math.fsum
+    level = partial(_pmf_level if pmf_only else _cdf_level, fam, n, thetas, lo, hi,
+                    _prune_margin(fam, n, float(thetas[-1])))
+    return _bounded_min(len(thetas) - 1, level)
+
+
+def _checked_pmf(fam: DistributionFamily) -> Callable[[int, float, int], float]:
+    """exp(fam.log_pmf(n, theta, j)), raising DomainError on a NaN."""
+    log_pmf, exp = fam.log_pmf, math.exp
 
     def pmf(n: int, theta: float, j: int) -> float:
         p = exp(log_pmf(n, theta, j))
@@ -404,8 +420,26 @@ def prob_min(fam: DistributionFamily, n: int | np.ndarray, thetas: np.ndarray, l
             raise _nan_error(fam, n, theta, j)
         return p
 
-    best, best_row, queue = math.inf, -1, []
-    for i, (n, theta, k, l, whole) in enumerate(_log_pmf_rows(fam, n, thetas, lo, hi)):
+    return pmf
+
+
+def _pmf_min(fam: DistributionFamily, index, rows, best: tuple[float, int]) -> tuple[float, int]:
+    """The least of `best` and the (value, row) of `rows`, numbered by
+    `index`, of a family without `cdf_batch`, each value bit for bit as
+    `prob_ranges` sums it, by branch and bound on pmf sums: a row, as
+    `_log_pmf_rows` gives it, sums its pmf outward from the mean of Y_n,
+    c = clamp(floor(n theta), k, l), always the larger neighbour next.  Once
+    the fsum of its terms so far exceeds the least whole row (asked once a
+    naive sum exceeds it by an ulp per term of the row), so does its value,
+    the terms being >= 0 and rounding monotone, and it is dropped.  A whole
+    row's fsum is correctly rounded in any order: `prob_ranges`' value.
+    Rows are visited in ascending (distance from c to the nearer end + 1/2)
+    * pmf(c), about that distance in standard deviations, which changes the
+    work, never the answer.
+    """
+    pmf, fsum = _checked_pmf(fam), math.fsum
+    (best, best_row), queue = best, []
+    for i, (n, theta, k, l, whole) in zip(index, rows):
         if whole or l < k:  # exactly 1.0 or 0.0; on equal values the first row wins
             best, best_row = min((best, best_row), (float(whole), i))
         else:
@@ -417,7 +451,8 @@ def prob_min(fam: DistributionFamily, n: int | np.ndarray, thetas: np.ndarray, l
         # the next term below and above, -1.0 past the window's end
         pl = pmf(n, theta, c - 1) if c > k else -1.0
         pr = pmf(n, theta, c + 1) if c < l else -1.0
-        limit = best * (1.0 + (l - k + 1) * 2.0 ** -52)
+        # no value is above 1.0: under a best of 1.0 every row is summed whole
+        limit = best * (1.0 + (l - k + 1) * 2.0 ** -52) if best < 1.0 else math.inf
         while not (s > limit and min(fsum(terms), 1.0) > best):
             if pl < 0.0 and pr < 0.0:  # summed to both ends
                 best, best_row = min((best, best_row), (min(fsum(terms), 1.0), i))
@@ -442,48 +477,43 @@ def prob_min(fam: DistributionFamily, n: int | np.ndarray, thetas: np.ndarray, l
 # minimum (Bernoulli absolute 1/10 on [0, 1] at n >= 500) never gains and
 # costs 1.1 to 1.4 times one call
 _BOUND_ROWS = 1024
+# the same without `cdf_batch`, against `_pmf_min` over every row: measured
+# crossovers between 150 and 250 rows (Bernoulli relative 1/5 on [1/10, 9/10],
+# Poisson relative 1/4 on [1, 5]); sets whose rows all lie near the minimum
+# (Bernoulli absolute 1/10 on [0, 1], Poisson absolute 1/2 on [1, 10]) cost
+# up to 1.06 times
+_PMF_BOUND_ROWS = 256
 # a block of at most _LEAF_ROWS interior rows is evaluated whole; the first
 # blocks hold 2 * _LEAF_ROWS rows, and a longer live block is cut in _PIECES
 _LEAF_ROWS, _PIECES = 16, 4
 
 
-def _bounded_min(fam: DistributionFamily, n: int, thetas: np.ndarray, lo: np.ndarray,
-                 hi: np.ndarray) -> tuple[float, int]:
-    """`prob_min` with `cdf_batch` for rows of one n, ascending in theta,
-    whose window ends do not decrease, by branch and bound (Moore 1966).
+def _bounded_min(size: int, level: Callable) -> tuple[float, int]:
+    """`prob_min` over rows 0..size of one n, ascending in theta, whose
+    window ends do not decrease, by branch and bound (Moore 1966).
 
     A row i of a block of rows s..e has lo_i <= lo_e, hi_i >= hi_s and
-    theta_s <= theta_i <= theta_e.  F(k; theta) does not decrease in k and
-    does not increase in theta, so the row's value is at least
-    F(hi_s; theta_e) - F(lo_e - 1; theta_s), each F read as `_cdf_keys`
-    reads it.  The rows are cut into blocks of 2 * _LEAF_ROWS rows.  Each
-    level evaluates the rows where the blocks meet and bounds the blocks, in
-    one `cdf_batch` call; drops a block whose bound exceeds the least value
-    so far by more than `_prune_margin`; evaluates every interior row of a
-    block left with at most _LEAF_ROWS of them, and cuts the others into
-    _PIECES.  A level that drops no row is followed by every row left: the
-    bounds cannot tell those rows apart.  A dropped row is strictly above an
+    theta_s <= theta_i <= theta_e.  Pr{Y_n <= k | theta} does not decrease
+    in k and does not increase in theta, so the row's value is at least
+    F(hi_s; theta_e) - F(lo_e - 1; theta_s).  The rows are cut into blocks
+    of 2 * _LEAF_ROWS rows.  Each level calls `level(rows, s, e, best)`,
+    which folds the least (value, row) of the rows into `best` and tells
+    which blocks s..e that bound cannot drop, against the new best and the
+    family's `_prune_margin`: `_cdf_level` with `cdf_batch`, `_pmf_level`
+    without.  The next level evaluates every interior row of a block left
+    with at most _LEAF_ROWS of them, and cuts the others into _PIECES.  A
+    level that drops no row is followed by every row left: the bounds
+    cannot tell those rows apart.  A dropped row is strictly above an
     evaluated value, so the least value and its first row are those of
-    `prob_ranges` over every row, bit for bit: each row evaluated is
-    evaluated as there, the CDF elementwise.  A NaN raises DomainError where
-    it is read, as in `prob_ranges`; a dropped row is not read.
+    `prob_ranges` over every row, bit for bit.  A NaN raises DomainError
+    where it is read, as in `prob_ranges`; a dropped row is not read.
     """
-    margin = _prune_margin(fam, n, float(thetas[-1]))
-    size = len(thetas) - 1
     blocks = size // (2 * _LEAF_ROWS)
     rows = np.arange(blocks + 1) * size // blocks
     best, s, e = (math.inf, -1), rows[:-1], rows[1:]
     while True:
-        # the values of the rows and the bounds of the blocks s..e, in one call
-        c = _cdf_ends(fam, n, *(np.concatenate(x) for x in (
-            (thetas[rows], thetas[s]), (lo[rows], lo[e]), (hi[rows], hi[s]),
-            (thetas[rows], thetas[e]))))
-        d = c[1] - c[0]
-        got = np.maximum(d[:len(rows)], 0.0)
-        if len(got) and (low := float(got.min())) <= best[0]:
-            best = min(best, (low, int(rows[got == low].min())))
+        best, keep = level(rows, s, e, best)
         before = (e - s - 1).sum()
-        keep = (e - s > 1) & (d[len(rows):] <= best[0] + margin)
         s, e = s[keep], e[keep]
         if not len(s):
             return best
@@ -495,6 +525,80 @@ def _bounded_min(fam: DistributionFamily, n: int, thetas: np.ndarray, lo: np.nda
         cuts = s + (e - s) * np.arange(1, _PIECES) // _PIECES
         rows = np.concatenate((rows, cuts.ravel()))
         s, e = np.hstack((s, cuts)).ravel(), np.hstack((cuts, e)).ravel()
+
+
+def _cdf_level(fam: DistributionFamily, n: int, thetas: np.ndarray, lo: np.ndarray,
+               hi: np.ndarray, margin: float, rows: np.ndarray, s: np.ndarray, e: np.ndarray,
+               best: tuple[float, int]) -> tuple[tuple[float, int], np.ndarray]:
+    """A level of `_bounded_min` with `cdf_batch`: the values of the rows, as
+    `prob_ranges` gives them, and the blocks' bounds, each F read as
+    `_cdf_keys` reads it, in one `cdf_batch` call; a block is kept while its
+    bound is at most best + margin."""
+    c = _cdf_ends(fam, n, *(np.concatenate(x) for x in (
+        (thetas[rows], thetas[s]), (lo[rows], lo[e]), (hi[rows], hi[s]),
+        (thetas[rows], thetas[e]))))
+    d = c[1] - c[0]
+    got = np.maximum(d[:len(rows)], 0.0)
+    if len(got) and (low := float(got.min())) <= best[0]:
+        best = min(best, (low, int(rows[got == low].min())))
+    return best, d[len(rows):] <= best[0] + margin
+
+
+def _pmf_level(fam: DistributionFamily, n: int, thetas: np.ndarray, lo: np.ndarray,
+               hi: np.ndarray, margin: float, rows: np.ndarray, s: np.ndarray, e: np.ndarray,
+               best: tuple[float, int]) -> tuple[tuple[float, int], np.ndarray]:
+    """A level of `_bounded_min` without `cdf_batch`: `_pmf_min` over the
+    rows, then a bound per block s..e from pmf sums.  F(hi_s; theta_e) is at
+    least S_down, the sum of pmf(j; theta_e) over j <= hi_s, and
+    1 - F(lo_e - 1; theta_s) at least S_up, the sum of pmf(j; theta_s) over
+    j >= lo_e, each as far as it has been summed, so the block's bound is at
+    least S_down + S_up - 1.  The two sums start at hi_s and lo_e, clipped
+    to the support, and take the larger next term of the two until they
+    exceed 1 + best + margin (the block is dropped), or until both reach
+    the ends of the support, a top of an unbounded one cut at `tail_cutoff`,
+    or `_tail` bounds what is left of them below the rest (the block is
+    kept).  A block whose windows do not meet, lo_e > hi_s, is kept: its
+    bound is at most 0.  Keeping a block costs work, never the answer: its
+    rows are bounded or evaluated in turn.  A NaN term raises DomainError.
+    """
+    best = _pmf_min(fam, rows.tolist(), _log_pmf_rows(fam, n, thetas[rows], lo[rows], hi[rows]),
+                    best)
+    pmf, (kmin, kmax) = _checked_pmf(fam), fam.support_bound(n)
+    above, keep = 1.0 + best[0] + margin, []
+    for low, high, k, l in zip(thetas[s].tolist(), thetas[e].tolist(), lo[e].tolist(),
+                               hi[s].tolist()):
+        if k > l:
+            keep.append(True)
+            continue
+        # the next term of each sum, -1.0 past the end of the support
+        top = kmax if kmax is not None else fam.tail_cutoff(n, low)
+        down, up = min(l, kmax if kmax is not None else fam.tail_cutoff(n, high)), max(k, kmin)
+        pd = pmf(n, high, down) if down >= kmin else -1.0
+        pu = pmf(n, low, up) if up <= top else -1.0
+        total, tail_d, tail_u = 0.0, _tail(pd, math.nan), _tail(pu, math.nan)
+        while total <= above < total + tail_d + tail_u:
+            if pd >= pu:
+                total += pd
+                down -= 1
+                last, pd = pd, pmf(n, high, down) if down >= kmin else -1.0
+                tail_d = _tail(pd, last)
+            else:
+                total += pu
+                up += 1
+                last, pu = pu, pmf(n, low, up) if up <= top else -1.0
+                tail_u = _tail(pu, last)
+        keep.append(total <= above)
+    return best, np.array(keep, bool)
+
+
+def _tail(p: float, last: float) -> float:
+    """A bound on the rest of a pmf sum whose next term is p, after `last`
+    (NaN before the first): for a log-concave pmf past its mode, the
+    geometric series of ratio p / last.  0.0 past the end of the sum
+    (p < 0), inf while the terms grow."""
+    if p < 0.0:
+        return 0.0
+    return p * last / (last - p) if p < last else math.inf
 
 
 def _log_pmf_rows(fam: DistributionFamily, n, thetas, lo, hi):

@@ -454,7 +454,8 @@ def grid_min_coverage(
         # CDF values bound the rows a run of one window holds
         (best, j), (least, i) = _scan_runs(fam, n, rows, s, e, lo, hi, cand)
     else:
-        # log-pmf sums do not: every row is summed until it exceeds the least
+        # without it `prob_min` bounds blocks of rows by pmf sums, and sums a
+        # row it evaluates until it exceeds the least
         least, i = prob_min(fam, n, *cand) if cand else (math.inf, -1)
         best, j = prob_min(fam, n, _floats(rows.t(np.arange(rows.count)), den),
                            *(np.repeat(x, e - s + 1) for x in (lo, hi)))

@@ -37,8 +37,8 @@ from covsize import (
     register_family,
 )
 from covsize import families
-from covsize.families import (_BDTR_ERROR, _BOUND_ROWS, _PDTR_ERROR, _REGISTRY, _int64_ends,
-                              cdf_error, prob_min, prob_ranges)
+from covsize.families import (_BDTR_ERROR, _BOUND_ROWS, _PDTR_ERROR, _PMF_BOUND_ROWS, _REGISTRY,
+                              _int64_ends, cdf_error, prob_min, prob_ranges)
 from covsize.candidates import _spec, candidate_set_for
 from covsize.minimize import _rows, _witness_minima
 
@@ -259,7 +259,9 @@ def test_log_pmf_sum_is_one_over_the_whole_support_and_never_above():
 
 def _bimodal_log_pmf(n, theta, k):
     # theta * binomial(n, 1/50) + (1 - theta) * binomial(n, 49/50): the mass
-    # sits near 0 and n, far from n * theta
+    # sits near 0 and n, far from n * theta.  Its CDF increases in theta,
+    # which breaks the promise the bounds of `prob_min` rest on: it may only
+    # take rows that `prob_min` does not bound, fewer than _PMF_BOUND_ROWS
     p = (theta * math.exp(BERNOULLI.log_pmf(n, 0.02, k))
          + (1 - theta) * math.exp(BERNOULLI.log_pmf(n, 0.98, k)))
     return math.log(p) if p > 0 else -math.inf
@@ -299,6 +301,7 @@ def prob_rows(draw):
 @example((POISSON, 20, np.zeros(0), np.zeros(0, int), np.zeros(0, int)))
 @example((PLAIN_POISSON, np.zeros(0, int), np.zeros(0), np.zeros(0, int), np.zeros(0, int)))
 def test_prob_min_is_the_first_minimum_of_the_full_sums(args):
+    assert args[0] is not BIMODAL or len(args[2]) < _PMF_BOUND_ROWS
     values = prob_ranges(*args).tolist()
     expected = (min(values), values.index(min(values))) if values else (math.inf, -1)
     assert prob_min(*args) == expected
@@ -357,15 +360,15 @@ def test_bounded_minimum_is_the_first_minimum_of_every_row(monkeypatch, sweep):
 
 
 @st.composite
-def large_sweeps(draw):
+def large_sweeps(draw, least=_BOUND_ROWS, most=30_000, top_n=20_000):
     """A full sweep of either family and any of the six pairs, drawn as
-    criterion 1 draws its instances but at an n that gives 1024 to about
-    30,000 candidates."""
+    criterion 1 draws its instances but at an n up to top_n that gives
+    `least` to about `most` candidates."""
     family = draw(st.sampled_from(["bernoulli", "poisson"]))
     pair = draw(st.sampled_from(PAIRS))
     _, *query = random_instance(random.Random(draw(st.integers(0, 2**32))), pair, family)
     per_100 = len(candidate_set_for(100, *query))
-    n = min(max(draw(st.integers(_BOUND_ROWS, 30_000)) * 100 // per_100, 2), 20_000)
+    n = min(max(draw(st.integers(least, most)) * 100 // per_100, 2), top_n)
     return (family, n, *query)
 
 
@@ -377,6 +380,26 @@ def test_bounded_minimum_equals_every_row_on_large_sweeps(sweep):
     # a candidate set's windows do not decrease in theta: the bound applies
     for x in rows[1:]:
         assert (x[1:] >= x[:-1]).all()
+    value, row = prob_min(fam, *rows)
+    assert (value.hex(), row) == first_minimum(fam, rows)
+
+
+@settings(max_examples=8, deadline=None)
+@given(large_sweeps(_PMF_BOUND_ROWS, 700, 300))
+# no block of the first level whose windows meet, lo_e > hi_s: every row is read
+@example(("bernoulli", 300, Absolute(Fraction(1, 40)), UNBIASED, Fraction(0), Fraction(1)))
+# dropped blocks, one whose windows do not meet, and a bound from an open top
+# cut at tail_cutoff
+@example(("poisson", 60, Relative(Fraction(1, 4)), RangePreserving(Fraction(1, 2), Fraction(5)),
+          Fraction(1, 2), Fraction(5)))
+# whole-support rows: with dropped blocks, and under a least value within 1e-13 of 1
+@example(("poisson", 61, Relative(Fraction(39, 40)), RangePreserving(Fraction(3, 8), Fraction(6)),
+          Fraction(3, 8), Fraction(6)))
+@example(("bernoulli", 300, Absolute(Fraction(3, 5)), UNBIASED, Fraction(0), Fraction(1)))
+def test_the_log_pmf_bounded_minimum_equals_every_row_on_large_sweeps(sweep):
+    fam, rows = sweep_rows(*sweep)
+    fam = PLAIN_BERNOULLI if fam is BERNOULLI else PLAIN_POISSON
+    assume(len(rows[1]) >= _PMF_BOUND_ROWS)
     value, row = prob_min(fam, *rows)
     assert (value.hex(), row) == first_minimum(fam, rows)
 
@@ -411,6 +434,13 @@ def test_a_nan_probability_raises_domain_error_naming_where():
         prob_ranges(NAN_AT_HALF, 12, half, *rows)
     with pytest.raises(DomainError, match=r"at n=12, theta=0\.5, k=6"):
         prob_min(NAN_AT_HALF, 12, half, *rows)
+    # a sorted sweep whose windows, 52..60, hold no NaN: only a block's bound
+    # reads one, summing pmf(j; theta_e) down from hi_s = 60 past k = 50
+    sweep = np.linspace(0.49, 0.51, _PMF_BOUND_ROWS), *np.full((2, _PMF_BOUND_ROWS), [[52], [60]])
+    assert not np.isnan(prob_ranges(NAN_AT_HALF, 100, *sweep)).any()
+    with pytest.raises(DomainError, match=r"'nan-at-half' gave a NaN probability at "
+                                          r"n=100, theta=0\.49\d*, k=50"):
+        prob_min(NAN_AT_HALF, 100, *sweep)
     nan_cdf = dataclasses.replace(
         BERNOULLI, name="nan-cdf",
         cdf_batch=lambda n, theta, k: np.where(k == 9, np.nan, _sps.bdtr(k, n, theta)))

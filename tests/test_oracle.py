@@ -518,8 +518,9 @@ def test_a_log_pmf_grid_is_the_per_row_scan_with_fewer_log_pmf_calls():
 
     clone = dataclasses.replace(BERNOULLI, name="counting", cdf_batch=None, log_pmf=log_pmf)
     n, crit = 60, Relative(F(1, 5))
-    for include in (False, True):
-        grid = GridSpec.divide(F(1, 10), F(9, 10), cells=400, include_candidates=include)
+    # every grid takes the block bounds of `prob_min`; 2000 cells, more levels of them
+    for include, cells in ((False, 400), (True, 400), (True, 2000)):
+        grid = GridSpec.divide(F(1, 10), F(9, 10), cells=cells, include_candidates=include)
         calls[0] = 0
         expected = per_row_scan(clone, n, crit, UNBIASED, F(1, 10), F(9, 10), grid)[:2]
         full = calls[0]
